@@ -1,13 +1,15 @@
 //! Commit-throughput: group commit vs per-commit fsync (the PR-3
 //! tentpole claim).
 //!
-//! `threads` committers each run a stream of auto-commit inserts:
+//! `threads` committers each run a stream of single-row commits:
 //!
-//! * `per_commit_fsync/…` — `group_commit: None`; every commit pays its
-//!   own append + fsync under the inline path, so committers serialize on
+//! * `per_commit_fsync/…` — the baseline harness: no engine, no
+//!   pipeline; each committer appends its commit's records to a bare
+//!   `WalSet` shard and pays its own fsync, so committers serialize on
 //!   the durability point;
-//! * `group_commit/…` — the pipeline; concurrent committers pile up
-//!   behind the writer thread's current fsync and share the next one.
+//! * `group_commit/…` — the engine (auto-commit inserts through the
+//!   pipeline); concurrent committers pile up behind the writer thread's
+//!   current fsync and share the next one.
 //!
 //! At 1 thread the pipeline must not lose (one thread handoff against one
 //! fsync — the fsync dominates). From 4 threads up it should win, and the
@@ -34,9 +36,10 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
-use instant_common::{DataType, MockClock, Value};
+use instant_common::{DataType, MockClock, TableId, Timestamp, TupleId, TxId, Value};
 use instant_core::schema::{Column, TableSchema};
-use instant_core::{Db, DbConfig, GroupCommitConfig};
+use instant_core::{Db, DbConfig};
+use instant_wal::{LogRecord, Payload, SegmentConfig, WalSet};
 
 const PER_THREAD: i64 = 200;
 
@@ -51,24 +54,13 @@ fn schema() -> TableSchema {
     .unwrap()
 }
 
-fn open_db(group: Option<GroupCommitConfig>) -> Arc<Db> {
-    let cfg = match group {
-        Some(gc) => DbConfig::builder().group_commit(gc),
-        None => DbConfig::builder().no_group_commit(),
-    }
-    .build()
-    .unwrap();
-    open_db_with(cfg)
+fn open_db() -> Arc<Db> {
+    open_db_with(DbConfig::builder().build().unwrap())
 }
 
-/// Ephemeral engine with the pipeline on and `shards` WAL shards.
+/// Ephemeral engine with `shards` WAL shards.
 fn open_db_sharded(shards: usize) -> Arc<Db> {
-    let cfg = DbConfig::builder()
-        .wal_shards(shards)
-        .group_commit(GroupCommitConfig::default())
-        .build()
-        .unwrap();
-    open_db_with(cfg)
+    open_db_with(DbConfig::builder().wal_shards(shards).build().unwrap())
 }
 
 fn open_db_with(cfg: DbConfig) -> Arc<Db> {
@@ -121,6 +113,40 @@ fn run_committers_payload(db: &Arc<Db>, threads: i64, payload_bytes: usize) {
     });
 }
 
+/// The per-commit-fsync baseline: the same shard count the engine would
+/// open and the same three records per commit, but every committer
+/// appends and fsyncs its own batch directly — what each commit would
+/// cost without the pipeline folding fsyncs.
+fn run_fsync_per_commit(threads: i64) {
+    let shards = DbConfig::default().effective_wal_shards();
+    let set = WalSet::temp_with("bench-fsync", shards, SegmentConfig::default()).unwrap();
+    let at = Timestamp::ZERO;
+    std::thread::scope(|s| {
+        for t in 0..threads {
+            let set = &set;
+            s.spawn(move || {
+                for i in 0..PER_THREAD {
+                    let tx = TxId((t * PER_THREAD + i) as u64);
+                    let batch = [
+                        LogRecord::Begin { tx, at },
+                        LogRecord::Insert {
+                            tx,
+                            table: TableId(1),
+                            tid: TupleId::new(1, i as u16),
+                            row: Payload::Plain(format!("{}-payload", tx.0).into_bytes()),
+                            at,
+                        },
+                        LogRecord::Commit { tx, at },
+                    ];
+                    let shard = set.shard_for_batch(&batch);
+                    set.append_batch(shard, &batch).unwrap();
+                    set.sync(shard).unwrap();
+                }
+            });
+        }
+    });
+}
+
 fn bench_commit_throughput(c: &mut Criterion) {
     let mut g = c.benchmark_group("commit_throughput");
     g.sample_size(10);
@@ -130,10 +156,7 @@ fn bench_commit_throughput(c: &mut Criterion) {
             BenchmarkId::new("per_commit_fsync", threads),
             &threads,
             |b, &t| {
-                b.iter(|| {
-                    let db = open_db(None);
-                    run_committers(&db, t);
-                });
+                b.iter(|| run_fsync_per_commit(t));
             },
         );
         // Keep the last timed run's engine alive so its drain/fsync/ack
@@ -144,7 +167,7 @@ fn bench_commit_throughput(c: &mut Criterion) {
             &threads,
             |b, &t| {
                 b.iter(|| {
-                    let db = open_db(Some(GroupCommitConfig::default()));
+                    let db = open_db();
                     run_committers(&db, t);
                     *last.borrow_mut() = Some(db);
                 });
@@ -193,11 +216,10 @@ fn run_windowed_committers(db: &Arc<Db>, threads: u64, window: usize, commits: u
 }
 
 /// Throughput of the same async-windowed commit burst against 1/2/4/8
-/// WAL shards. Every configuration commits through the pipeline; only
-/// the number of independent drain pipelines (and so the number of
-/// concurrently in-flight fsyncs) varies. The per-shard drain/fsync
-/// histograms land in the NDJSON artifact under `wal_shard_stats/{n}/…`
-/// for the CI percentile gate.
+/// WAL shards; only the number of independent drain pipelines (and so
+/// the number of concurrently in-flight fsyncs) varies. The per-shard
+/// drain/fsync histograms land in the NDJSON artifact under
+/// `wal_shard_stats/{n}/…` for the CI percentile gate.
 fn bench_shard_scaling(c: &mut Criterion) {
     const THREADS: u64 = 2;
     const WINDOW: usize = 128;
@@ -244,7 +266,6 @@ fn bench_recovery(c: &mut Criterion) {
                     cleanup(&dir);
                     let cfg = DbConfig::builder()
                         .wal_shards(n)
-                        .group_commit(GroupCommitConfig::default())
                         .path(dir.clone())
                         .build()
                         .unwrap();

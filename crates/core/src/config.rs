@@ -1,6 +1,5 @@
-//! Engine configuration: [`DbConfig`], its validating [`DbConfigBuilder`],
-//! and the single documented environment overlay behind CI's
-//! degraded-config matrix ([`DbConfig::from_env_overlay`]).
+//! Engine configuration: [`DbConfig`] and its validating
+//! [`DbConfigBuilder`].
 //!
 //! Three ways to obtain a config, in decreasing order of ceremony:
 //!
@@ -8,11 +7,12 @@
 //!   through named methods and **validated at build time** (zero WAL
 //!   shards, zero segment bytes and their friends are rejected before a
 //!   `Db` ever opens half-configured).
-//! * [`DbConfig::from_env_overlay`] — production defaults with the
-//!   `INSTANTDB_TEST_*` knobs applied (debug builds only). This is the
+//! * [`DbConfig::default`] — production defaults with the four
+//!   `INSTANTDB_TEST_*` knobs applied (debug builds only), so every test
+//!   constructed from defaults participates in the CI matrix. This is the
 //!   one place in the workspace that reads those variables.
-//! * [`DbConfig::default`] — delegates to `from_env_overlay`, so every
-//!   test constructed from defaults participates in the CI matrix.
+//! * [`DbConfig::base`] — the pure production defaults: no environment
+//!   read, deterministic in every build.
 
 use std::path::PathBuf;
 
@@ -51,8 +51,7 @@ pub struct DbConfig {
     /// WAL shard count: independent per-shard segment directories, each
     /// with its own group-commit drain pipeline, behind one global LSN
     /// allocator (see `instant_wal::WalSet`). `0` = automatic (derived
-    /// from available parallelism, clamped to [1, 4]); `1` reproduces
-    /// the classical single-directory log byte-for-byte. Reopening a
+    /// from available parallelism, clamped to [1, 4]). Reopening a
     /// directory that already holds more shards than requested uses the
     /// on-disk count.
     pub wal_shards: usize,
@@ -60,12 +59,11 @@ pub struct DbConfig {
     pub key_window: Duration,
     /// Max transitions per degradation batch (0 = unbounded).
     pub batch_max: usize,
-    /// Group-commit pipeline: `Some` routes every commit through
-    /// per-shard log-writer/fsync thread pairs that batch concurrent
-    /// committers behind one fsync per durability epoch; `None` makes
-    /// each commit pay its own append + fsync inline (the classical
-    /// baseline).
-    pub group_commit: Option<GroupCommitConfig>,
+    /// Group-commit pipeline tuning: every commit rides a per-shard
+    /// log-writer/fsync thread pair that batches concurrent committers
+    /// behind one fsync per durability epoch. (No logging at all is
+    /// [`WalMode::Off`], not a pipeline setting.)
+    pub group_commit: GroupCommitConfig,
     /// Background checkpoint interval for
     /// [`Checkpointer::spawn_from_config`](crate::daemon::Checkpointer);
     /// `None` leaves checkpointing caller-driven.
@@ -119,7 +117,7 @@ impl DbConfig {
             wal_shards: 0,
             key_window: Duration::hours(1),
             batch_max: 1024,
-            group_commit: Some(GroupCommitConfig::default()),
+            group_commit: GroupCommitConfig::default(),
             checkpoint_every: None,
             wal_segment_bytes: instant_wal::segment::DEFAULT_SEGMENT_BYTES,
             wal_retention_segments: None,
@@ -128,48 +126,6 @@ impl DbConfig {
             slow_query: None,
             replica_degrade_to: None,
         }
-    }
-
-    /// [`DbConfig::base`] with the `INSTANTDB_TEST_*` environment knobs
-    /// applied — the test-harness overlay behind CI's degraded-config
-    /// matrix:
-    ///
-    /// * `INSTANTDB_TEST_GROUP_COMMIT=off|0|false` — inline per-commit
-    ///   fsync instead of the pipeline;
-    /// * `INSTANTDB_TEST_WAL_SHARDS=<n>` — pin the WAL shard count
-    ///   (`1` = classical single-directory log);
-    /// * `INSTANTDB_TEST_POOL_SHARDS=<n>` — pin the buffer-pool shard
-    ///   count;
-    /// * `INSTANTDB_TEST_CHECKPOINT_EVERY_MS=<n>` — arm background
-    ///   checkpointing wherever a config is spawned from defaults;
-    /// * `INSTANTDB_TEST_WAL_SEGMENT_BYTES=<n>` — WAL segment capacity.
-    ///
-    /// The knobs are honored **only in debug builds**
-    /// (`debug_assertions`): a release binary's defaults stay pure and
-    /// deterministic, so a stray environment variable can never silently
-    /// weaken production durability configuration. CI's matrix lane runs
-    /// the debug test suite. This function is the single place the
-    /// workspace reads those variables; everything else goes through it
-    /// (usually via [`DbConfig::default`]).
-    pub fn from_env_overlay() -> DbConfig {
-        let mut cfg = DbConfig::base();
-        let profile = test_profile();
-        if profile.group_commit_off {
-            cfg.group_commit = None;
-        }
-        if let Some(n) = profile.wal_shards {
-            cfg.wal_shards = n;
-        }
-        if let Some(n) = profile.pool_shards {
-            cfg.pool_shards = n;
-        }
-        cfg.checkpoint_every = profile
-            .checkpoint_every_ms
-            .map(std::time::Duration::from_millis);
-        if let Some(n) = profile.wal_segment_bytes {
-            cfg.wal_segment_bytes = n;
-        }
-        cfg
     }
 
     /// Start a validating builder from [`DbConfig::default`] (production
@@ -198,16 +154,43 @@ impl DbConfig {
 }
 
 impl Default for DbConfig {
-    /// The production defaults, overridable per-process by the
-    /// `INSTANTDB_TEST_*` environment knobs (see
-    /// [`DbConfig::from_env_overlay`]). CI's config-matrix lane uses
-    /// those knobs to run the whole suite under degraded configurations
-    /// (inline commits, a single WAL shard, one pool shard, an
-    /// aggressive checkpointer, tiny WAL segments) so non-default paths
-    /// stay exercised. Tests that *assert* a specific configuration set
-    /// the field explicitly instead of relying on this default.
+    /// [`DbConfig::base`] with the `INSTANTDB_TEST_*` environment knobs
+    /// applied — the test-harness overlay behind CI's config matrix,
+    /// which runs the whole suite under non-default configurations so
+    /// those paths stay exercised:
+    ///
+    /// * `INSTANTDB_TEST_WAL_SHARDS=<n>` — pin the WAL shard count;
+    /// * `INSTANTDB_TEST_POOL_SHARDS=<n>` — pin the buffer-pool shard
+    ///   count;
+    /// * `INSTANTDB_TEST_CHECKPOINT_EVERY_MS=<n>` — arm background
+    ///   checkpointing wherever a config is spawned from defaults;
+    /// * `INSTANTDB_TEST_WAL_SEGMENT_BYTES=<n>` — WAL segment capacity.
+    ///
+    /// The knobs are honored **only in debug builds**
+    /// (`debug_assertions`): a release binary's defaults stay pure and
+    /// deterministic, so a stray environment variable can never silently
+    /// weaken production durability configuration. Tests that *assert* a
+    /// specific configuration set the field explicitly instead of
+    /// relying on this default.
     fn default() -> Self {
-        DbConfig::from_env_overlay()
+        fn knob<T: std::str::FromStr>(name: &str) -> Option<T> {
+            std::env::var(name).ok()?.trim().parse().ok()
+        }
+        let mut cfg = DbConfig::base();
+        if cfg!(debug_assertions) {
+            if let Some(n) = knob("INSTANTDB_TEST_WAL_SHARDS") {
+                cfg.wal_shards = n;
+            }
+            if let Some(n) = knob("INSTANTDB_TEST_POOL_SHARDS") {
+                cfg.pool_shards = n;
+            }
+            cfg.checkpoint_every =
+                knob("INSTANTDB_TEST_CHECKPOINT_EVERY_MS").map(std::time::Duration::from_millis);
+            if let Some(n) = knob("INSTANTDB_TEST_WAL_SEGMENT_BYTES") {
+                cfg.wal_segment_bytes = n;
+            }
+        }
+        cfg
     }
 }
 
@@ -234,15 +217,9 @@ impl DbConfigBuilder {
         self
     }
 
-    /// Enable the group-commit pipeline with `cfg`.
+    /// Group-commit pipeline tuning (batch cap, linger).
     pub fn group_commit(mut self, cfg: GroupCommitConfig) -> Self {
-        self.cfg.group_commit = Some(cfg);
-        self
-    }
-
-    /// Disable the group-commit pipeline (inline per-commit fsync).
-    pub fn no_group_commit(mut self) -> Self {
-        self.cfg.group_commit = None;
+        self.cfg.group_commit = cfg;
         self
     }
 
@@ -326,7 +303,7 @@ impl DbConfigBuilder {
         if self.wal_shards_explicit && cfg.wal_shards == 0 {
             return Err(Error::Config(
                 "wal_shards(0) is invalid: omit the call for auto-selection, \
-                 or pass 1 for the classical single-directory log"
+                 or pass 1 for a single shard"
                     .into(),
             ));
         }
@@ -356,41 +333,6 @@ impl DbConfigBuilder {
     }
 }
 
-/// Parsed `INSTANTDB_TEST_*` knobs (debug builds only; all-defaults in
-/// release). Produced by [`test_profile`], consumed by
-/// [`DbConfig::from_env_overlay`] — nothing else should read those
-/// variables.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct TestProfile {
-    pub group_commit_off: bool,
-    pub wal_shards: Option<usize>,
-    pub pool_shards: Option<usize>,
-    pub checkpoint_every_ms: Option<u64>,
-    pub wal_segment_bytes: Option<u64>,
-}
-
-/// Read the `INSTANTDB_TEST_*` knobs from the environment (debug builds
-/// only; all-defaults in release). See [`DbConfig::from_env_overlay`]
-/// for the variable list and semantics.
-pub fn test_profile() -> TestProfile {
-    if !cfg!(debug_assertions) {
-        return TestProfile::default();
-    }
-    fn parse<T: std::str::FromStr>(name: &str) -> Option<T> {
-        std::env::var(name).ok()?.trim().parse().ok()
-    }
-    let group_commit_off = std::env::var("INSTANTDB_TEST_GROUP_COMMIT")
-        .map(|v| matches!(v.trim(), "off" | "0" | "false" | "none"))
-        .unwrap_or(false);
-    TestProfile {
-        group_commit_off,
-        wal_shards: parse("INSTANTDB_TEST_WAL_SHARDS"),
-        pool_shards: parse("INSTANTDB_TEST_POOL_SHARDS"),
-        checkpoint_every_ms: parse("INSTANTDB_TEST_CHECKPOINT_EVERY_MS"),
-        wal_segment_bytes: parse("INSTANTDB_TEST_WAL_SEGMENT_BYTES"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -399,7 +341,10 @@ mod tests {
     fn builder_applies_fields_and_validates() {
         let cfg = DbConfig::builder()
             .wal_shards(4)
-            .group_commit(GroupCommitConfig::default())
+            .group_commit(GroupCommitConfig {
+                max_batch: 7,
+                ..GroupCommitConfig::default()
+            })
             .slow_query(std::time::Duration::from_millis(5))
             .wal_segment_bytes(1 << 16)
             .wal_retention_segments(8)
@@ -407,7 +352,7 @@ mod tests {
             .unwrap();
         assert_eq!(cfg.wal_shards, 4);
         assert_eq!(cfg.effective_wal_shards(), 4);
-        assert!(cfg.group_commit.is_some());
+        assert_eq!(cfg.group_commit.max_batch, 7);
         assert_eq!(cfg.slow_query, Some(std::time::Duration::from_millis(5)));
         assert_eq!(cfg.wal_segment_bytes, 1 << 16);
         assert_eq!(cfg.wal_retention_segments, Some(8));
@@ -456,7 +401,6 @@ mod tests {
         // `base()` must be deterministic even in debug builds where the
         // overlay knobs are live.
         let cfg = DbConfig::base();
-        assert!(cfg.group_commit.is_some());
         assert_eq!(cfg.pool_shards, 0);
         assert_eq!(cfg.checkpoint_every, None);
         assert_eq!(

@@ -47,7 +47,7 @@ use crate::tuple::{encode_stored_raw, StoredTuple};
 // Configuration moved to its own module; the re-export keeps the
 // historical `crate::db::DbConfig` paths (and downstream `instant_core::
 // db::…` imports) compiling.
-pub use crate::config::{test_profile, DbConfig, DbConfigBuilder, TestProfile, WalMode};
+pub use crate::config::{DbConfig, DbConfigBuilder, WalMode};
 
 /// Engine statistics (monotonic counters).
 #[derive(Debug, Default)]
@@ -95,11 +95,8 @@ pub struct Db {
     clock: SharedClock,
     pool: Arc<BufferPool>,
     catalog: Catalog,
-    // `group` is declared before `wal` so every per-shard pipeline's
-    // writer/fsync thread pair is joined (and its last fsync completed)
-    // before the log handles drop.
-    group: Option<GroupCommitSet>,
-    wal: Option<Arc<WalSet>>,
+    /// The durability path; `None` only in [`WalMode::Off`].
+    log: Option<Durability>,
     keys: KeyStore,
     txs: TxManager,
     sched: DegradationScheduler,
@@ -121,6 +118,15 @@ pub struct Db {
     /// though drain *acknowledgments* still serialize against it on the
     /// Wal's own lock (see [`Db::checkpoint`]).
     ckpt_serial: Mutex<()>, // lock-rank: 200
+}
+
+/// The sharded log plus its per-shard group-commit pipelines — the one
+/// way a record batch becomes durable.
+struct Durability {
+    // Declared before `wal` so every pipeline's writer/fsync thread pair
+    // is joined (and its last fsync completed) before the log drops.
+    group: GroupCommitSet,
+    wal: WalSet,
 }
 
 impl std::fmt::Debug for Db {
@@ -148,18 +154,18 @@ impl Db {
         // `WalSet::open_with` may still widen it to match a directory
         // that already holds more shards.
         let shards = cfg.effective_wal_shards();
-        let wal = match cfg.wal_mode {
-            WalMode::Off => None,
-            _ => Some(Arc::new(match &cfg.path {
-                Some(p) => WalSet::open_with(with_ext(p, "wal"), shards, seg_cfg)?,
-                None => WalSet::temp_with("db", shards, seg_cfg)?,
-            })),
-        };
         let obs = Arc::new(Obs::new());
         obs.set_slow_query_threshold(cfg.slow_query);
-        let group = match (&wal, &cfg.group_commit) {
-            (Some(w), Some(gc)) => Some(GroupCommitSet::spawn_obs(w, gc.clone(), obs.clone())?),
-            _ => None,
+        let log = match cfg.wal_mode {
+            WalMode::Off => None,
+            _ => {
+                let wal = match &cfg.path {
+                    Some(p) => WalSet::open_with(with_ext(p, "wal"), shards, seg_cfg)?,
+                    None => WalSet::temp_with("db", shards, seg_cfg)?,
+                };
+                let group = GroupCommitSet::spawn_obs(&wal, cfg.group_commit.clone(), obs.clone())?;
+                Some(Durability { group, wal })
+            }
         };
         let keys = KeyStore::new(cfg.key_window, cfg.key_seed);
         if let Some(p) = &cfg.path {
@@ -174,8 +180,7 @@ impl Db {
             clock,
             pool,
             catalog: Catalog::new(),
-            group,
-            wal,
+            log,
             keys,
             txs: TxManager::new(),
             sched: DegradationScheduler::new(),
@@ -216,17 +221,15 @@ impl Db {
     /// The sharded log (all shards behind one LSN allocator); `None` in
     /// [`WalMode::Off`].
     pub fn wal(&self) -> Option<&WalSet> {
-        self.wal.as_deref()
+        self.log.as_ref().map(|l| &l.wal)
     }
     /// Group-commit pipeline counters aggregated across every shard
-    /// pipeline; `None` when the pipeline is off.
-    pub fn group_commit_stats(&self) -> Option<GroupCommitStats> {
-        self.group.as_ref().map(|g| g.stats())
-    }
-    /// Per-shard pipeline counters, indexed by WAL shard; `None` when
-    /// the pipeline is off.
-    pub fn group_commit_stats_per_shard(&self) -> Option<Vec<GroupCommitStats>> {
-        self.group.as_ref().map(|g| g.pipe_stats())
+    /// pipeline (zeros in [`WalMode::Off`]).
+    pub fn group_commit_stats(&self) -> GroupCommitStats {
+        self.log
+            .as_ref()
+            .map(|l| l.group.stats())
+            .unwrap_or_default()
     }
     pub fn keystore(&self) -> &KeyStore {
         &self.keys
@@ -241,25 +244,11 @@ impl Db {
             .create_table(schema, self.pool.clone(), self.cfg.secure)
     }
 
-    /// Durably commit a batch of log records: through the group-commit
-    /// pipeline when enabled, else append + fsync inline. Returns the LSN
-    /// of the batch's first record (`None` when logging is off).
-    ///
-    /// Acquires the shared side of `ckpt_gate` itself — callers whose
-    /// page mutations must be covered by the same gate hold (the user
-    /// ops) use [`Db::enqueue_records_gated`] under their own guard
-    /// instead.
-    fn commit_records(&self, records: Vec<LogRecord>) -> Result<Option<Lsn>> {
-        self.enqueue_records(records)?.wait()
-    }
-
     /// Hand a record batch to the durability path and return a
-    /// [`CommitHandle`] — the single commit entry point regardless of
-    /// whether the pipeline is on. Callers pick how to redeem it:
-    /// [`CommitHandle::wait`] blocks to durability,
+    /// [`CommitHandle`] — the single commit entry point. Callers pick
+    /// how to redeem it: [`CommitHandle::wait`] blocks to durability,
     /// [`CommitHandle::try_poll`] checks without blocking (the async
-    /// server path). No caller needs to branch on
-    /// [`DbConfig::group_commit`].
+    /// server path).
     ///
     /// Routing: one batch lands on one WAL shard (keyed by the batch's
     /// transaction id), so a transaction's records stay contiguous in
@@ -271,36 +260,20 @@ impl Db {
     }
 
     /// [`Db::enqueue_records`] for callers already holding `ckpt_gate`
-    /// (either side). With the pipeline on this only *enqueues* — the
-    /// fsync is awaited via [`CommitHandle::wait`] outside the gate,
-    /// keeping committers parallel. Inline, it appends and fsyncs right
-    /// here: releasing the gate between those two steps would let a
-    /// checkpoint truncate the still-unsynced records and then
-    /// acknowledge them anyway.
+    /// (either side). This only *enqueues* — the fsync is awaited via
+    /// [`CommitHandle::wait`] outside the gate, keeping committers
+    /// parallel.
     fn enqueue_records_gated(&self, records: Vec<LogRecord>) -> Result<CommitHandle> {
-        let Some(wal) = &self.wal else {
-            return Ok(CommitHandle(HandleState::Off));
+        let Some(log) = &self.log else {
+            return Ok(CommitHandle(None));
         };
         if records.is_empty() {
-            return Ok(CommitHandle(HandleState::Off));
+            return Ok(CommitHandle(None));
         }
-        // Span-gated: with the pipeline this measures the enqueue alone;
-        // inline it covers the whole append + fsync.
+        // Span-gated: measures the enqueue alone.
         let _submit = self.obs.span(Stage::CommitSubmit);
-        let shard = wal.shard_for_batch(&records);
-        match &self.group {
-            Some(g) => Ok(CommitHandle(HandleState::Ticket(g.submit(shard, records)?))),
-            None => {
-                // Inline path: the append + fsync below *is* the commit's
-                // durability wait, so time it as the ack latency (the
-                // pipeline path records acks at ticket completion).
-                let started = std::time::Instant::now();
-                let lsn = wal.append_batch(shard, &records)?;
-                wal.sync(shard)?;
-                self.obs.commit_ack.record_duration(started.elapsed());
-                Ok(CommitHandle(HandleState::Done(lsn)))
-            }
-        }
+        let shard = log.wal.shard_for_batch(&records);
+        Ok(CommitHandle(Some(log.group.submit(shard, records)?)))
     }
 
     fn payload(&self, bytes: &[u8], now: Timestamp) -> Result<Payload> {
@@ -558,7 +531,7 @@ impl Db {
                 tx: tx.id(),
                 at: now,
             });
-            self.commit_records(recs)?;
+            self.enqueue_records(recs)?.wait()?;
             self.enforce_wal_retention();
         }
         tx.commit()?;
@@ -724,7 +697,7 @@ impl Db {
             // by this flush, and replay starts after the checkpoint LSN,
             // so retaining them briefly is harmless; they die with the
             // next checkpoint.)
-            if let Some(wal) = &self.wal {
+            if let Some(wal) = self.wal() {
                 wal.rotate_all()?;
             }
             // The Checkpoint record rides the same unified commit path
@@ -759,7 +732,7 @@ impl Db {
         // fsyncs and therefore commit acknowledgments never stall behind
         // truncation I/O. `ckpt_serial` keeps a second checkpoint from
         // interleaving.
-        if let (Some(wal), Some(lsn)) = (&self.wal, ckpt_lsn) {
+        if let (Some(wal), Some(lsn)) = (self.wal(), ckpt_lsn) {
             wal.truncate_before(lsn)?;
         }
         self.stats.checkpoints.fetch_add(1, Ordering::Relaxed);
@@ -780,7 +753,7 @@ impl Db {
     /// failure is counted in [`DbStats::forced_checkpoint_failures`] and
     /// will resurface on the next explicit/background checkpoint.
     fn enforce_wal_retention(&self) {
-        let (Some(cap), Some(wal)) = (self.cfg.wal_retention_segments, &self.wal) else {
+        let (Some(cap), Some(wal)) = (self.cfg.wal_retention_segments, self.wal()) else {
             return;
         };
         if wal.segment_stats().segments > cap.max(1) && self.try_checkpoint().is_err() {
@@ -854,7 +827,7 @@ impl Db {
             }
         }
         // 2. Redo the committed suffix.
-        if let Some(wal) = &db.wal {
+        if let Some(wal) = db.wal() {
             // The k-way merge behind `WalSet::iterate` re-serializes the
             // per-shard streams into global LSN order, so replay sees one
             // log exactly as it would have with a single shard.
@@ -1117,7 +1090,7 @@ impl Db {
         let mut out = Vec::new();
         self.pool.flush_all()?;
         out.push(("heap".to_string(), self.pool.disk().raw_image()?));
-        if let Some(wal) = &self.wal {
+        if let Some(wal) = self.wal() {
             out.push(("wal".to_string(), wal.raw_image()?));
         }
         Ok(out)
@@ -1130,34 +1103,20 @@ enum Applied {
     Skipped,
 }
 
-/// A commit handed to the durability path but not yet awaited — the one
-/// handle [`Db::enqueue_records`] returns no matter how the engine is
-/// configured. Blocking callers redeem it with [`CommitHandle::wait`];
-/// the async server path polls [`CommitHandle::try_poll`] between other
-/// work and externalizes the commit only once its durability epoch has
-/// fsynced. Callers never branch on [`DbConfig::group_commit`].
+/// A commit handed to the durability path but not yet awaited — what
+/// [`Db::enqueue_records`] returns. Blocking callers redeem it with
+/// [`CommitHandle::wait`]; the async server path polls
+/// [`CommitHandle::try_poll`] between other work and externalizes the
+/// commit only once its durability epoch has fsynced. Holds no ticket
+/// when logging is off or the batch was empty.
 #[derive(Debug)]
-pub struct CommitHandle(HandleState);
-
-#[derive(Debug)]
-enum HandleState {
-    /// Logging off / nothing to write.
-    Off,
-    /// Inline path: already appended and fsynced at this LSN.
-    Done(Lsn),
-    /// Pipeline path: awaiting the covering epoch's fsync.
-    Ticket(CommitTicket),
-}
+pub struct CommitHandle(Option<CommitTicket>);
 
 impl CommitHandle {
     /// Block until the batch is durable. Returns the LSN of its first
     /// record, or `None` when logging is off / the batch was empty.
     pub fn wait(self) -> Result<Option<Lsn>> {
-        match self.0 {
-            HandleState::Off => Ok(None),
-            HandleState::Done(lsn) => Ok(Some(lsn)),
-            HandleState::Ticket(t) => t.wait().map(Some),
-        }
+        self.0.map(CommitTicket::wait).transpose()
     }
 
     /// Non-blocking durability check: `None` while the covering epoch is
@@ -1167,9 +1126,8 @@ impl CommitHandle {
     /// blocking).
     pub fn try_poll(&self) -> Option<Result<Option<Lsn>>> {
         match &self.0 {
-            HandleState::Off => Some(Ok(None)),
-            HandleState::Done(lsn) => Some(Ok(Some(*lsn))),
-            HandleState::Ticket(t) => t.try_poll().map(|r| r.map(Some)),
+            None => Some(Ok(None)),
+            Some(t) => t.try_poll().map(|r| r.map(Some)),
         }
     }
 }

@@ -155,10 +155,10 @@ pub struct WalStats {
     /// Checkpoints executed (caller-driven or `Checkpointer`).
     pub checkpoints: u64,
     /// Latency of whole pipeline drains (collect → append → fsync →
-    /// complete), microseconds. Empty when the pipeline is off.
+    /// complete), microseconds.
     pub drain_latency: HistogramSnapshot,
-    /// Commit acknowledgement latency: submit (or inline append start)
-    /// to durable ack, microseconds.
+    /// Commit acknowledgement latency: submit to durable ack,
+    /// microseconds.
     pub ack_latency: HistogramSnapshot,
 }
 
@@ -170,11 +170,11 @@ impl WalStats {
 }
 
 /// Snapshot the WAL/durability counters of `db`. Zeros when logging is
-/// off; the `group_*` fields stay zero when the pipeline is disabled.
+/// off.
 pub fn wal_stats(db: &Db) -> WalStats {
     let (appended, fsyncs) = db.wal().map(|w| w.counters()).unwrap_or((0, 0));
     let seg = db.wal().map(|w| w.segment_stats()).unwrap_or_default();
-    let group = db.group_commit_stats().unwrap_or_default();
+    let group = db.group_commit_stats();
     WalStats {
         appended,
         fsyncs,
@@ -402,13 +402,11 @@ mod tests {
     #[test]
     fn wal_stats_reflect_group_commit_pipeline() {
         let clock = MockClock::new();
-        // This test asserts pipeline-specific counters (and a final
-        // single-segment log), so it pins the pipeline on and the shard
-        // count to one explicitly instead of relying on the (env-profile
-        // overridable) defaults.
+        // This test asserts a final single-segment log, so it pins the
+        // shard count to one explicitly instead of relying on the
+        // (env-knob overridable) default.
         let db = Db::open(
             DbConfig {
-                group_commit: Some(Default::default()),
                 wal_shards: 1,
                 ..DbConfig::default()
             },
@@ -448,7 +446,7 @@ mod tests {
         assert!(s.group_batches <= s.group_commits);
         assert_eq!(
             s.fsyncs, s.group_batches,
-            "with the pipeline on, every log fsync belongs to a drain"
+            "every log fsync belongs to a drain"
         );
         assert!(
             s.truncated_bytes > 0,

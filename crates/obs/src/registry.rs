@@ -84,8 +84,7 @@ pub struct Obs {
     spans_enabled: AtomicBool,
     /// Slow-query threshold, microseconds; 0 disables the ring.
     slow_query_micros: AtomicU64,
-    /// Commit pipeline: submit → durable-acknowledged, per commit
-    /// (pipeline ticket wait or the inline append+fsync).
+    /// Commit pipeline: submit → durable-acknowledged, per commit.
     pub commit_ack: LatencyHistogram,
     /// Commit pipeline: enqueue cost alone (span-gated).
     pub commit_submit: LatencyHistogram,

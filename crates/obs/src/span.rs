@@ -20,8 +20,7 @@ use crate::hist::LatencyHistogram;
 /// [`Obs`](crate::Obs); the wire names are in [`Stage::name`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
-    /// Commit pipeline: enqueue onto the group-commit queue (or the
-    /// whole inline append+fsync when the pipeline is off).
+    /// Commit pipeline: enqueue onto the group-commit queue.
     CommitSubmit,
     /// Query path: SQL text → AST.
     QueryParse,

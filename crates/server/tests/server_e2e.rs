@@ -182,10 +182,10 @@ fn queue_depth_backpressure_sheds_queries_not_connections() {
     let db = Arc::new(
         Db::open(
             DbConfig {
-                group_commit: Some(GroupCommitConfig {
+                group_commit: GroupCommitConfig {
                     max_delay: Duration::from_millis(150),
                     ..GroupCommitConfig::default()
-                }),
+                },
                 ..DbConfig::default()
             },
             clock.shared(),

@@ -1,5 +1,5 @@
-//! Group-commit pipeline: one fsync per drain, not per committer — and,
-//! sharded, one pipeline per WAL shard with epoch-acknowledged fsyncs.
+//! Group-commit pipeline: one fsync per drain, not per committer — one
+//! pipeline per WAL shard, with epoch-acknowledged fsyncs.
 //!
 //! Committers enqueue their record batch plus a commit ticket and block;
 //! a dedicated log-writer thread drains every waiting batch and appends
@@ -42,10 +42,10 @@
 //! append + fsync never stalls behind a checkpoint truncation.
 //!
 //! Sharded operation ([`GroupCommitSet`]): one pipeline per
-//! [`WalSet`] shard, every pipeline allocating LSNs from the set's
-//! global counter via [`Wal::append_batch_alloc`]. Transactions routed
-//! to different shards append and fsync fully in parallel; recovery's
-//! k-way merge puts the shards back into one LSN-ordered stream.
+//! [`WalSet`] shard; every shard's [`Wal::append_batch`] draws LSNs from
+//! the set's global allocator. Transactions routed to different shards
+//! append and fsync fully in parallel; recovery's k-way merge puts the
+//! shards back into one LSN-ordered stream.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -129,6 +129,19 @@ enum TicketState {
     Failed(Arc<str>),
 }
 
+impl TicketState {
+    /// The commit's outcome, once it has one.
+    fn outcome(&self) -> Option<Result<Lsn>> {
+        match self {
+            TicketState::Pending => None,
+            TicketState::Done(lsn) => Some(Ok(*lsn)),
+            TicketState::Failed(msg) => {
+                Some(Err(Error::Io(std::io::Error::other(msg.to_string()))))
+            }
+        }
+    }
+}
+
 /// One committer's rendezvous with the writer thread.
 struct Ticket {
     state: Mutex<TicketState>, // lock-rank: 510
@@ -159,24 +172,15 @@ impl Ticket {
     fn wait(&self) -> Result<Lsn> {
         let mut st = self.state.lock();
         loop {
-            match &*st {
-                TicketState::Pending => self.cv.wait(&mut st),
-                TicketState::Done(lsn) => return Ok(*lsn),
-                TicketState::Failed(msg) => {
-                    return Err(Error::Io(std::io::Error::other(msg.to_string())))
-                }
+            if let Some(outcome) = st.outcome() {
+                return outcome;
             }
+            self.cv.wait(&mut st);
         }
     }
 
     fn poll(&self) -> Option<Result<Lsn>> {
-        match &*self.state.lock() {
-            TicketState::Pending => None,
-            TicketState::Done(lsn) => Some(Ok(*lsn)),
-            TicketState::Failed(msg) => {
-                Some(Err(Error::Io(std::io::Error::other(msg.to_string()))))
-            }
-        }
+        self.state.lock().outcome()
     }
 }
 
@@ -247,12 +251,9 @@ struct Shared {
     /// Latency sinks (drain/fsync/ack histograms); recording is
     /// lock-free, so both threads feed them mid-epoch at no risk.
     obs: Arc<Obs>,
-    /// Per-shard drain/fsync lane when this pipeline serves one shard
-    /// of a [`WalSet`]; recorded alongside the global histograms.
-    lane: Option<Arc<WalShardLane>>,
-    /// Global LSN allocator shared by every pipeline of a [`WalSet`];
-    /// `None` for a standalone single-log pipeline.
-    alloc: Option<Arc<AtomicU64>>,
+    /// This pipeline's per-shard drain/fsync lane, recorded alongside
+    /// the global histograms.
+    lane: Arc<WalShardLane>,
 }
 
 /// Handle to the commit pipeline. Dropping (or [`GroupCommit::stop`])
@@ -275,44 +276,20 @@ impl std::fmt::Debug for GroupCommit {
 }
 
 impl GroupCommit {
-    /// Spawn the log-writer and fsyncer threads over `wal`. Fails only
-    /// if the OS cannot spawn a thread — without them the pipeline could
+    /// Spawn the log-writer and fsyncer threads over `wal`, serving
+    /// shard `shard` of its set (0 for a lone log). Drain/fsync/ack
+    /// latencies land in `obs`'s global histograms plus the
+    /// `wal.drain.shard<k>` / `wal.fsync.shard<k>` lane. Fails only if
+    /// the OS cannot spawn a thread — without them the pipeline could
     /// never acknowledge a commit, so that must surface as an error at
     /// startup, not a panic.
-    pub fn spawn(wal: Arc<Wal>, cfg: GroupCommitConfig) -> Result<GroupCommit> {
-        Self::spawn_obs(wal, cfg, Arc::new(Obs::new()))
-    }
-
-    /// [`GroupCommit::spawn`] recording drain/fsync/ack latencies into a
-    /// caller-owned [`Obs`] — the engine passes its own so pipeline
-    /// latency shows up in `SHOW STATS`.
-    pub fn spawn_obs(wal: Arc<Wal>, cfg: GroupCommitConfig, obs: Arc<Obs>) -> Result<GroupCommit> {
-        Self::spawn_inner(wal, cfg, obs, None, None, None)
-    }
-
-    /// Spawn one shard's pipeline of a [`WalSet`]: LSNs come from the
-    /// set-wide `alloc` (so the shard's appends slot into the global
-    /// order), and latencies land in the shard's obs `lane` next to the
-    /// global histograms. Used by [`GroupCommitSet::spawn_obs`].
-    pub fn spawn_sharded(
+    pub fn spawn(
         wal: Arc<Wal>,
-        cfg: GroupCommitConfig,
-        obs: Arc<Obs>,
-        alloc: Arc<AtomicU64>,
-        lane: Option<Arc<WalShardLane>>,
         shard: usize,
-    ) -> Result<GroupCommit> {
-        Self::spawn_inner(wal, cfg, obs, Some(alloc), lane, Some(shard))
-    }
-
-    fn spawn_inner(
-        wal: Arc<Wal>,
         cfg: GroupCommitConfig,
         obs: Arc<Obs>,
-        alloc: Option<Arc<AtomicU64>>,
-        lane: Option<Arc<WalShardLane>>,
-        shard: Option<usize>,
     ) -> Result<GroupCommit> {
+        let lane = obs.wal_shard_lane(shard);
         let shared = Arc::new(Shared {
             queue: Mutex::ranked(
                 500,
@@ -334,18 +311,16 @@ impl GroupCommit {
             stats: StatsCells::default(),
             obs,
             lane,
-            alloc,
         });
-        let suffix = shard.map(|k| format!("-{k}")).unwrap_or_default();
         let thread_wal = wal.clone();
         let thread_shared = shared.clone();
         let writer = std::thread::Builder::new()
-            .name(format!("wal-group-commit{suffix}"))
+            .name(format!("wal-group-commit-{shard}"))
             .spawn(move || writer_loop(thread_wal, thread_shared, cfg))?;
         let thread_wal = wal.clone();
         let thread_shared = shared.clone();
         let fsyncer = std::thread::Builder::new()
-            .name(format!("wal-group-fsync{suffix}"))
+            .name(format!("wal-group-fsync-{shard}"))
             .spawn(move || fsync_loop(thread_wal, thread_shared));
         let fsyncer = match fsyncer {
             Ok(handle) => handle,
@@ -382,11 +357,9 @@ impl GroupCommit {
     pub fn submit(&self, records: Vec<LogRecord>) -> Result<CommitTicket> {
         let ticket = Arc::new(Ticket::new());
         if records.is_empty() {
-            let next = match &self.shared.alloc {
-                Some(alloc) => alloc.load(Ordering::Relaxed),
-                None => self.wal.next_lsn(),
-            };
-            ticket.complete(next);
+            // Nothing to make durable: an empty append just reports the
+            // allocator's next LSN.
+            ticket.complete(self.wal.append_batch(&records)?);
             return Ok(CommitTicket(ticket));
         }
         {
@@ -480,11 +453,7 @@ fn writer_loop(wal: Arc<Wal>, shared: Arc<Shared>, cfg: GroupCommitConfig) {
         let mut appended = 0u64;
         let mut failure: Option<String> = None;
         for (records, ticket) in &drain {
-            let res = match shared.alloc.as_deref() {
-                Some(alloc) => wal.append_batch_alloc(alloc, records),
-                None => wal.append_batch(records),
-            };
-            match res {
+            match wal.append_batch(records) {
                 Ok(first) => {
                     entries.push((ticket.clone(), first));
                     appended += records.len() as u64;
@@ -571,9 +540,7 @@ fn fsync_loop(wal: Arc<Wal>, shared: Arc<Shared>) {
             Ok(()) => {
                 let fsync_elapsed = fsync_started.elapsed();
                 shared.obs.wal_fsync.record_duration(fsync_elapsed);
-                if let Some(lane) = &shared.lane {
-                    lane.fsync.record_duration(fsync_elapsed);
-                }
+                shared.lane.fsync.record_duration(fsync_elapsed);
                 let commits: u64 = epochs.iter().map(|e| e.entries.len() as u64).sum();
                 let records: u64 = epochs.iter().map(|e| e.records).sum();
                 let s = &shared.stats;
@@ -597,9 +564,7 @@ fn fsync_loop(wal: Arc<Wal>, shared: Arc<Shared>) {
                 if let Some(start) = earliest {
                     let drain_elapsed = start.elapsed();
                     shared.obs.wal_drain.record_duration(drain_elapsed);
-                    if let Some(lane) = &shared.lane {
-                        lane.drain.record_duration(drain_elapsed);
-                    }
+                    shared.lane.drain.record_duration(drain_elapsed);
                 }
             }
             Err(e) => {
@@ -668,12 +633,10 @@ impl Drop for PoisonOnExit {
 }
 
 /// The parallel commit backbone: one [`GroupCommit`] pipeline per
-/// [`WalSet`] shard, all allocating LSNs from the set's global counter.
-/// Commits routed to different shards append and fsync fully in
-/// parallel; within a shard they share fsyncs exactly as the
-/// single-pipeline design always did. Stats aggregate across every
-/// pipeline ([`GroupCommitSet::stats`]); the per-shard breakdown stays
-/// available for metrics ([`GroupCommitSet::pipe_stats`]).
+/// [`WalSet`] shard. Commits routed to different shards append and fsync
+/// fully in parallel; within a shard they share fsyncs. Stats aggregate
+/// across every pipeline ([`GroupCommitSet::stats`]); the per-shard
+/// breakdown stays available ([`GroupCommitSet::pipe_stats`]).
 pub struct GroupCommitSet {
     pipes: Vec<GroupCommit>,
 }
@@ -702,27 +665,14 @@ impl GroupCommitSet {
     ) -> Result<GroupCommitSet> {
         let mut pipes = Vec::with_capacity(set.shard_count());
         for k in 0..set.shard_count() {
-            let lane = obs.wal_shard_lane(k);
-            pipes.push(GroupCommit::spawn_sharded(
+            pipes.push(GroupCommit::spawn(
                 set.shard(k).clone(),
+                k,
                 cfg.clone(),
                 obs.clone(),
-                set.alloc_handle(),
-                Some(lane),
-                k,
             )?);
         }
         Ok(GroupCommitSet { pipes })
-    }
-
-    /// Number of pipelines (= the set's shard count).
-    pub fn shard_count(&self) -> usize {
-        self.pipes.len()
-    }
-
-    /// The pipeline serving shard `k`.
-    pub fn pipe(&self, k: usize) -> &GroupCommit {
-        &self.pipes[k]
     }
 
     /// Enqueue `records` on shard `shard`'s pipeline without waiting.
@@ -785,10 +735,15 @@ mod tests {
         ]
     }
 
+    /// A pipeline over a lone log: shard 0 of a set of one.
+    fn spawn_lone(wal: Arc<Wal>, cfg: GroupCommitConfig) -> GroupCommit {
+        GroupCommit::spawn(wal, 0, cfg, Arc::new(Obs::new())).unwrap()
+    }
+
     #[test]
     fn single_commit_returns_first_lsn_and_is_durable() {
         let wal = Arc::new(Wal::temp("gc1").unwrap());
-        let gc = GroupCommit::spawn(wal.clone(), GroupCommitConfig::default()).unwrap();
+        let gc = spawn_lone(wal.clone(), GroupCommitConfig::default());
         assert_eq!(gc.commit(batch(0)).unwrap(), 0);
         assert_eq!(gc.commit(batch(1)).unwrap(), 3);
         let stats = gc.stop();
@@ -803,7 +758,7 @@ mod tests {
     #[test]
     fn empty_batch_is_a_noop() {
         let wal = Arc::new(Wal::temp("gc2").unwrap());
-        let gc = GroupCommit::spawn(wal.clone(), GroupCommitConfig::default()).unwrap();
+        let gc = spawn_lone(wal.clone(), GroupCommitConfig::default());
         assert_eq!(gc.commit(Vec::new()).unwrap(), 0);
         assert_eq!(gc.stop().commits, 0);
         assert!(wal.iterate().unwrap().is_empty());
@@ -812,7 +767,7 @@ mod tests {
     #[test]
     fn commit_after_stop_errors() {
         let wal = Arc::new(Wal::temp("gc3").unwrap());
-        let mut gc = GroupCommit::spawn(wal.clone(), GroupCommitConfig::default()).unwrap();
+        let mut gc = spawn_lone(wal.clone(), GroupCommitConfig::default());
         gc.shutdown();
         assert!(gc.commit(batch(0)).is_err());
     }
@@ -823,14 +778,13 @@ mod tests {
         // committer: stop notifies the same condvar the linger waits on,
         // and the writer drains everything enqueued before exiting.
         let wal = Arc::new(Wal::temp("gc4").unwrap());
-        let gc = GroupCommit::spawn(
+        let gc = spawn_lone(
             wal.clone(),
             GroupCommitConfig {
                 max_batch: 1024,
                 max_delay: StdDuration::from_secs(30),
             },
-        )
-        .unwrap();
+        );
         let start = std::time::Instant::now();
         std::thread::scope(|s| {
             let gcr = &gc;
@@ -855,7 +809,7 @@ mod tests {
     fn drain_fsync_and_ack_latencies_are_recorded() {
         let wal = Arc::new(Wal::temp("gc6").unwrap());
         let obs = Arc::new(Obs::new());
-        let gc = GroupCommit::spawn_obs(wal, GroupCommitConfig::default(), obs.clone()).unwrap();
+        let gc = GroupCommit::spawn(wal, 0, GroupCommitConfig::default(), obs.clone()).unwrap();
         gc.commit(batch(0)).unwrap();
         gc.commit(batch(1)).unwrap();
         let stats = gc.stop();
@@ -874,14 +828,13 @@ mod tests {
     #[test]
     fn concurrent_arrivals_fold_into_fewer_drains() {
         let wal = Arc::new(Wal::temp("gc5").unwrap());
-        let gc = GroupCommit::spawn(
+        let gc = spawn_lone(
             wal.clone(),
             GroupCommitConfig {
                 max_batch: 1024,
                 max_delay: StdDuration::from_millis(500),
             },
-        )
-        .unwrap();
+        );
         std::thread::scope(|s| {
             for tx in 0..4u64 {
                 let gcr = &gc;
@@ -900,7 +853,7 @@ mod tests {
     #[test]
     fn try_poll_sees_durability_without_consuming_the_ticket() {
         let wal = Arc::new(Wal::temp("gc7").unwrap());
-        let gc = GroupCommit::spawn(wal, GroupCommitConfig::default()).unwrap();
+        let gc = spawn_lone(wal, GroupCommitConfig::default());
         let ticket = gc.submit(batch(0)).unwrap();
         // Poll until the epoch lands; a pipeline that never completes
         // would hang this loop, not pass it.

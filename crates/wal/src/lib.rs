@@ -21,15 +21,15 @@
 //!   truncate the old log by **deleting whole dead segments**
 //!   ([`writer::Wal::truncate_before`]) — O(segments freed), never a
 //!   rewrite of retained data.
-//! * Commits can ride a **group-commit pipeline** ([`group::GroupCommit`]):
-//!   a dedicated log-writer thread drains every waiting commit batch and
-//!   issues one fsync per drain, preserving the acknowledged-implies-
-//!   durable contract while N committers share a single fsync.
-//! * The log can be **sharded** ([`walset::WalSet`]): N per-shard segment
-//!   directories behind one global LSN allocator, each with its own
-//!   group-commit pipeline, so independent committers append and fsync in
-//!   parallel; recovery k-way merges the shards back into one LSN-ordered
-//!   stream.
+//! * The log is **sharded** ([`walset::WalSet`]): N per-shard segment
+//!   directories (`shard-<k>/`) behind one global LSN allocator, so
+//!   independent committers append and fsync in parallel; recovery k-way
+//!   merges the shards back into one LSN-ordered stream.
+//! * Commits ride a **group-commit pipeline** per shard
+//!   ([`group::GroupCommitSet`]): a dedicated log-writer thread drains
+//!   every waiting commit batch and one fsync covers the drain,
+//!   preserving the acknowledged-implies-durable contract while N
+//!   committers share a single fsync.
 //!
 //! Recovery ([`recovery`]) is logical redo: committed operations after the
 //! last checkpoint are replayed; records whose window key has been shredded

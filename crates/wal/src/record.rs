@@ -135,12 +135,10 @@ pub enum LogRecord {
     /// Checkpoint: all dirty pages flushed; log before this is dead.
     Checkpoint { at: Timestamp },
     /// Shard-log LSN discontinuity marker: the *next* record in this
-    /// shard's byte stream carries global LSN `next`. Written by a
-    /// sharded log when the global allocator handed other shards the
-    /// intervening LSNs; consumes no LSN itself and never reaches
-    /// recovery's replay (the scanner applies it and strips it). A
-    /// single-shard log never produces one, which is what keeps the
-    /// N=1 layout byte-identical to the unsharded format.
+    /// shard's byte stream carries global LSN `next`. Written when the
+    /// allocator handed other shards the intervening LSNs; consumes no
+    /// LSN itself and never reaches recovery's replay (the scanner
+    /// applies it and strips it).
     LsnJump { next: Lsn },
 }
 

@@ -23,7 +23,6 @@ use instant_common::{ColumnId, LevelId, TableId, Timestamp, TupleId, TxId};
 
 use crate::keystore::KeyStore;
 use crate::record::{LogRecord, Lsn, Payload};
-use crate::writer::Wal;
 
 /// One recovered (redo) operation, in commit order.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -113,15 +112,9 @@ pub struct RecoveryPlan {
     pub unrecoverable: usize,
 }
 
-/// Run analysis + redo over `wal`, opening sealed payloads via `ks`.
-pub fn recover(wal: &Wal, ks: &KeyStore) -> instant_common::Result<RecoveryPlan> {
-    let records = wal.iterate()?;
-    Ok(replay(&records, ks))
-}
-
-/// [`recover`] over a sharded log: the set's k-way merge yields the
-/// shards' records re-serialized into global LSN order, so the replay
-/// core is identical to the single-directory case.
+/// Run analysis + redo over the sharded log, opening sealed payloads via
+/// `ks`: the set's k-way merge yields the shards' records re-serialized
+/// into global LSN order, and [`replay`] consumes that one stream.
 pub fn recover_set(
     set: &crate::walset::WalSet,
     ks: &KeyStore,
@@ -130,7 +123,8 @@ pub fn recover_set(
     Ok(replay(&records, ks))
 }
 
-/// Pure-function core of [`recover`] (also used by tests on synthetic logs).
+/// Pure-function core of [`recover_set`] (also used by tests on lone and
+/// synthetic logs).
 pub fn replay(records: &[(Lsn, LogRecord)], ks: &KeyStore) -> RecoveryPlan {
     let mut plan = RecoveryPlan::default();
     // Pass 0: find last checkpoint.
@@ -313,6 +307,7 @@ fn replay_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::writer::Wal;
     use instant_common::Duration;
 
     fn ks() -> KeyStore {
@@ -528,7 +523,7 @@ mod tests {
         wal.append(&insert(1, 0, b"durable")).unwrap();
         wal.append(&commit(1)).unwrap();
         wal.sync().unwrap();
-        let plan = recover(&wal, &ks).unwrap();
+        let plan = replay(&wal.iterate().unwrap(), &ks);
         assert_eq!(plan.ops.len(), 1);
     }
 
@@ -545,7 +540,7 @@ mod tests {
         wal.append(&commit(2)).unwrap();
         // No sync; simulate torn write chopping into tx2's commit.
         wal.torn_tail(5).unwrap();
-        let plan = recover(&wal, &ks).unwrap();
+        let plan = replay(&wal.iterate().unwrap(), &ks);
         assert_eq!(plan.ops.len(), 1, "only tx1 survives");
         assert!(matches!(&plan.ops[0], Op::Insert { row, .. } if row == b"safe"));
     }

@@ -4,9 +4,8 @@
 //! files named `wal.<seqno>.seg`. The scheme is **manifest-free**: every
 //! fact recovery needs is derivable from the file names plus a 20-byte
 //! per-segment header (`WSEG` magic, the segment's sequence number, and
-//! the LSN of its first record). Within a segment, records use the same
-//! framing as the old single-file log: `len: u32 | fnv1a(bytes): u64 |
-//! bytes`.
+//! the LSN of its first record). Within a segment, every record is one
+//! frame: `len: u32 | fnv1a(bytes): u64 | bytes`.
 //!
 //! Why segments: checkpoint truncation becomes *deletion of whole dead
 //! segments* — O(segments freed) unlinks instead of an O(live log)
@@ -151,11 +150,10 @@ pub fn write_frame(w: &mut impl Write, body: &[u8]) -> Result<u64> {
     Ok(FRAME_HEADER_LEN + body.len() as u64)
 }
 
-/// Streaming reader over the framed portion of one file: validates and
-/// yields one record at a time, never holding more than a frame in
-/// memory. Shared by segment scans (offset [`SEGMENT_HEADER_LEN`]),
-/// legacy single-file migration (offset 0 or the old `WALB` header), and
-/// iteration/recovery.
+/// Streaming reader over the frames of one segment file (everything past
+/// the [`SEGMENT_HEADER_LEN`]-byte header): validates and yields one
+/// record at a time, never holding more than a frame in memory. Shared
+/// by the open-time scan and iteration/recovery.
 pub struct FrameScanner {
     reader: BufReader<File>,
     file_len: u64,
@@ -164,17 +162,15 @@ pub struct FrameScanner {
 }
 
 impl FrameScanner {
-    /// Scan `file` starting at byte `start`.
-    pub fn new(file: File, start: u64) -> Result<FrameScanner> {
+    /// Scan `file`'s frames, starting just past the segment header.
+    pub fn new(file: File) -> Result<FrameScanner> {
         let file_len = file.metadata()?.len();
         let mut reader = BufReader::new(file);
-        if start > 0 {
-            reader.seek(SeekFrom::Start(start))?;
-        }
+        reader.seek(SeekFrom::Start(SEGMENT_HEADER_LEN))?;
         Ok(FrameScanner {
             reader,
             file_len,
-            pos: start,
+            pos: SEGMENT_HEADER_LEN,
             body: Vec::new(),
         })
     }
@@ -206,11 +202,6 @@ impl FrameScanner {
             }
             Err(_) => Ok(None),
         }
-    }
-
-    /// Raw body bytes of the record last returned by `next_record`.
-    pub fn frame_body(&self) -> &[u8] {
-        &self.body
     }
 
     /// Byte offset just past the last fully validated frame.
@@ -257,8 +248,7 @@ pub fn scan_segment(path: &Path) -> Result<Option<ScannedSegment>> {
     let Some(header) = SegmentHeader::decode(&head[..read]) else {
         return Ok(None);
     };
-    file.seek(SeekFrom::Start(0))?;
-    let mut scan = FrameScanner::new(file, SEGMENT_HEADER_LEN)?;
+    let mut scan = FrameScanner::new(file)?;
     let mut records = 0u64;
     let mut next_lsn = header.first_lsn;
     while let Some(rec) = scan.next_record()? {
@@ -300,7 +290,7 @@ mod tests {
             first_lsn: 12345,
         };
         assert_eq!(SegmentHeader::decode(&h.encode()), Some(h));
-        assert_eq!(SegmentHeader::decode(b"WALB"), None);
+        assert_eq!(SegmentHeader::decode(b"GARBAGE-NOT-A-SEGMENT"), None);
         assert_eq!(SegmentHeader::decode(&h.encode()[..10]), None);
     }
 

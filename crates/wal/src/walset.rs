@@ -8,12 +8,10 @@
 //! funnelling through a single drain thread. What keeps the shards one
 //! log is the **global LSN allocator**: a shared atomic that every shard
 //! draws batch ranges from *under its own shard lock*
-//! ([`Wal::append_batch_alloc`]), so each shard's byte stream is
-//! LSN-monotone while the union of all shards is a dense global order.
-//! Gaps a shard sees (LSNs other shards took) are encoded in its stream
-//! as [`LogRecord::LsnJump`] markers; a single-shard set never jumps,
-//! which keeps the N=1 layout byte-identical to a plain [`Wal`]
-//! directory.
+//! ([`Wal::append_batch`]), so each shard's byte stream is LSN-monotone
+//! while the union of all shards is a dense global order. Gaps a shard
+//! sees (LSNs other shards took) are encoded in its stream as
+//! [`LogRecord::LsnJump`] markers.
 //!
 //! Recovery reads every shard independently (each trims its own torn
 //! tail) and **k-way merges by LSN** into one globally ordered stream —
@@ -23,24 +21,23 @@
 //! sequence, and commit analysis never sees a Commit record for a torn
 //! transaction.
 //!
-//! Migration is one-time, on open: a single-file pre-segment log is
-//! first converted by [`Wal::open`]'s own legacy machinery, then a
-//! flat single-directory segment layout (segments directly under
-//! `<path>`) is renamed file-by-file into `shard-000/`. Renames are
-//! atomic and idempotent, so every crash window either retries the move
-//! or finds the finished layout.
+//! `shard-<k>/` is the only layout. A path holding anything older — a
+//! single-file log, its `.legacy` migration marker, or segments directly
+//! under the root — is **rejected** at open with a typed error: creating
+//! `shard-000/` next to it would silently drop acknowledged records from
+//! recovery.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use instant_common::{Result, TxId};
+use instant_common::{Error, Result, TxId};
 use parking_lot::Mutex;
 
 use crate::record::{LogRecord, Lsn};
 use crate::segment::{self, SegmentConfig, SegmentStats};
-use crate::writer::{log_size, Wal};
+use crate::writer::{log_size, temp_path, Wal};
 
 /// Directory name of shard `k` (zero-padded for stable listings).
 fn shard_dir_name(k: usize) -> String {
@@ -60,9 +57,9 @@ fn parse_shard_dir(name: &str) -> Option<usize> {
 pub struct WalSet {
     dir: PathBuf,
     shards: Vec<Arc<Wal>>,
-    /// The global LSN allocator. Shards draw batch ranges from it under
-    /// their own shard lock, which is the whole ordering story: unique
-    /// LSNs globally, monotone LSNs per shard byte stream.
+    /// The global LSN allocator every shard was opened with. Shards draw
+    /// batch ranges from it under their own shard lock: unique LSNs
+    /// globally, monotone LSNs per shard byte stream.
     alloc: Arc<AtomicU64>,
     /// Replication retention holds: `hold id → lowest LSN the holder
     /// still needs`. [`WalSet::truncate_before`] never deletes below the
@@ -98,14 +95,8 @@ impl WalSet {
     /// [`WalSet::open`] with explicit segment tuning.
     pub fn open_with(path: impl AsRef<Path>, shards: usize, cfg: SegmentConfig) -> Result<WalSet> {
         let dir = path.as_ref().to_path_buf();
-        // A pre-segment single-file log (or its interrupted-migration
-        // marker): let Wal's own crash-safe machinery convert it into a
-        // flat segment directory first, then shard that.
-        if dir.is_file() || legacy_marker_exists(&dir) {
-            drop(Wal::open_with(&dir, cfg.clone())?);
-        }
+        reject_old_layout(&dir)?;
         std::fs::create_dir_all(&dir)?;
-        migrate_flat_layout(&dir)?;
 
         let mut max_on_disk = 0usize;
         for entry in std::fs::read_dir(&dir)? {
@@ -116,17 +107,18 @@ impl WalSet {
         }
         let count = shards.max(1).max(max_on_disk);
 
+        // Each shard raises the shared allocator to its own next LSN, so
+        // once all are open it resumes past every shard.
+        let alloc = Arc::new(AtomicU64::new(0));
         let mut shard_logs = Vec::with_capacity(count);
-        let mut next_lsn = 0u64;
         for k in 0..count {
-            let shard = Wal::open_with(dir.join(shard_dir_name(k)), cfg.clone())?;
-            next_lsn = next_lsn.max(shard.next_lsn());
+            let shard = Wal::open_shard(&dir.join(shard_dir_name(k)), cfg.clone(), alloc.clone())?;
             shard_logs.push(Arc::new(shard));
         }
         Ok(WalSet {
             dir,
             shards: shard_logs,
-            alloc: Arc::new(AtomicU64::new(next_lsn)),
+            alloc,
             holds: Mutex::ranked(515, HashMap::new()),
             next_hold_id: AtomicU64::new(1),
             ephemeral: false,
@@ -135,15 +127,7 @@ impl WalSet {
 
     /// Throwaway sharded log in the temp directory, removed on drop.
     pub fn temp_with(tag: &str, shards: usize, cfg: SegmentConfig) -> Result<WalSet> {
-        use std::time::{SystemTime, UNIX_EPOCH};
-        let nanos = SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .unwrap() // lint:allow(L001, a system clock before the Unix epoch is unsupported)
-            .as_nanos();
-        let path = std::env::temp_dir().join(format!(
-            "instantdb-walset-{tag}-{}-{nanos}.log",
-            std::process::id()
-        ));
+        let path = temp_path("walset", tag);
         let _ = std::fs::remove_dir_all(&path);
         let mut set = Self::open_with(path, shards, cfg)?;
         set.ephemeral = true;
@@ -165,11 +149,6 @@ impl WalSet {
         &self.shards[k]
     }
 
-    /// A clone of the global LSN allocator, for per-shard pipelines.
-    pub fn alloc_handle(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.alloc)
-    }
-
     /// The shard a transaction's records are routed to. Records without
     /// a transaction (`Checkpoint`) go to shard 0.
     pub fn shard_for(&self, tx: Option<TxId>) -> usize {
@@ -189,7 +168,7 @@ impl WalSet {
     /// the batch's first LSN. Buffered — call [`WalSet::sync`] on the
     /// same shard for durability.
     pub fn append_batch(&self, k: usize, records: &[LogRecord]) -> Result<Lsn> {
-        self.shards[k].append_batch_alloc(&self.alloc, records)
+        self.shards[k].append_batch(records)
     }
 
     /// Append one record, routed by its transaction id.
@@ -408,32 +387,27 @@ impl Drop for WalSet {
     }
 }
 
-/// Does `<path>.legacy` (the single-file migration marker) exist?
-fn legacy_marker_exists(path: &Path) -> bool {
-    let mut s = path.as_os_str().to_os_string();
-    s.push(".legacy");
-    PathBuf::from(s).is_file()
-}
-
-/// One-time migration of a flat single-directory segment layout
-/// (`<path>/wal.<seqno>.seg`, the pre-shard format) into `shard-000/`.
-/// Pure atomic renames in ascending seqno order, then both directory
-/// entries are fsynced; a crash mid-way leaves a partial split that the
-/// next open finishes (names are unique across the two directories, so
-/// re-running is idempotent).
-fn migrate_flat_layout(dir: &Path) -> Result<()> {
-    let flat = segment::list_segments(dir)?;
-    if flat.is_empty() {
+/// Refuse a path that holds a log in a layout this crate no longer
+/// reads. Runs before anything is created, so a rejected open leaves the
+/// path exactly as it found it.
+fn reject_old_layout(dir: &Path) -> Result<()> {
+    let mut marker = dir.as_os_str().to_os_string();
+    marker.push(".legacy");
+    let found = if dir.is_file() {
+        "a single-file log"
+    } else if Path::new(&marker).exists() {
+        "a `.legacy` single-file migration marker beside it"
+    } else if dir.is_dir() && !segment::list_segments(dir)?.is_empty() {
+        "segment files directly under the root (the flat pre-shard layout)"
+    } else {
         return Ok(());
-    }
-    let shard0 = dir.join(shard_dir_name(0));
-    std::fs::create_dir_all(&shard0)?;
-    for (seqno, path) in flat {
-        std::fs::rename(path, shard0.join(segment::file_name(seqno)))?;
-    }
-    segment::sync_dir(&shard0)?;
-    segment::sync_dir(dir)?;
-    Ok(())
+    };
+    Err(Error::Unsupported(format!(
+        "WAL layout at {}: found {found}; only shard-<k>/wal.<seqno>.seg \
+         directories are read, and opening a fresh log beside the old one \
+         would drop its acknowledged records from recovery",
+        dir.display()
+    )))
 }
 
 #[cfg(test)]
@@ -540,57 +514,46 @@ mod tests {
         std::fs::remove_dir_all(&path).unwrap();
     }
 
-    #[test]
-    fn flat_pr4_layout_migrates_into_shard_zero() {
-        let path = scratch("flat");
-        // Write a flat single-directory log with the plain Wal.
-        {
-            let wal = Wal::open(&path).unwrap();
-            for i in 0..6u64 {
-                wal.append(&rec(i, i)).unwrap();
-            }
-            wal.sync().unwrap();
-        }
-        let set = WalSet::open(&path, 2).unwrap();
-        assert!(
-            segment::list_segments(&path).unwrap().is_empty(),
-            "no flat segments left behind"
-        );
-        assert!(path.join(shard_dir_name(0)).is_dir());
-        assert_eq!(set.next_lsn(), 6);
-        let merged = set.iterate().unwrap();
-        assert_eq!(merged.len(), 6);
-        for (i, (lsn, r)) in merged.iter().enumerate() {
-            assert_eq!(*lsn, i as u64);
-            assert_eq!(r, &rec(i as u64, i as u64));
-        }
-        // The migrated set keeps working across both shards.
-        set.append_batch(1, &[rec(7, 7)]).unwrap();
-        set.sync(1).unwrap();
-        assert_eq!(set.iterate().unwrap().len(), 7);
-        drop(set);
-        std::fs::remove_dir_all(&path).unwrap();
+    /// The open fails with the typed error naming the layout; each test
+    /// then checks nothing was created under or beside `path`.
+    fn assert_rejected(path: &Path, needle: &str) {
+        let err = WalSet::open(path, 2).unwrap_err();
+        assert!(matches!(err, Error::Unsupported(_)), "{err:?}");
+        assert!(err.to_string().contains(needle), "{err}");
     }
 
     #[test]
-    fn single_file_legacy_log_migrates_through_both_formats() {
-        use instant_common::codec::fnv1a;
-        use std::io::Write as _;
-        let path = scratch("legacy");
+    fn single_file_log_is_rejected_not_shadowed() {
+        let path = scratch("old-file");
+        std::fs::write(&path, b"pre-segment log bytes").unwrap();
+        assert_rejected(&path, "single-file log");
+        assert!(path.is_file(), "the old log is still there");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn legacy_migration_marker_is_rejected_and_no_directory_appears() {
+        let path = scratch("old-marker");
+        let mut marker = path.as_os_str().to_os_string();
+        marker.push(".legacy");
+        let marker = PathBuf::from(marker);
+        std::fs::write(&marker, b"half-migrated log bytes").unwrap();
+        assert_rejected(&path, ".legacy");
+        assert!(!path.exists(), "no log directory created beside the marker");
+        std::fs::remove_file(&marker).unwrap();
+    }
+
+    #[test]
+    fn flat_segment_directory_is_rejected_with_no_shard_beside_it() {
+        let path = scratch("old-flat");
         {
-            let mut f = std::fs::File::create(&path).unwrap();
-            for i in 0..4u64 {
-                let body = rec(i, i).encode();
-                f.write_all(&(body.len() as u32).to_le_bytes()).unwrap();
-                f.write_all(&fnv1a(&body).to_le_bytes()).unwrap();
-                f.write_all(&body).unwrap();
-            }
-            f.sync_all().unwrap();
+            // A lone `Wal` at the root writes exactly the flat layout.
+            let wal = Wal::open(&path).unwrap();
+            wal.append(&rec(0, 0)).unwrap();
+            wal.sync().unwrap();
         }
-        let set = WalSet::open(&path, 2).unwrap();
-        assert_eq!(set.next_lsn(), 4, "single-file → flat → sharded");
-        assert_eq!(set.iterate().unwrap().len(), 4);
-        drop(set);
+        assert_rejected(&path, "flat pre-shard layout");
+        assert!(!path.join(shard_dir_name(0)).exists());
         std::fs::remove_dir_all(&path).unwrap();
     }
 
@@ -616,24 +579,6 @@ mod tests {
         assert_eq!(lsns, vec![0, 1, 3], "hole where the torn record was");
         drop(set);
         std::fs::remove_dir_all(&path).unwrap();
-    }
-
-    #[test]
-    fn single_shard_set_is_byte_identical_to_a_plain_wal() {
-        let plain = Wal::temp("plain-twin").unwrap();
-        let set = WalSet::temp_with("set-twin", 1, SegmentConfig::default()).unwrap();
-        for tx in 0..12u64 {
-            let batch = vec![rec(tx, 0), rec(tx, 1)];
-            plain.append_batch(&batch).unwrap();
-            set.append_batch(0, &batch).unwrap();
-        }
-        plain.sync().unwrap();
-        set.sync_all().unwrap();
-        assert_eq!(
-            plain.raw_image().unwrap(),
-            set.raw_image().unwrap(),
-            "N=1 never writes a jump marker"
-        );
     }
 
     #[test]

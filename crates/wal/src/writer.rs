@@ -1,10 +1,15 @@
 //! The segmented log: append, rotate, iterate, truncate, forensic view.
 //!
 //! A [`Wal`] is a **directory** of fixed-capacity segment files
-//! (`wal.<seqno>.seg`, see [`crate::segment`]). Appends go to the single
-//! *active* (highest-numbered) segment, buffered; `sync()` flushes and
-//! fsyncs it (called at commit — group commit simply batches appends
-//! between syncs). When the active segment reaches capacity the writer
+//! (`wal.<seqno>.seg`, see [`crate::segment`]) — one shard of a
+//! [`crate::walset::WalSet`], or a set of one when opened on its own.
+//! Appends go to the single *active* (highest-numbered) segment,
+//! buffered; `sync()` flushes and fsyncs it (the group-commit fsyncer
+//! calls it once per durability epoch). LSNs come from an allocator
+//! handle — the `Wal`'s own by default, the set's when a `WalSet` opened
+//! it — drawn under the log lock, so the byte stream is LSN-monotone and
+//! LSNs other shards took show up as [`LogRecord::LsnJump`] markers.
+//! When the active segment reaches capacity the writer
 //! **rotates**: the outgoing segment is flushed + fsynced (sealing it —
 //! a sealed segment never changes again), a fresh segment starting at the
 //! next LSN is created, and the directory entry is fsynced before any
@@ -24,12 +29,12 @@
 //! Recovery streams frames across segments in LSN order; a torn or
 //! corrupt tail is trimmed off the **last** segment at open (sealed
 //! segments were fsynced at rotation, so only the active one can tear).
-//! A log written by the old single-file format is migrated into segments
-//! once, on open — see [`Wal::open`].
 
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
@@ -75,32 +80,25 @@ struct WalInner {
 }
 
 impl WalInner {
-    fn append_one(&mut self, rec: &LogRecord) -> Result<Lsn> {
+    /// Frame `rec` into the active segment, rotating first when it is
+    /// full. LSN accounting is the caller's.
+    fn write_record(&mut self, rec: &LogRecord) -> Result<()> {
         if self.active.written >= self.capacity && self.active.records > 0 {
             self.rotate()?;
         }
-        let bytes = rec.encode();
-        let lsn = self.next_lsn;
-        self.next_lsn += 1;
-        self.appended += 1;
-        let frame = segment::write_frame(&mut self.active.writer, &bytes)?;
+        let frame = segment::write_frame(&mut self.active.writer, &rec.encode())?;
         self.active.records += 1;
         self.active.written += frame;
-        Ok(lsn)
+        Ok(())
     }
 
-    /// Write an [`LogRecord::LsnJump`] frame re-basing this shard's
+    /// Write an [`LogRecord::LsnJump`] frame re-basing this log's
     /// running LSN to `next`. Consumes no LSN and does not count as an
-    /// appended record — it is byte-stream plumbing for sharded logs
-    /// whose global allocator handed the intervening LSNs to other
-    /// shards.
+    /// appended record — it is byte-stream plumbing for the LSNs a
+    /// shared allocator handed to other shards.
     fn write_jump(&mut self, next: Lsn) -> Result<()> {
-        if self.active.written >= self.capacity && self.active.records > 0 {
-            self.rotate()?;
-        }
-        let bytes = LogRecord::LsnJump { next }.encode();
-        let frame = segment::write_frame(&mut self.active.writer, &bytes)?;
-        if self.active.records == 0 {
+        self.write_record(&LogRecord::LsnJump { next })?;
+        if self.active.records == 1 {
             // The segment holds nothing but this jump: its first *real*
             // record will carry `next`, so advance the in-memory base.
             // The on-disk header keeps the rotation-time watermark —
@@ -111,27 +109,27 @@ impl WalInner {
             // means no record in the gap exists on this shard.)
             self.active.first_lsn = next;
         }
-        self.active.records += 1;
-        self.active.written += frame;
         self.next_lsn = next;
         Ok(())
     }
 
-    /// Append `records` contiguously starting at the explicit global LSN
+    /// Append `records` contiguously starting at the allocated LSN
     /// `base`, emitting a jump marker first when `base` is ahead of this
-    /// shard's local stream. `base` must never regress (the caller
+    /// log's local stream. `base` must never regress (the caller
     /// allocates it under this same lock).
     fn append_batch_at(&mut self, base: Lsn, records: &[LogRecord]) -> Result<()> {
         debug_assert!(
             base >= self.next_lsn,
-            "global LSN allocation regressed: base {base} < next {}",
+            "LSN allocation regressed: base {base} < next {}",
             self.next_lsn
         );
         if base != self.next_lsn {
             self.write_jump(base)?;
         }
         for rec in records {
-            self.append_one(rec)?;
+            self.write_record(rec)?;
+            self.next_lsn += 1;
+            self.appended += 1;
         }
         Ok(())
     }
@@ -231,6 +229,12 @@ fn reopen_active(
 pub struct Wal {
     dir: PathBuf,
     inner: Mutex<WalInner>, // lock-rank: 520
+    /// Where batch LSNs come from: this log's own counter, or the one a
+    /// [`crate::walset::WalSet`] shares across its shards. Always drawn
+    /// from *under the `inner` lock*, which is the whole ordering story:
+    /// two committers racing into the same log allocate in the order
+    /// they enter it, so the byte stream and the LSN order agree.
+    alloc: Arc<AtomicU64>,
     ephemeral: bool,
 }
 
@@ -247,35 +251,35 @@ impl Wal {
     /// last segment** before the log reopens for appending: without the
     /// trim, post-recovery commits would land after the garbage bytes
     /// and be unreachable by every future scan.
-    ///
-    /// If `path` holds a log written by the old single-file format, it is
-    /// migrated into segments once, here: the file is atomically renamed
-    /// to `<path>.legacy`, its frames are streamed into capacity-sized
-    /// segments inside a fresh directory at `path`, and the marker is
-    /// removed only after the converted log is durable — a crash at any
-    /// point either retries from the marker or was never destructive.
     pub fn open(path: impl AsRef<Path>) -> Result<Wal> {
         Self::open_with(path, SegmentConfig::default())
     }
 
     /// [`Wal::open`] with explicit segment tuning.
     pub fn open_with(path: impl AsRef<Path>, cfg: SegmentConfig) -> Result<Wal> {
-        let dir = path.as_ref().to_path_buf();
-        migrate_legacy(&dir, &cfg)?;
+        Self::open_shard(path.as_ref(), cfg, Arc::new(AtomicU64::new(0)))
+    }
+
+    /// Open the log at `dir` drawing LSNs from `alloc`, which is raised
+    /// to at least this log's next LSN — so after a [`WalSet`] has opened
+    /// every shard the shared allocator resumes past all of them.
+    ///
+    /// [`WalSet`]: crate::walset::WalSet
+    pub(crate) fn open_shard(dir: &Path, cfg: SegmentConfig, alloc: Arc<AtomicU64>) -> Result<Wal> {
+        let dir = dir.to_path_buf();
         std::fs::create_dir_all(&dir)?;
         let capacity = cfg.capacity();
 
         let on_disk = segment::list_segments(&dir)?;
         let mut metas: Vec<SealedSegment> = Vec::new();
-        let mut last_seqno = 0u64;
-        let mut expect_lsn: Option<Lsn> = None;
-        let mut last_next_lsn: Lsn = 0;
+        // The LSN the next segment must start at; `None` until the first
+        // segment validates.
+        let mut next_lsn: Option<Lsn> = None;
         for (i, (seqno, seg_path)) in on_disk.iter().enumerate() {
-            let scanned = segment::scan_segment(seg_path)?;
-            let valid = scanned.as_ref().is_some_and(|s| {
-                s.header.seqno == *seqno && expect_lsn.map_or(true, |e| s.header.first_lsn == e)
-            });
-            if !valid {
+            let chains = |s: &segment::ScannedSegment| {
+                s.header.seqno == *seqno && next_lsn.map_or(true, |e| s.header.first_lsn == e)
+            };
+            let Some(s) = segment::scan_segment(seg_path)?.filter(chains) else {
                 // Headerless/corrupt-header segment, or an LSN gap: this
                 // file and everything after it is unreachable garbage
                 // (e.g. a crash before a freshly rotated file's header
@@ -285,8 +289,7 @@ impl Wal {
                 }
                 segment::sync_dir(&dir)?;
                 break;
-            }
-            let s = scanned.expect("valid implies scanned"); // lint:allow(L001, a valid prefix implies the segment scanned)
+            };
             let torn = s.valid_len < s.file_len;
             if torn {
                 // Trim the torn/corrupt tail so post-recovery appends are
@@ -303,12 +306,10 @@ impl Wal {
                     segment::sync_dir(&dir)?;
                 }
             }
-            last_seqno = *seqno;
             // The scan tracks the running LSN frame by frame (jump
             // markers re-base it), so sharded logs with discontinuous
             // per-shard LSNs chain-validate exactly like dense ones.
-            expect_lsn = Some(s.next_lsn);
-            last_next_lsn = s.next_lsn;
+            next_lsn = Some(s.next_lsn);
             metas.push(SealedSegment {
                 seqno: *seqno,
                 first_lsn: s.header.first_lsn,
@@ -321,28 +322,27 @@ impl Wal {
             }
         }
 
-        let (active, next_lsn) = match metas.pop() {
-            Some(last) => {
-                let next_lsn = last_next_lsn;
-                let active = reopen_active(
-                    last.path,
-                    last_seqno,
-                    last.first_lsn,
-                    last.records,
-                    last.bytes,
-                )?;
-                (active, next_lsn)
-            }
+        let next_lsn = next_lsn.unwrap_or(0);
+        let active = match metas.pop() {
+            Some(last) => reopen_active(
+                last.path,
+                last.seqno,
+                last.first_lsn,
+                last.records,
+                last.bytes,
+            )?,
             None => {
                 // Fresh (or fully corrupt) log: start at segment 0, LSN 0.
                 let active = create_active(&dir, 0, 0)?;
                 segment::sync_dir(&dir)?;
-                (active, 0)
+                active
             }
         };
 
+        alloc.fetch_max(next_lsn, Ordering::Relaxed);
         Ok(Wal {
             dir: dir.clone(),
+            alloc,
             inner: Mutex::ranked(
                 520,
                 WalInner {
@@ -369,15 +369,7 @@ impl Wal {
 
     /// [`Wal::temp`] with explicit segment tuning.
     pub fn temp_with(tag: &str, cfg: SegmentConfig) -> Result<Wal> {
-        use std::time::{SystemTime, UNIX_EPOCH};
-        let nanos = SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .unwrap() // lint:allow(L001, a system clock before the Unix epoch is unsupported)
-            .as_nanos();
-        let path = std::env::temp_dir().join(format!(
-            "instantdb-wal-{tag}-{}-{nanos}.log",
-            std::process::id()
-        ));
+        let path = temp_path("wal", tag);
         let _ = std::fs::remove_dir_all(&path);
         let mut wal = Self::open_with(path, cfg)?;
         wal.ephemeral = true;
@@ -392,45 +384,24 @@ impl Wal {
     /// Append a record, returning its LSN. Buffered — call [`Wal::sync`]
     /// at commit points.
     pub fn append(&self, rec: &LogRecord) -> Result<Lsn> {
-        // lint:allow(L102, deliberate append-under-Wal-lock: the inner mutex is the log's serialization point and rotation may fsync the outgoing segment)
-        self.inner.lock().append_one(rec)
+        self.append_batch(std::slice::from_ref(rec))
     }
 
     /// Append a batch of records contiguously under one lock acquisition,
-    /// returning the LSN of the first (or the next LSN for an empty
-    /// batch). Buffered — call [`Wal::sync`] for durability. Both the
-    /// inline commit path and the group-commit writer thread go through
-    /// this, so the framing/ordering logic exists once. A batch may
-    /// straddle a rotation; that is safe because rotation fsyncs the
+    /// returning the LSN of the first (or the allocator's next LSN for an
+    /// empty batch). Buffered — call [`Wal::sync`] for durability. The
+    /// batch's LSN range is drawn from the allocator *under the log
+    /// lock*; when the allocated base is ahead of the local stream —
+    /// other shards took the LSNs in between — an
+    /// [`LogRecord::LsnJump`] marker re-bases the stream first. A batch
+    /// may straddle a rotation; that is safe because rotation fsyncs the
     /// outgoing segment, so the following [`Wal::sync`] still makes the
     /// whole batch durable.
     pub fn append_batch(&self, records: &[LogRecord]) -> Result<Lsn> {
         let mut inner = self.inner.lock();
-        let first = inner.next_lsn;
-        for rec in records {
-            // lint:allow(L102, deliberate append-under-Wal-lock: the inner mutex is the log's serialization point and rotation may fsync the outgoing segment)
-            inner.append_one(rec)?;
-        }
-        Ok(first)
-    }
-
-    /// [`Wal::append_batch`] for one shard of a sharded log: the batch's
-    /// first LSN comes from the shared global allocator instead of this
-    /// shard's local stream. The allocation happens *under this shard's
-    /// lock*, which is what guarantees per-shard LSN monotonicity (two
-    /// committers racing into the same shard allocate in the order they
-    /// enter the log, so the byte stream and the LSN order agree). When
-    /// the allocated base is ahead of the local stream — other shards
-    /// took the LSNs in between — an [`LogRecord::LsnJump`] marker
-    /// re-bases the stream first; a single-shard set never jumps, so its
-    /// layout stays byte-identical to a plain [`Wal`].
-    pub fn append_batch_alloc(
-        &self,
-        alloc: &std::sync::atomic::AtomicU64,
-        records: &[LogRecord],
-    ) -> Result<Lsn> {
-        let mut inner = self.inner.lock();
-        let base = alloc.fetch_add(records.len() as u64, std::sync::atomic::Ordering::Relaxed);
+        let base = self
+            .alloc
+            .fetch_add(records.len() as u64, Ordering::Relaxed);
         if !records.is_empty() {
             // lint:allow(L102, deliberate append-under-Wal-lock: the inner mutex is the log's serialization point and rotation may fsync the outgoing segment)
             inner.append_batch_at(base, records)?;
@@ -505,7 +476,9 @@ impl Wal {
         self.inner.lock().active.first_lsn
     }
 
-    /// Next LSN to be assigned.
+    /// The LSN just past this log's last record — its *local* stream
+    /// position, which trails the allocator's next LSN whenever other
+    /// shards of the same set appended more recently.
     pub fn next_lsn(&self) -> Lsn {
         self.inner.lock().next_lsn
     }
@@ -671,7 +644,7 @@ fn scan_records(path: &Path, first_lsn: Lsn) -> Result<Option<SegmentScan>> {
     if len < SEGMENT_HEADER_LEN {
         return Ok(None);
     }
-    let mut scan = FrameScanner::new(file, SEGMENT_HEADER_LEN)?;
+    let mut scan = FrameScanner::new(file)?;
     let mut records = Vec::new();
     let mut lsn = first_lsn;
     while let Some(rec) = scan.next_record()? {
@@ -687,90 +660,15 @@ fn scan_records(path: &Path, first_lsn: Lsn) -> Result<Option<SegmentScan>> {
     Ok(Some((records, clean)))
 }
 
-/// The `<path>.legacy` marker used while migrating a single-file log.
-fn legacy_marker(path: &Path) -> PathBuf {
-    let mut s = path.as_os_str().to_os_string();
-    s.push(".legacy");
-    PathBuf::from(s)
-}
-
-/// One-shot migration of the old single-file format (optional `WALB`
-/// base-LSN header + frames) into a segment directory. The marker rename
-/// is atomic; the marker is deleted only after the converted segments
-/// are durable, so every crash window either finds the original file,
-/// or the marker (and retries the conversion), or the finished
-/// directory.
-fn migrate_legacy(path: &Path, cfg: &SegmentConfig) -> Result<()> {
-    let marker = legacy_marker(path);
-    if path.is_file() {
-        // A stale marker next to a live file would be from an attempt
-        // that never got to rename; the file at `path` is authoritative.
-        let _ = std::fs::remove_file(&marker);
-        std::fs::rename(path, &marker)?;
-    } else if !marker.is_file() {
-        return Ok(()); // nothing to migrate
-    }
-    // (Re)build the directory from the marker. A partial directory from
-    // an interrupted previous attempt is discarded wholesale.
-    if path.exists() {
-        std::fs::remove_dir_all(path)?;
-    }
-    std::fs::create_dir_all(path)?;
-    convert_legacy(&marker, path, cfg)?;
-    std::fs::remove_file(&marker)?;
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            // This fsync makes the marker's removal durable. It must not
-            // be swallowed: if the unlink were lost to a crash, the next
-            // open would find the marker, discard the (by then live,
-            // acknowledged) segment directory and rebuild from the stale
-            // legacy file.
-            segment::sync_dir(parent)?;
-        }
-    }
-    Ok(())
-}
-
-/// Stream the legacy file's valid frames into capacity-sized segments
-/// under `dir`. A torn/corrupt legacy tail is simply not copied — the
-/// same trim `Wal::open` used to apply.
-fn convert_legacy(legacy: &Path, dir: &Path, cfg: &SegmentConfig) -> Result<()> {
-    let file = File::open(legacy)?;
-    let file_len = file.metadata()?.len();
-    let mut reader = file;
-    let mut base_lsn: Lsn = 0;
-    let mut start = 0u64;
-    if file_len >= 12 {
-        let mut head = [0u8; 12];
-        reader.read_exact(&mut head)?;
-        if &head[0..4] == b"WALB" {
-            base_lsn = u64::from_le_bytes(head[4..12].try_into().unwrap()); // lint:allow(L001, fixed-width header slice behind the length check)
-            start = 12;
-        }
-    }
-    use std::io::Seek;
-    reader.seek(std::io::SeekFrom::Start(0))?;
-    let mut scan = FrameScanner::new(reader, start)?;
-    let capacity = cfg.capacity();
-    let mut seqno = 0u64;
-    let mut lsn = base_lsn;
-    let mut active = create_active(dir, seqno, lsn)?;
-    while scan.next_record()?.is_some() {
-        if active.written >= capacity && active.records > 0 {
-            active.writer.flush()?;
-            active.writer.get_ref().sync_all()?;
-            seqno += 1;
-            active = create_active(dir, seqno, lsn)?;
-        }
-        let frame = segment::write_frame(&mut active.writer, scan.frame_body())?;
-        active.records += 1;
-        active.written += frame;
-        lsn += 1;
-    }
-    active.writer.flush()?;
-    active.writer.get_ref().sync_all()?;
-    segment::sync_dir(dir)?;
-    Ok(())
+/// A fresh scratch path in the temp directory for throwaway logs: pid
+/// plus a process-wide counter, so concurrent tests never collide.
+pub(crate) fn temp_path(kind: &str, tag: &str) -> PathBuf {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!(
+        "instantdb-{kind}-{tag}-{}-{n}.log",
+        std::process::id()
+    ))
 }
 
 /// Helper for benches/tests: total on-disk size of the log in bytes
@@ -1089,72 +987,6 @@ mod tests {
     }
 
     #[test]
-    fn migration_converts_legacy_single_file_log() {
-        use instant_common::codec::fnv1a;
-        let path = scratch("migrate");
-        // Hand-write the old single-file format: WALB header with base
-        // LSN 2, then framed records, then a torn half-frame.
-        {
-            let mut f = File::create(&path).unwrap();
-            f.write_all(b"WALB").unwrap();
-            f.write_all(&2u64.to_le_bytes()).unwrap();
-            for i in 2..8u64 {
-                let body = rec(i).encode();
-                f.write_all(&(body.len() as u32).to_le_bytes()).unwrap();
-                f.write_all(&fnv1a(&body).to_le_bytes()).unwrap();
-                f.write_all(&body).unwrap();
-            }
-            f.write_all(&[7u8; 5]).unwrap(); // torn garbage tail
-            f.sync_all().unwrap();
-        }
-        let wal = Wal::open(&path).unwrap();
-        assert!(path.is_dir(), "file migrated into a segment directory");
-        assert!(
-            !legacy_marker(&path).exists(),
-            "migration marker cleaned up"
-        );
-        assert_eq!(wal.base_lsn(), 2, "WALB base LSN carried over");
-        assert_eq!(wal.next_lsn(), 8, "torn legacy tail not migrated");
-        let records = wal.iterate().unwrap();
-        assert_eq!(records.len(), 6);
-        for (lsn, r) in &records {
-            assert_eq!(r, &rec(*lsn));
-        }
-        // The migrated log keeps working.
-        assert_eq!(wal.append(&rec(8)).unwrap(), 8);
-        wal.sync().unwrap();
-        drop(wal);
-        std::fs::remove_dir_all(&path).unwrap();
-    }
-
-    #[test]
-    fn interrupted_migration_retries_from_marker() {
-        use instant_common::codec::fnv1a;
-        let path = scratch("migrate-crash");
-        // Simulate a crash *after* the legacy file was renamed to the
-        // marker but with only a partial directory written: open must
-        // rebuild from the marker, not trust the partial dir.
-        {
-            let mut f = File::create(legacy_marker(&path)).unwrap();
-            for i in 0..4u64 {
-                let body = rec(i).encode();
-                f.write_all(&(body.len() as u32).to_le_bytes()).unwrap();
-                f.write_all(&fnv1a(&body).to_le_bytes()).unwrap();
-                f.write_all(&body).unwrap();
-            }
-            f.sync_all().unwrap();
-        }
-        std::fs::create_dir_all(&path).unwrap();
-        std::fs::write(path.join(segment::file_name(0)), b"partial junk").unwrap();
-        let wal = Wal::open(&path).unwrap();
-        assert_eq!(wal.next_lsn(), 4, "all four legacy records migrated");
-        assert!(!legacy_marker(&path).exists());
-        assert_eq!(wal.iterate().unwrap().len(), 4);
-        drop(wal);
-        std::fs::remove_dir_all(&path).unwrap();
-    }
-
-    #[test]
     fn counters_track_appends_and_syncs() {
         let wal = Wal::temp("w6").unwrap();
         wal.append(&rec(0)).unwrap();
@@ -1253,21 +1085,13 @@ mod tests {
 
     #[test]
     fn alloc_appends_with_gaps_round_trip_and_reopen() {
-        use std::sync::atomic::{AtomicU64, Ordering};
         let path = scratch("alloc-gaps");
         {
             let wal = Wal::open(&path).unwrap();
-            let alloc = AtomicU64::new(0);
-            assert_eq!(
-                wal.append_batch_alloc(&alloc, &[rec(0), rec(1)]).unwrap(),
-                0
-            );
+            assert_eq!(wal.append_batch(&[rec(0), rec(1)]).unwrap(), 0);
             // Other shards take LSNs 2..7 from the shared allocator.
-            alloc.fetch_add(5, Ordering::Relaxed);
-            assert_eq!(
-                wal.append_batch_alloc(&alloc, &[rec(7), rec(8)]).unwrap(),
-                7
-            );
+            wal.alloc.fetch_add(5, Ordering::Relaxed);
+            assert_eq!(wal.append_batch(&[rec(7), rec(8)]).unwrap(), 7);
             wal.sync().unwrap();
             let records = wal.iterate().unwrap();
             let lsns: Vec<Lsn> = records.iter().map(|(l, _)| *l).collect();
@@ -1278,8 +1102,8 @@ mod tests {
         {
             let wal = Wal::open(&path).unwrap();
             assert_eq!(wal.next_lsn(), 9, "reopen scans jump-aware");
-            let alloc = AtomicU64::new(12);
-            assert_eq!(wal.append_batch_alloc(&alloc, &[rec(12)]).unwrap(), 12);
+            wal.alloc.fetch_add(3, Ordering::Relaxed);
+            assert_eq!(wal.append_batch(&[rec(12)]).unwrap(), 12);
             wal.sync().unwrap();
             let lsns: Vec<Lsn> = wal.iterate().unwrap().iter().map(|(l, _)| *l).collect();
             assert_eq!(lsns, vec![0, 1, 7, 8, 12]);
@@ -1289,15 +1113,13 @@ mod tests {
 
     #[test]
     fn gapped_log_rotates_and_truncates_like_a_dense_one() {
-        use std::sync::atomic::{AtomicU64, Ordering};
         let wal = Wal::temp_with("alloc-rot", tiny_cfg()).unwrap();
-        let alloc = AtomicU64::new(0);
         // Every batch jumps (stride 3: this shard takes one LSN of each
         // allocation, "other shards" the rest), across several rotations.
         let mut lsns = Vec::new();
         for i in 0..200u64 {
-            lsns.push(wal.append_batch_alloc(&alloc, &[rec(i)]).unwrap());
-            alloc.fetch_add(2, Ordering::Relaxed);
+            lsns.push(wal.append(&rec(i)).unwrap());
+            wal.alloc.fetch_add(2, Ordering::Relaxed);
         }
         wal.sync().unwrap();
         assert!(wal.segment_stats().rotations >= 1);

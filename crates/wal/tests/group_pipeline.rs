@@ -37,6 +37,11 @@ fn ks() -> KeyStore {
     KeyStore::new(Duration::hours(1), 7)
 }
 
+/// A pipeline over a lone log: shard 0 of a set of one.
+fn pipeline(wal: &Arc<Wal>, cfg: GroupCommitConfig) -> GroupCommit {
+    GroupCommit::spawn(wal.clone(), 0, cfg, Arc::new(instant_obs::Obs::new())).unwrap()
+}
+
 /// Flush buffered appends into the file without fsyncing them (what the
 /// OS would have seen at a crash point mid-drain).
 fn flush_unsynced(wal: &Wal) {
@@ -46,7 +51,7 @@ fn flush_unsynced(wal: &Wal) {
 #[test]
 fn tear_mid_group_batch_loses_no_acknowledged_commit() {
     let wal = Arc::new(Wal::temp("gp-tear").unwrap());
-    let gc = GroupCommit::spawn(wal.clone(), GroupCommitConfig::default()).unwrap();
+    let gc = pipeline(&wal, GroupCommitConfig::default());
     for tx in 0..5 {
         gc.commit(batch(tx)).unwrap(); // acknowledged ⇒ fsynced
     }
@@ -66,7 +71,7 @@ fn tear_mid_group_batch_loses_no_acknowledged_commit() {
     // Tear mid-way through the un-acknowledged batch.
     wal.torn_tail((full - synced) / 2).unwrap();
 
-    let plan = recovery::recover(&wal, &ks()).unwrap();
+    let plan = recovery::replay(&wal.iterate().unwrap(), &ks());
     assert_eq!(plan.ops.len(), 5, "all five acknowledged inserts replay");
     for tx in 0..5 {
         assert!(plan.committed.contains(&TxId(tx)));
@@ -82,14 +87,13 @@ fn concurrent_commits_all_durable_with_fewer_fsyncs() {
     const THREADS: u64 = 8;
     const PER_THREAD: u64 = 50;
     let wal = Arc::new(Wal::temp("gp-stress").unwrap());
-    let gc = GroupCommit::spawn(
-        wal.clone(),
+    let gc = pipeline(
+        &wal,
         GroupCommitConfig {
             max_batch: 64,
             max_delay: StdDuration::from_micros(200),
         },
-    )
-    .unwrap();
+    );
     std::thread::scope(|s| {
         for t in 0..THREADS {
             let gc = &gc;
@@ -111,7 +115,7 @@ fn concurrent_commits_all_durable_with_fewer_fsyncs() {
     assert_eq!(syncs, stats.batches, "exactly one fsync per drain");
 
     // Every acknowledged transaction replays, none duplicated.
-    let plan = recovery::recover(&wal, &ks()).unwrap();
+    let plan = recovery::replay(&wal.iterate().unwrap(), &ks());
     assert_eq!(plan.ops.len(), (THREADS * PER_THREAD) as usize);
     for tx in 0..THREADS * PER_THREAD {
         assert!(plan.committed.contains(&TxId(tx)), "tx {tx} lost");
@@ -126,7 +130,7 @@ fn pipeline_commits_then_truncate_round_trip() {
     // segments, and the retained suffix replays with correct LSNs through
     // the streaming scanner.
     let wal = Arc::new(Wal::temp("gp-trunc").unwrap());
-    let gc = GroupCommit::spawn(wal.clone(), GroupCommitConfig::default()).unwrap();
+    let gc = pipeline(&wal, GroupCommitConfig::default());
     for tx in 0..10 {
         gc.commit(batch(tx)).unwrap();
     }
@@ -147,7 +151,7 @@ fn pipeline_commits_then_truncate_round_trip() {
     assert!(wal.truncated_bytes() > 0);
     assert_eq!(wal.base_lsn(), ckpt_lsn);
 
-    let plan = recovery::recover(&wal, &ks()).unwrap();
+    let plan = recovery::replay(&wal.iterate().unwrap(), &ks());
     assert_eq!(plan.checkpoint_lsn, Some(ckpt_lsn));
     assert_eq!(plan.ops.len(), 3, "only the post-checkpoint suffix replays");
     for tx in 10..13 {

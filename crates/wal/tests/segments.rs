@@ -49,6 +49,11 @@ fn ks() -> KeyStore {
     KeyStore::new(Duration::hours(1), 7)
 }
 
+/// A pipeline over a lone log: shard 0 of a set of one.
+fn pipeline(wal: &Arc<Wal>, cfg: GroupCommitConfig) -> GroupCommit {
+    GroupCommit::spawn(wal.clone(), 0, cfg, Arc::new(instant_obs::Obs::new())).unwrap()
+}
+
 /// Unique non-ephemeral log dir (tests that reopen across a simulated
 /// crash need the path to outlive the `Wal`).
 fn scratch(tag: &str) -> PathBuf {
@@ -67,7 +72,7 @@ fn acknowledged_commit_in_segment_n_survives_deletion_of_older_segments() {
     // segment N, every segment below N is deleted, and the acknowledged
     // work still replays in full.
     let wal = Arc::new(Wal::temp("seg-ack").unwrap());
-    let gc = GroupCommit::spawn(wal.clone(), GroupCommitConfig::default()).unwrap();
+    let gc = pipeline(&wal, GroupCommitConfig::default());
     for tx in 0..20 {
         gc.commit(batch(tx)).unwrap();
         if tx % 5 == 4 {
@@ -85,7 +90,7 @@ fn acknowledged_commit_in_segment_n_survives_deletion_of_older_segments() {
     assert_eq!(dropped, 60, "all twenty 3-record batches below the cut die");
     assert!(wal.segment_stats().segments_deleted >= 4);
 
-    let plan = recovery::recover(&wal, &ks()).unwrap();
+    let plan = recovery::replay(&wal.iterate().unwrap(), &ks());
     assert_eq!(plan.ops.len(), 3, "exactly the retained inserts replay");
     for tx in 20..23 {
         assert!(
@@ -162,7 +167,7 @@ fn commit_is_acknowledged_while_truncation_runs() {
     let boundary = wal.next_lsn();
     wal.rotate().unwrap();
 
-    let gc = GroupCommit::spawn(wal.clone(), GroupCommitConfig::default()).unwrap();
+    let gc = pipeline(&wal, GroupCommitConfig::default());
     let started = std::time::Instant::now();
     std::thread::scope(|s| {
         let wal_t = wal.clone();
@@ -180,7 +185,7 @@ fn commit_is_acknowledged_while_truncation_runs() {
         "commits + segment-delete truncation must not serialize behind \
          log-sized work (took {elapsed:?})"
     );
-    let plan = recovery::recover(&wal, &ks()).unwrap();
+    let plan = recovery::replay(&wal.iterate().unwrap(), &ks());
     for tx in 0..20 {
         assert!(plan.committed.contains(&TxId(1000 + tx)));
     }

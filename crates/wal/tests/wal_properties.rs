@@ -115,7 +115,13 @@ proptest! {
         // suffix (a drain the crash interrupted) must leave the
         // acknowledged records intact, in order.
         let wal = Arc::new(Wal::temp("prop-group").unwrap());
-        let gc = GroupCommit::spawn(wal.clone(), GroupCommitConfig::default()).unwrap();
+        let gc = GroupCommit::spawn(
+            wal.clone(),
+            0,
+            GroupCommitConfig::default(),
+            Arc::new(instant_obs::Obs::new()),
+        )
+        .unwrap();
         let mut acknowledged = Vec::new();
         for b in &batches {
             acknowledged.extend(b.iter().cloned());
@@ -284,46 +290,6 @@ proptest! {
             prop_assert!(w[0].0 < w[1].0);
         }
         drop(set);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// Migration round-trip: a single-directory (PR-4 era) segment
-    /// layout opened as a `WalSet` moves byte-for-byte into shard 0,
-    /// keeps every record at its LSN, and the migration is idempotent
-    /// across reopens at any shard count.
-    #[test]
-    fn flat_single_directory_layout_migrates_and_round_trips(
-        records in proptest::collection::vec(arb_record(), 1..40),
-        chunk in 1usize..8,
-        shards in 1usize..=4,
-    ) {
-        let dir = std::env::temp_dir().join(format!(
-            "instantdb-prop-migrate-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        {
-            // The old layout: segments directly under <dir>.
-            let wal = Wal::open(&dir).unwrap();
-            for (i, r) in records.iter().enumerate() {
-                if i > 0 && i % chunk == 0 {
-                    wal.rotate().unwrap();
-                }
-                wal.append(r).unwrap();
-            }
-            wal.sync().unwrap();
-        }
-        for reopen in 0..2 {
-            let set = WalSet::open(&dir, shards).unwrap();
-            let back = set.iterate().unwrap();
-            prop_assert_eq!(back.len(), records.len(), "reopen {}", reopen);
-            for ((lsn, got), (i, want)) in back.iter().zip(records.iter().enumerate()) {
-                prop_assert_eq!(*lsn, i as u64);
-                prop_assert_eq!(got, want);
-            }
-            prop_assert_eq!(set.next_lsn(), records.len() as u64);
-        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -72,10 +72,10 @@ fn concurrent_committers_share_fsyncs_and_all_survive_crash() {
     let clock = MockClock::new();
     let cfg = DbConfig {
         path: Some(path.0.clone()),
-        group_commit: Some(GroupCommitConfig {
+        group_commit: GroupCommitConfig {
             max_batch: 64,
             max_delay: std::time::Duration::from_micros(200),
-        }),
+        },
         ..DbConfig::default()
     };
     {
@@ -196,10 +196,10 @@ fn recovery_keeps_identical_twin_inserts_distinct() {
     {
         use instantdb::common::{Timestamp, TupleId, TxId};
         use instantdb::core::tuple::encode_stored_raw;
-        use instantdb::wal::{LogRecord, Payload, Wal};
+        use instantdb::wal::{LogRecord, Payload, WalSet};
         let mut s = path.0.as_os_str().to_os_string();
         s.push(".wal");
-        let wal = Wal::open(PathBuf::from(s)).unwrap();
+        let wal = WalSet::open(PathBuf::from(s), 1).unwrap();
         let image = encode_stored_raw(Timestamp::ZERO, &[Some(0)], &row(7, "4 rue Jussieu"));
         let batch = |tx: u64, tid: TupleId| {
             vec![
@@ -222,9 +222,10 @@ fn recovery_keeps_identical_twin_inserts_distinct() {
         };
         // Tx 1's logged tid is elsewhere; its replay will land on
         // `first_tid`. Tx 2's logged tid IS `first_tid`.
-        wal.append_batch(&batch(1, TupleId::new(9999, 99))).unwrap();
-        wal.append_batch(&batch(2, first_tid)).unwrap();
-        wal.sync().unwrap();
+        wal.append_batch(0, &batch(1, TupleId::new(9999, 99)))
+            .unwrap();
+        wal.append_batch(0, &batch(2, first_tid)).unwrap();
+        wal.sync(0).unwrap();
     }
     let db = Db::recover_with_schemas(cfg, clock.shared(), vec![schema()]).unwrap();
     assert_eq!(
