@@ -296,7 +296,7 @@ fn bench_recovery(c: &mut Criterion) {
 }
 
 fn cleanup(prefix: &std::path::Path) {
-    for ext in ["idb", "wal", "meta"] {
+    for ext in ["idb", "wal"] {
         let mut s = prefix.as_os_str().to_os_string();
         s.push(".");
         s.push(ext);

@@ -15,7 +15,11 @@ use instant_wal::{KeyStore, Wal};
 
 fn heap(policy: SecurePolicy) -> HeapFile {
     let disk = Arc::new(DiskManager::temp("bench-heap").unwrap());
-    HeapFile::create(Arc::new(BufferPool::new(disk, 4096)), policy)
+    HeapFile::create(
+        Arc::new(BufferPool::new(disk, 4096)),
+        instant_common::TableId(1),
+        policy,
+    )
 }
 
 fn bench_heap_ops(c: &mut Criterion) {

@@ -148,7 +148,7 @@ fn run(domain: &LocationDomain, n: usize) -> (u64, usize, usize, usize, u128) {
 }
 
 fn cleanup(path: &std::path::Path) {
-    for ext in ["idb", "wal", "meta"] {
+    for ext in ["idb", "wal"] {
         let mut s = path.as_os_str().to_os_string();
         s.push(".");
         s.push(ext);

@@ -67,41 +67,7 @@ impl Table {
         Table {
             id,
             schema,
-            heap: HeapFile::create(pool, policy),
-            deg_indexes: RwLock::ranked(320, deg),
-            stable_indexes: RwLock::ranked(330, stable),
-        }
-    }
-
-    /// Reattach a table whose heap pages already exist on disk (recovery).
-    /// Indexes start empty; call [`Table::rebuild_indexes`] after.
-    pub fn attach(
-        id: TableId,
-        schema: TableSchema,
-        pool: Arc<BufferPool>,
-        pages: Vec<instant_common::PageId>,
-        policy: SecurePolicy,
-    ) -> Table {
-        let mut deg = HashMap::new();
-        let mut stable = HashMap::new();
-        for (i, col) in schema.columns.iter().enumerate() {
-            if !col.indexed {
-                continue;
-            }
-            let cid = ColumnId(i as u16);
-            match col.degrader() {
-                Some(d) => {
-                    deg.insert(cid, MultiLevelIndex::new(d.hierarchy().levels()));
-                }
-                None => {
-                    stable.insert(cid, BPlusTree::new());
-                }
-            }
-        }
-        Table {
-            id,
-            schema,
-            heap: HeapFile::attach(pool, pages, policy),
+            heap: HeapFile::create(pool, id, policy),
             deg_indexes: RwLock::ranked(320, deg),
             stable_indexes: RwLock::ranked(330, stable),
         }
@@ -238,21 +204,16 @@ impl Table {
     /// validate and to register index entries at the recorded stage levels.
     pub fn insert_raw_stored(&self, bytes: &[u8]) -> Result<TupleId> {
         let tuple = decode_stored(bytes)?;
-        let reserve = self
-            .schema
-            .reserve_size(&tuple.row)
-            .unwrap_or(bytes.len())
-            .max(bytes.len());
+        let reserve = self.schema.reserve_size(&tuple.row)?.max(bytes.len());
         let tid = self.heap.insert(bytes, reserve)?;
         self.index_tuple(tid, &tuple)?;
         Ok(tid)
     }
 
-    /// Replace a stored tuple wholesale, recomputing index entries from the
-    /// old and new images (WAL replay path — idempotent).
-    pub fn replace_stored(&self, tid: TupleId, new: &StoredTuple) -> Result<()> {
-        let old = self.get(tid)?;
-        self.unindex_tuple(tid, &old)?;
+    /// Replace the stored tuple `old` wholesale, recomputing index entries
+    /// from the old and new images (WAL replay path — idempotent).
+    pub fn replace_stored(&self, tid: TupleId, old: &StoredTuple, new: &StoredTuple) -> Result<()> {
+        self.unindex_tuple(tid, old)?;
         let bytes = encode_stored_raw(new.insert_ts, &new.stages, &new.row);
         self.heap.update(tid, &bytes)?;
         self.index_tuple(tid, new)?;
@@ -449,13 +410,14 @@ impl Catalog {
         Ok(table)
     }
 
-    /// Register a reattached table under its original id (recovery).
+    /// Register a table under the id the last checkpoint recorded for it
+    /// (recovery). Its heap starts with no pages: recovery hands back the
+    /// ones whose headers name `id` ([`HeapFile::adopt`]).
     pub fn attach_table(
         &self,
         id: TableId,
         schema: TableSchema,
         pool: Arc<BufferPool>,
-        pages: Vec<instant_common::PageId>,
         policy: SecurePolicy,
     ) -> Result<Arc<Table>> {
         let key = schema.name.to_ascii_lowercase();
@@ -466,7 +428,7 @@ impl Catalog {
                 schema.name
             )));
         }
-        let table = Arc::new(Table::attach(id, schema, pool, pages, policy));
+        let table = Arc::new(Table::new(id, schema, pool, policy));
         tables.insert(key, table.clone());
         self.by_id.write().insert(id, table.clone());
         // Keep the id counter ahead of attached ids.

@@ -13,15 +13,18 @@
 //!   overwrite, migrates index levels, redo-logs the after-image only, and
 //!   re-arms. Reader/degrader lock casualties are counted, not fatal —
 //!   the victim transition is re-queued.
-//! * **Checkpoint**: flush pages → `Checkpoint` record → fsync → persist
-//!   catalog meta → physically truncate the old log → **shred** key windows
-//!   older than the checkpoint. After a checkpoint, no pre-checkpoint image
+//! * **Checkpoint**: flush pages → `Checkpoint` record (carrying the table
+//!   directory) → fsync → **shred** key windows older than the checkpoint →
+//!   physically truncate the old log. The data file and the log are the
+//!   only durable artifacts. After a checkpoint, no pre-checkpoint image
 //!   exists in readable form anywhere.
-//! * **Recovery** ([`Db::recover_with_schemas`]): reattach heaps (state as
-//!   of the last flush), rebuild indexes, logically redo committed WAL
-//!   operations after the checkpoint (idempotently, with tuple-id
-//!   remapping), and re-arm the scheduler from stored stage bytes — a tuple
-//!   can therefore never *regain* accuracy through a crash.
+//! * **Recovery** ([`Db::recover_with_schemas`]): name the tables from the
+//!   last `Checkpoint` record, give every heap back the pages whose
+//!   headers name it (state as of each page's last write-back), rebuild
+//!   indexes, logically redo committed WAL operations after the checkpoint
+//!   (monotonely — see `Db::apply_recovery_op` — with tuple-id remapping),
+//!   and re-arm the scheduler from stored stage bytes — a tuple can
+//!   therefore never *regain* accuracy through a crash.
 
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
@@ -30,7 +33,9 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
-use instant_common::{ColumnId, Error, Result, SharedClock, TableId, Timestamp, TupleId, Value};
+use instant_common::{
+    ColumnId, Error, PageId, Result, SharedClock, TableId, Timestamp, TupleId, Value,
+};
 use instant_obs::{Obs, Stage};
 use instant_storage::{BufferPool, DiskManager};
 use instant_tx::{LockMode, Resource, TxHandle, TxManager};
@@ -42,7 +47,7 @@ use instant_wal::{KeyStore, WalSet};
 use crate::catalog::{Catalog, Table};
 use crate::scheduler::{DegradationScheduler, PendingTransition};
 use crate::schema::TableSchema;
-use crate::tuple::{encode_stored_raw, StoredTuple};
+use crate::tuple::{decode_stored, encode_stored_raw, StoredTuple, STAGE_REMOVED};
 
 // Configuration moved to its own module; the re-export keeps the
 // historical `crate::db::DbConfig` paths (and downstream `instant_core::
@@ -78,15 +83,36 @@ pub struct PumpReport {
 
 /// Carry-over state for [`Db::replay_external_ops`]: a replication
 /// follower applies the shipped log in barrier-bounded slices, and this
-/// struct preserves idempotence bookkeeping (tuple-id remapping, the
+/// struct preserves redo's bookkeeping (tuple-id remapping, the
 /// replayed-written set) plus the applied frontier between slices.
 #[derive(Debug, Default)]
 pub struct ReplicaApplyState {
     remap: HashMap<(TableId, TupleId), TupleId>,
     replay_written: HashSet<(TableId, TupleId)>,
+    /// Redo placed some tuple at another tid than the log names.
+    moved: bool,
     /// Ops with LSN below this frontier have already been applied and
     /// are skipped on the next call.
     pub applied_upto: Lsn,
+}
+
+impl ReplicaApplyState {
+    /// Redo stored the tuple the log calls `logged` as a new tuple at `at`.
+    fn placed(&mut self, logged: (TableId, TupleId), at: TupleId) {
+        self.replay_written.insert((logged.0, at));
+        self.remap.insert(logged, at);
+        self.moved |= at != logged.1;
+    }
+
+    /// Where the tuple the log calls `logged` lives now: where redo placed
+    /// it, else at its logged tid — unless redo put some *other* logged
+    /// tuple into that slot, in which case this one is not in the heap.
+    fn resolve(&self, logged: (TableId, TupleId)) -> Option<TupleId> {
+        match self.remap.get(&logged) {
+            Some(at) => Some(*at),
+            None => (!self.replay_written.contains(&logged)).then_some(logged.1),
+        }
+    }
 }
 
 /// The InstantDB engine.
@@ -168,13 +194,6 @@ impl Db {
             }
         };
         let keys = KeyStore::new(cfg.key_window, cfg.key_seed);
-        if let Some(p) = &cfg.path {
-            // Reload shredded windows so destroyed keys stay destroyed.
-            if let Ok(meta) = std::fs::read_to_string(with_ext(p, "meta")) {
-                let shredded = parse_meta_shredded(&meta);
-                keys.mark_shredded(&shredded);
-            }
-        }
         Ok(Db {
             cfg,
             clock,
@@ -647,9 +666,9 @@ impl Db {
         }
     }
 
-    /// Checkpoint: flush → rotate the WAL segment → log Checkpoint →
-    /// persist meta → shred key windows before the checkpoint → delete
-    /// the dead log segments.
+    /// Checkpoint: flush → rotate the WAL segment → log Checkpoint (with
+    /// the table directory) → shred key windows before the checkpoint →
+    /// delete the dead log segments.
     ///
     /// Holds the exclusive side of `ckpt_gate` so no commit can enqueue
     /// between `flush_all` and the `Checkpoint` record: every record the
@@ -705,23 +724,25 @@ impl Db {
             // id), so it can never land in the middle of another
             // committer's unsynced batch. We already hold the gate's
             // exclusive side, so use the gated enqueue rather than
-            // re-entering the shared side; waiting here (still inside
-            // the gate) is required — the meta write below must record
-            // a state consistent with the durable checkpoint LSN.
+            // re-entering the shared side. The record is the whole
+            // checkpoint: the table directory rides in it (same batch,
+            // same covering fsync), and its `at` is the shred horizon
+            // below, so recovery restores both from the log alone.
+            let mut tables: Vec<(TableId, String)> = self
+                .catalog
+                .all_tables()
+                .iter()
+                .map(|t| (t.id(), t.schema().name.clone()))
+                .collect();
+            tables.sort();
             // lint:allow(L102, the checkpoint record must be appended and made durable while the gate is exclusively held so it cannot interleave with a committer's batch)
             let ckpt_lsn = self
-                .enqueue_records_gated(vec![LogRecord::Checkpoint { at: now }])?
+                .enqueue_records_gated(vec![LogRecord::Checkpoint { at: now, tables }])?
                 .wait()?;
-            // Shred + persist catalog meta (heap page lists + shredded
-            // windows) still inside the gate: the page lists must match
-            // the flush exactly — a page allocated by a commit racing in
-            // here would be listed with unflushed content.
-            let shredded = self.keys.shred_before(now);
-            let _ = shredded;
-            if let Some(p) = &self.cfg.path {
-                let meta = self.render_meta();
-                std::fs::write(with_ext(p, "meta"), meta)?;
-            }
+            // Only once the record is durable: a crash before this line
+            // recovers from the previous checkpoint, whose suffix still
+            // needs these keys.
+            self.keys.shred_before(now);
             ckpt_lsn
         };
         // Truncation deletes whole dead segments — O(segments freed)
@@ -763,35 +784,10 @@ impl Db {
         }
     }
 
-    fn render_meta(&self) -> String {
-        let mut out = String::new();
-        let shredded: Vec<String> = self
-            .keys
-            .export_shredded()
-            .iter()
-            .map(|w| w.0.to_string())
-            .collect();
-        out.push_str(&format!("shredded {}\n", shredded.join(",")));
-        for table in self.catalog.all_tables() {
-            let pages: Vec<String> = table
-                .heap()
-                .page_ids()
-                .iter()
-                .map(|p| p.0.to_string())
-                .collect();
-            out.push_str(&format!(
-                "table {} {} pages {}\n",
-                table.schema().name,
-                table.id().0,
-                pages.join(",")
-            ));
-        }
-        out
-    }
-
-    /// Reopen a crashed database: reattach heaps from the checkpoint meta,
-    /// rebuild indexes, redo the committed WAL suffix, re-arm the scheduler.
-    /// `schemas` must match the schemas at crash time (catalog DDL
+    /// Reopen a crashed database: name the tables from the last
+    /// checkpoint, hand every heap its pages back, rebuild indexes, redo
+    /// the committed WAL suffix, re-arm the scheduler. `schemas` must
+    /// match the schemas at crash time, in creation order (catalog DDL
     /// persistence is out of the reproduced scope — see DESIGN.md).
     pub fn recover_with_schemas(
         cfg: DbConfig,
@@ -802,53 +798,85 @@ impl Db {
             .path
             .clone()
             .ok_or_else(|| Error::Unsupported("recovery needs a persistent path".into()))?;
+        let meta = with_ext(&path, "meta");
+        if meta.exists() {
+            return Err(Error::Unsupported(format!(
+                "{}: data directory in the older layout that lists each table's pages in \
+                 this side file; its pages name no owner, so this version cannot tell whose \
+                 they are",
+                meta.display()
+            )));
+        }
         let db = Db::open(cfg, clock)?;
         let recovery_timer = db.obs.timed(Stage::Recovery);
-        // 1. Reattach tables from meta.
-        let meta = std::fs::read_to_string(with_ext(&path, "meta")).unwrap_or_default();
-        let table_pages = parse_meta_tables(&meta);
+        // 1. The log: the last checkpoint (table directory, shred horizon)
+        //    and the committed suffix after it. The k-way merge behind
+        //    `WalSet::iterate` re-serializes the per-shard streams into
+        //    global LSN order, so replay sees one log exactly as it would
+        //    have with a single shard.
+        let plan = match db.wal() {
+            Some(wal) => recovery::recover_set(wal, &db.keys)?,
+            None => recovery::RecoveryPlan::default(),
+        };
+        if let Some(at) = plan.checkpoint_at {
+            // Keys the checkpoint destroyed stay destroyed.
+            db.keys.shred_before(at);
+        }
+        // 2. Tables: checkpointed ones under their recorded ids, then the
+        //    ones created since, whose ids were dense in creation order.
+        let mut created_since = Vec::new();
         for schema in schemas {
-            let key = schema.name.to_ascii_lowercase();
-            match table_pages.get(&key) {
-                Some((id, pages)) => {
-                    let t = db.catalog.attach_table(
-                        TableId(*id),
-                        schema,
-                        db.pool.clone(),
-                        pages.iter().map(|p| instant_common::PageId(*p)).collect(),
-                        db.cfg.secure,
-                    )?;
-                    t.rebuild_indexes()?;
+            match plan
+                .tables
+                .iter()
+                .find(|(_, name)| name.eq_ignore_ascii_case(&schema.name))
+            {
+                Some((id, _)) => {
+                    db.catalog
+                        .attach_table(*id, schema, db.pool.clone(), db.cfg.secure)?;
                 }
-                None => {
-                    // Table never checkpointed: starts empty, rebuilt from log.
-                    db.create_table(schema)?;
+                None => created_since.push(schema),
+            }
+        }
+        for schema in created_since {
+            db.create_table(schema)?;
+        }
+        // 3. Pages: each goes back to the heap its header names (one pass;
+        //    a never-written page names nobody and stays free).
+        let tables = db.catalog.all_tables();
+        for id in 1..db.pool.disk().page_count() {
+            for table in &tables {
+                if table.heap().adopt(PageId(id))? {
+                    break;
                 }
             }
         }
-        // 2. Redo the committed suffix.
-        if let Some(wal) = db.wal() {
-            // The k-way merge behind `WalSet::iterate` re-serializes the
-            // per-shard streams into global LSN order, so replay sees one
-            // log exactly as it would have with a single shard.
-            let plan = recovery::recover_set(wal, &db.keys)?;
-            let mut remap: HashMap<(TableId, TupleId), TupleId> = HashMap::new();
-            let mut replay_written: HashSet<(TableId, TupleId)> = HashSet::new();
-            for op in &plan.ops {
-                db.apply_recovery_op(op, &mut remap, &mut replay_written)?;
-            }
+        for table in &tables {
+            table.rebuild_indexes()?;
         }
-        // 3. Re-arm the scheduler from stored stage bytes.
+        // 4. Redo the committed suffix.
+        let mut redo = ReplicaApplyState::default();
+        db.replay_external_ops(&plan.ops, &mut redo)?;
+        // 5. Re-arm the scheduler from stored stage bytes.
         db.rearm_all()?;
+        // 6. Redo had to put some tuple at another tuple id than the log
+        //    names (its page was lost while a later one survived). New
+        //    records will name the new id, and pages redo wrote may reach
+        //    disk: the old suffix must never replay over either, so
+        //    retire it before any new work is logged.
+        if redo.moved {
+            db.checkpoint()?;
+        }
         drop(recovery_timer);
         Ok(db)
     }
 
-    /// Apply externally shipped recovery ops to this **live** database —
-    /// the replication follower's apply path. `ops` is an LSN-tagged,
-    /// LSN-ordered slice (usually `RecoveryPlan::ops` zipped with
-    /// `RecoveryPlan::op_lsns` from `recovery::replay_all`); `state`
-    /// carries the tid remap and the applied frontier across calls, so a
+    /// Apply redo ops to this **live** database — the replication
+    /// follower's apply path (and the redo step of the leader's own
+    /// recovery). `ops` is an LSN-tagged, LSN-ordered slice
+    /// (`RecoveryPlan::ops`; a follower's comes from an uncut
+    /// `recovery::replay`); `state` carries the tid remap and the
+    /// applied frontier across calls, so a
     /// follower can feed successive barrier-bounded slices of the same
     /// logical stream. Ops below `state.applied_upto` are skipped
     /// (already applied by an earlier call). Returns the number applied.
@@ -872,11 +900,9 @@ impl Db {
             match self.cfg.replica_degrade_to {
                 Some(stage) => {
                     let degraded = self.degrade_op_to_stage(op, stage)?;
-                    self.apply_recovery_op(&degraded, &mut state.remap, &mut state.replay_written)?;
+                    self.apply_recovery_op(&degraded, state)?;
                 }
-                None => {
-                    self.apply_recovery_op(op, &mut state.remap, &mut state.replay_written)?;
-                }
+                None => self.apply_recovery_op(op, state)?,
             }
             state.applied_upto = lsn + 1;
             applied += 1;
@@ -901,7 +927,7 @@ impl Db {
         let table = self.catalog.get_by_id(op.table())?;
         let schema = table.schema();
         let deg_cols = schema.degradable_columns();
-        let mut tuple = crate::tuple::decode_stored(row)?;
+        let mut tuple = decode_stored(row)?;
         for (slot, cid) in deg_cols.iter().enumerate() {
             let Some(mut stage) = tuple.stages.get(slot).copied().flatten() else {
                 continue; // already removed — coarser than any floor
@@ -994,71 +1020,72 @@ impl Db {
         Ok(())
     }
 
-    fn apply_recovery_op(
-        &self,
-        op: &Op,
-        remap: &mut HashMap<(TableId, TupleId), TupleId>,
-        replay_written: &mut HashSet<(TableId, TupleId)>,
-    ) -> Result<()> {
+    /// Redo one logged operation — the leader's recovery and the
+    /// follower's apply share this. The rule is **monotone**: a logged
+    /// image is never written over the tuple it describes as-is but
+    /// merged with what is stored ([`merge_coarser`]), so a tuple whose
+    /// page reached disk *after* the logged state (a write-back between
+    /// checkpoint and crash, or a degradation step flushed before its
+    /// record) is neither duplicated nor stepped back to a finer value.
+    fn apply_recovery_op(&self, op: &Op, state: &mut ReplicaApplyState) -> Result<()> {
         let table = self.catalog.get_by_id(op.table())?;
-        let mapped = |remap: &HashMap<(TableId, TupleId), TupleId>, tid: TupleId| {
-            remap.get(&(table.id(), tid)).copied().unwrap_or(tid)
+        let key = (table.id(), op.tid());
+        // Write `image` over the `stored` state of the same tuple.
+        let redo = |tid: TupleId, image: StoredTuple, stored: &StoredTuple| -> Result<()> {
+            let merged = merge_coarser(image, stored, &table.schema().degradable_columns());
+            if merged.fully_degraded() {
+                table.expunge_physical(tid)?;
+            } else if merged != *stored {
+                table.replace_stored(tid, stored, &merged)?;
+            }
+            Ok(())
         };
         match op {
-            Op::Insert { tid, row, at, .. } => {
-                // Idempotence: if the logged tid already holds this exact
-                // stored image *from the pre-crash heap*, the page
-                // write-back beat the crash. Two guards keep distinct
-                // commits from collapsing: the comparison covers the whole
-                // stored image (with concurrent committers the log order
-                // differs from tid-allocation order, so an earlier
-                // replayed insert may occupy this tid with a different
-                // tuple sharing the timestamp), and a tuple this replay
-                // itself wrote is never treated as the flushed copy —
-                // otherwise two acknowledged inserts of identical rows at
-                // identical timestamps would merge into one.
-                if table.exists(*tid) && !replay_written.contains(&(table.id(), *tid)) {
-                    if let Ok(existing) = table.get(*tid) {
-                        let existing_bytes =
-                            encode_stored_raw(existing.insert_ts, &existing.stages, &existing.row);
-                        if existing.insert_ts == *at && existing_bytes == *row {
-                            return Ok(());
+            Op::Insert { tid, row, .. } => {
+                // Identity, not equality: a live tuple at the logged tid
+                // with the logged insert time *from the pre-crash heap* is
+                // the same tuple at the same or a later life-cycle state —
+                // its page write-back beat the crash. A tuple this replay
+                // itself wrote is never taken for the flushed copy: with
+                // concurrent committers the log order differs from
+                // tid-allocation order, so an earlier replayed insert may
+                // occupy this tid, and two acknowledged inserts of
+                // identical rows at identical timestamps must stay two.
+                if !state.replay_written.contains(&key) {
+                    if let Ok(stored) = table.get(*tid) {
+                        let image = decode_stored(row)?;
+                        if stored.insert_ts == image.insert_ts {
+                            // Later ops on this tid mean this tuple again,
+                            // not an earlier occupant redo moved away.
+                            state.remap.remove(&key);
+                            return redo(*tid, image, &stored);
                         }
                     }
                 }
-                let new_tid = table.insert_raw_stored(row)?;
-                replay_written.insert((table.id(), new_tid));
-                if new_tid != *tid {
-                    remap.insert((table.id(), *tid), new_tid);
+                state.placed(key, table.insert_raw_stored(row)?);
+            }
+            Op::Update { row, .. } | Op::Degrade { row, .. } => {
+                let image = decode_stored(row)?;
+                let found = state
+                    .resolve(key)
+                    .and_then(|at| Some((at, table.get(at).ok()?)))
+                    .filter(|(_, stored)| stored.insert_ts == image.insert_ts);
+                match found {
+                    Some((at, stored)) => redo(at, image, &stored)?,
+                    // Not in the heap (its insert was unrecoverable, or
+                    // the page was written back after it was expunged and
+                    // the slot is free or reused): the image itself
+                    // recreates the tuple at its coarser state, and the
+                    // rest of its history replays onto that.
+                    None => state.placed(key, table.insert_raw_stored(row)?),
                 }
             }
-            Op::Update { tid, row, .. } | Op::Degrade { tid, row, .. } => {
-                let target = mapped(remap, *tid);
-                let new = crate::tuple::decode_stored(row)?;
-                if table.exists(target) {
-                    table.replace_stored(target, &new)?;
-                    replay_written.insert((table.id(), target));
-                } else {
-                    // Insert was lost/unrecoverable; the degraded image
-                    // itself recreates the tuple at its coarser state.
-                    let new_tid = table.insert_raw_stored(row)?;
-                    replay_written.insert((table.id(), new_tid));
-                    remap.insert((table.id(), *tid), new_tid);
-                }
-            }
-            Op::Delete { tid, .. } | Op::Expunge { tid, .. } => {
-                let target = mapped(remap, *tid);
-                if table.exists(target) {
-                    table.expunge_physical(target)?;
-                }
-            }
-            Op::Unrecoverable { tid, .. } => {
-                // The image is cryptographically erased. If a stale tuple
-                // sits at that tid from the checkpoint, degradation had
-                // already superseded it — drop it rather than resurrect.
-                let target = mapped(remap, *tid);
-                if table.exists(target) {
-                    table.expunge_physical(target)?;
+            // Unrecoverable: the image is cryptographically erased. If a
+            // stale tuple sits at that tid from the checkpoint, degradation
+            // had already superseded it — drop it rather than resurrect.
+            Op::Delete { .. } | Op::Expunge { .. } | Op::Unrecoverable { .. } => {
+                if let Some(at) = state.resolve(key).filter(|at| table.exists(*at)) {
+                    table.expunge_physical(at)?;
                 }
             }
         }
@@ -1139,42 +1166,23 @@ fn with_ext(p: &std::path::Path, ext: &str) -> PathBuf {
     PathBuf::from(s)
 }
 
-fn parse_meta_shredded(meta: &str) -> Vec<instant_wal::keystore::WindowId> {
-    for line in meta.lines() {
-        if let Some(rest) = line.strip_prefix("shredded ") {
-            return rest
-                .split(',')
-                .filter_map(|s| s.trim().parse::<u64>().ok())
-                .map(instant_wal::keystore::WindowId)
-                .collect();
+/// Redo's merge of a logged `image` over the `stored` state of the same
+/// tuple: stable columns from the log, each degradable column from
+/// whichever side is at the **coarser** stage. This is what makes
+/// degradation's monotonicity hold across a crash — no replay can lower a
+/// stage the heap already reached.
+fn merge_coarser(
+    mut image: StoredTuple,
+    stored: &StoredTuple,
+    deg_cols: &[ColumnId],
+) -> StoredTuple {
+    for ((cid, logged), kept) in deg_cols.iter().zip(&mut image.stages).zip(&stored.stages) {
+        if kept.unwrap_or(STAGE_REMOVED) > logged.unwrap_or(STAGE_REMOVED) {
+            *logged = *kept;
+            image.row[cid.0 as usize] = stored.row[cid.0 as usize].clone();
         }
     }
-    Vec::new()
-}
-
-fn parse_meta_tables(meta: &str) -> HashMap<String, (u32, Vec<u32>)> {
-    let mut out = HashMap::new();
-    for line in meta.lines() {
-        let mut parts = line.split_whitespace();
-        if parts.next() != Some("table") {
-            continue;
-        }
-        let (Some(name), Some(id), Some(kw), Some(pages)) =
-            (parts.next(), parts.next(), parts.next(), parts.next())
-        else {
-            continue;
-        };
-        if kw != "pages" {
-            continue;
-        }
-        let Ok(id) = id.parse::<u32>() else { continue };
-        let pages: Vec<u32> = pages
-            .split(',')
-            .filter_map(|s| s.trim().parse::<u32>().ok())
-            .collect();
-        out.insert(name.to_ascii_lowercase(), (id, pages));
-    }
-    out
+    image
 }
 
 #[cfg(test)]
@@ -1365,7 +1373,7 @@ mod tests {
         assert_eq!(records.len(), 1);
         assert!(matches!(records[0].1, LogRecord::Checkpoint { .. }));
         // Keys for pre-checkpoint windows are gone.
-        assert!(db.keystore().shredded_count() >= 1);
+        assert!(db.keystore().shredded_below() > instant_wal::keystore::WindowId(0));
         assert_eq!(db.stats().checkpoints.load(Ordering::Relaxed), 1);
     }
 
@@ -1399,7 +1407,7 @@ mod tests {
     #[test]
     fn recovery_restores_committed_state() {
         let dir = std::env::temp_dir().join(format!("instantdb-rec-{}", std::process::id()));
-        for f in ["idb", "wal", "meta"] {
+        for f in ["idb", "wal"] {
             let _ = std::fs::remove_file(with_ext(&dir, f));
             let _ = std::fs::remove_dir_all(with_ext(&dir, f));
         }
@@ -1427,7 +1435,7 @@ mod tests {
         );
         // Scheduler re-armed for both tuples.
         assert_eq!(db.scheduler().len(), 2);
-        for f in ["idb", "wal", "meta"] {
+        for f in ["idb", "wal"] {
             let _ = std::fs::remove_file(with_ext(&dir, f));
             let _ = std::fs::remove_dir_all(with_ext(&dir, f));
         }
@@ -1436,7 +1444,7 @@ mod tests {
     #[test]
     fn recovery_does_not_resurrect_degraded_state() {
         let dir = std::env::temp_dir().join(format!("instantdb-rec2-{}", std::process::id()));
-        for f in ["idb", "wal", "meta"] {
+        for f in ["idb", "wal"] {
             let _ = std::fs::remove_file(with_ext(&dir, f));
             let _ = std::fs::remove_dir_all(with_ext(&dir, f));
         }
@@ -1466,7 +1474,7 @@ mod tests {
         );
         assert_eq!(t.stages[0], Some(1));
         let _ = (tid, new_tid);
-        for f in ["idb", "wal", "meta"] {
+        for f in ["idb", "wal"] {
             let _ = std::fs::remove_file(with_ext(&dir, f));
             let _ = std::fs::remove_dir_all(with_ext(&dir, f));
         }

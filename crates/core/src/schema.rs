@@ -74,31 +74,27 @@ impl Column {
         }
     }
 
-    /// Largest encoded size this column's value can take over the tuple's
-    /// life cycle (for slot capacity reservation).
+    /// Largest encoded size this column's value can take over the rest of
+    /// the tuple's life cycle (for slot capacity reservation). `v` is the
+    /// accurate value at insert; redo may also store a tuple from an
+    /// already degraded image, whose earlier stages need no room.
     fn max_encoded_size(&self, v: &Value) -> Result<usize> {
-        let mut buf = Vec::new();
-        match &self.kind {
-            ColumnKind::Stable => {
-                encode_value(v, &mut buf);
-                Ok(buf.len())
-            }
-            ColumnKind::Degradable(d) => {
-                let mut max = {
-                    // Removed placeholder is 1 byte, include it.
-                    let mut b = Vec::new();
-                    encode_value(&Value::Removed, &mut b);
-                    b.len()
-                };
-                for stage in d.lcp().stages() {
-                    let form = d.hierarchy().generalize(v, stage.level)?;
-                    buf.clear();
-                    encode_value(&form, &mut buf);
-                    max = max.max(buf.len());
+        let size = |v: &Value| {
+            let mut buf = Vec::new();
+            encode_value(v, &mut buf);
+            buf.len()
+        };
+        let mut max = size(v);
+        if let Some(d) = self.degrader().filter(|_| !v.is_removed()) {
+            for stage in d.lcp().stages() {
+                match d.hierarchy().generalize(v, stage.level) {
+                    Ok(form) => max = max.max(size(&form)),
+                    Err(Error::Accuracy(_)) => {} // `v` is already past this stage
+                    Err(e) => return Err(e),
                 }
-                Ok(max)
             }
         }
+        Ok(max)
     }
 }
 

@@ -26,9 +26,9 @@
 //!   computes the **stable barrier** (the merged LSN below which no
 //!   future record can land and no shipped transaction is still open),
 //!   replays the sub-barrier stream with
-//!   [`recovery::replay_all`](instant_wal::recovery::replay_all) — the
-//!   checkpoint-*ignoring* variant, since a follower has no heap image
-//!   for the leader's checkpoint to cut against — and applies the
+//!   [`recovery::replay`](instant_wal::recovery::replay) and no cut,
+//!   since a follower has no heap image for the leader's checkpoint to
+//!   cut against — and applies the
 //!   resulting ops through
 //!   [`Db::replay_external_ops`](instant_core::Db::replay_external_ops).
 //!   Reconnects with backoff; resume is per-shard by durable LSN.

@@ -23,17 +23,17 @@
 //!   transactions, excluding them wholly.
 //!
 //! Both bounds only ever move forward, so the sub-barrier record set is
-//! grow-only and the op stream [`replay_all`] derives from it is
+//! grow-only and the op stream an uncut [`replay`] derives from it is
 //! prefix-stable: a transaction that commits later can only contribute
 //! ops at or above the barrier that once excluded it. That is exactly
 //! the contract [`Db::replay_external_ops`]'s `applied_upto` frontier
 //! needs.
 //!
-//! Replay uses [`replay_all`] — not checkpoint-anchored
-//! [`replay`](instant_wal::recovery::replay) — because the leader's
-//! `Checkpoint` records describe *its* heap, which the follower does
-//! not have; the follower's redo must start from LSN 0 every round and
-//! rely on `applied_upto` to skip what it already applied.
+//! Replay passes no cut — not the last checkpoint a recovering leader
+//! passes — because the leader's `Checkpoint` records describe *its*
+//! heap, which the follower does not have; the follower's redo must
+//! start from LSN 0 every round and rely on `applied_upto` to skip what
+//! it already applied.
 //!
 //! ## Degraded replicas
 //!
@@ -47,7 +47,7 @@
 //! late-committing straggler whose window key is gone surfaces as
 //! `Op::Unrecoverable` — an expunge, erring toward *less* precision.
 //!
-//! [`replay_all`]: instant_wal::recovery::replay_all
+//! [`replay`]: instant_wal::recovery::replay
 //! [`Db::replay_external_ops`]: instant_core::Db::replay_external_ops
 
 use std::collections::HashMap;
@@ -63,7 +63,7 @@ use instant_core::query::{schema_for_create, HierarchyRegistry};
 use instant_core::{DaemonCore, Db, ReplicaApplyState};
 use instant_server::protocol::{read_seg_frame, seg_hello, write_seg_frame, SegFrame};
 use instant_wal::record::{LogRecord, Lsn};
-use instant_wal::recovery::{self, Op};
+use instant_wal::recovery;
 use instant_wal::segment::{self, SegmentConfig};
 use instant_wal::WalSet;
 use parking_lot::Mutex;
@@ -361,9 +361,8 @@ impl ReplicaState {
             .into_iter()
             .filter(|(lsn, _)| *lsn < barrier)
             .collect();
-        let plan = recovery::replay_all(&below, self.db.keystore());
-        let ops: Vec<(Lsn, Op)> = plan.op_lsns.into_iter().zip(plan.ops).collect();
-        self.db.replay_external_ops(&ops, &mut self.apply)?;
+        let plan = recovery::replay(&below, None, self.db.keystore());
+        self.db.replay_external_ops(&plan.ops, &mut self.apply)?;
         if self.db.config().replica_degrade_to.is_some() {
             // Degraded replica: derived window keys served their one
             // purpose (decoding images that were immediately degraded);

@@ -13,7 +13,7 @@ use instant_core::{Db, DbConfig, ReplicaApplyState, Session, WalMode};
 use instant_lcp::gtree::location_tree_fig1;
 use instant_repl::replica::stable_barrier;
 use instant_wal::record::{LogRecord, Lsn};
-use instant_wal::recovery::{self, Op};
+use instant_wal::recovery;
 use proptest::prelude::*;
 
 const CREATE_PERSON: &str = "CREATE TABLE person (id INT INDEXED, \
@@ -90,9 +90,8 @@ fn apply_below(db: &Db, merged: &[(Lsn, LogRecord)], barrier: Lsn, state: &mut R
         .filter(|(lsn, _)| *lsn < barrier)
         .cloned()
         .collect();
-    let plan = recovery::replay_all(&below, db.keystore());
-    let ops: Vec<(Lsn, Op)> = plan.op_lsns.into_iter().zip(plan.ops).collect();
-    db.replay_external_ops(&ops, state).unwrap();
+    let plan = recovery::replay(&below, None, db.keystore());
+    db.replay_external_ops(&plan.ops, state).unwrap();
 }
 
 fn scan_sorted(db: &Db) -> Vec<(TupleId, StoredTuple)> {

@@ -240,8 +240,7 @@ fn replica_restart_resumes_from_local_segments() {
 fn torn_leader_tail_on_one_shard_converges_to_recovered_state() {
     let clock = MockClock::new();
     let dir = tmp("torn-leader");
-    // Engine files are path-with-extension siblings: db.idb, db.wal/,
-    // db.meta.
+    // Engine files are path-with-extension siblings: db.idb, db.wal/.
     let cfg = DbConfig::builder()
         .path(dir.join("db"))
         .wal_shards(2)

@@ -1,8 +1,12 @@
 //! Heap file: the record store for one table.
 //!
-//! A heap file is a set of slotted pages reached through the buffer pool,
-//! plus an in-memory free-space map (rebuilt on open). Its API is shaped by
-//! degradation:
+//! A heap file is a set of slotted pages reached through the buffer pool.
+//! Every page it formats carries the owning table's id in its header, and
+//! every tuple-id-addressed access checks it: a heap touches only pages
+//! that name it, so a stale or foreign tuple id can never read, rewrite or
+//! "find" a record on another table's (or nobody's) page. The in-memory
+//! page list is a cache of that fact — recovery rebuilds it from the
+//! headers with [`HeapFile::adopt`]. Its API is shaped by degradation:
 //!
 //! * `insert(bytes, reserve_cap)` reserves the life-cycle-maximum capacity so
 //!   later `update`s (degradation rewrites) never relocate the tuple;
@@ -15,16 +19,18 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use instant_common::{PageId, Result, TupleId};
+use instant_common::{Error, PageId, Result, TableId, TupleId};
 
 use crate::buffer::BufferPool;
-use crate::page::PAGE_PAYLOAD;
+use crate::page::{Page, PAGE_PAYLOAD};
 use crate::secure::SecurePolicy;
 use crate::slotted::SlottedPage;
 
 /// A record store over slotted pages.
 pub struct HeapFile {
     pool: Arc<BufferPool>,
+    /// The table this heap stores: stamped into every page it formats.
+    owner: TableId,
     /// Pages owned by this heap, in allocation order.
     pages: Mutex<Vec<PageId>>, // lock-rank: 340
     policy: SecurePolicy,
@@ -40,31 +46,43 @@ impl std::fmt::Debug for HeapFile {
 }
 
 impl HeapFile {
-    /// Create an empty heap over `pool` with the given deletion policy.
-    pub fn create(pool: Arc<BufferPool>, policy: SecurePolicy) -> HeapFile {
+    /// Create an empty heap for table `owner` over `pool` with the given
+    /// deletion policy.
+    pub fn create(pool: Arc<BufferPool>, owner: TableId, policy: SecurePolicy) -> HeapFile {
         HeapFile {
             pool,
+            owner,
             pages: Mutex::ranked(340, Vec::new()),
             policy,
         }
     }
 
-    /// Reattach a heap whose pages are already on disk (after restart).
-    pub fn attach(pool: Arc<BufferPool>, pages: Vec<PageId>, policy: SecurePolicy) -> HeapFile {
-        HeapFile {
-            pool,
-            pages: Mutex::ranked(340, pages),
-            policy,
+    /// Recovery: take page `id` back if its header names this heap.
+    /// Returns whether it did. Call once per page of the file, in page
+    /// order, before the heap is used.
+    pub fn adopt(&self, id: PageId) -> Result<bool> {
+        let mine = self.pool.with_page(id, |page| page.owner() == self.owner)?;
+        if mine {
+            self.pages.lock().push(id);
         }
+        Ok(mine)
     }
 
     pub fn policy(&self) -> SecurePolicy {
         self.policy
     }
 
-    /// The page ids owned by this heap (for catalog persistence).
-    pub fn page_ids(&self) -> Vec<PageId> {
-        self.pages.lock().clone()
+    /// `Ok` iff `page` names this heap; every tuple-id-addressed access
+    /// runs this inside the page latch it already holds.
+    fn check_owner(&self, page: &Page, tid: TupleId) -> Result<()> {
+        if page.owner() == self.owner {
+            Ok(())
+        } else {
+            Err(Error::NotFound(format!(
+                "tuple {tid}: page not owned by table {}",
+                self.owner.0
+            )))
+        }
     }
 
     /// Largest record capacity a single page can hold.
@@ -77,7 +95,7 @@ impl HeapFile {
     pub fn insert(&self, bytes: &[u8], cap: usize) -> Result<TupleId> {
         assert!(cap >= bytes.len());
         if cap > Self::max_record_cap() {
-            return Err(instant_common::Error::Capacity(format!(
+            return Err(Error::Capacity(format!(
                 "record capacity {cap}B exceeds page maximum {}B",
                 Self::max_record_cap()
             )));
@@ -104,6 +122,7 @@ impl HeapFile {
         pages.push(pid);
         // lint:allow(L102, the fresh page is initialized under the page-table lock so no scan sees it half-formatted; a fault may write back one dirty page)
         let slot = self.pool.with_page_mut(pid, |page| {
+            page.set_owner(self.owner);
             let mut sp = SlottedPage::init(page.payload_mut());
             sp.insert(bytes, cap)
         })??;
@@ -113,10 +132,8 @@ impl HeapFile {
     /// Read a record.
     pub fn read(&self, tid: TupleId) -> Result<Vec<u8>> {
         self.pool.with_page(tid.page, |page| {
-            // SlottedPage::new requires &mut; build a read view via clone of
-            // the payload — avoided by a tiny unsafe-free trick: copy out.
-            let payload = page.payload();
-            read_slot_bytes(payload, tid)
+            self.check_owner(page, tid)?;
+            read_slot_bytes(page.payload(), tid)
         })?
     }
 
@@ -124,6 +141,7 @@ impl HeapFile {
     pub fn update(&self, tid: TupleId, bytes: &[u8]) -> Result<()> {
         let policy = self.policy;
         self.pool.with_page_mut(tid.page, |page| {
+            self.check_owner(page, tid)?;
             let mut sp = SlottedPage::new(page.payload_mut());
             sp.update(tid.slot, bytes, policy)
         })?
@@ -133,17 +151,17 @@ impl HeapFile {
     pub fn delete(&self, tid: TupleId) -> Result<()> {
         let policy = self.policy;
         self.pool.with_page_mut(tid.page, |page| {
+            self.check_owner(page, tid)?;
             let mut sp = SlottedPage::new(page.payload_mut());
             sp.delete(tid.slot, policy)
         })?
     }
 
-    /// Is the tuple live?
+    /// Is the tuple live (on a page this heap owns)?
     pub fn exists(&self, tid: TupleId) -> bool {
         self.pool
             .with_page(tid.page, |page| {
-                let payload = page.payload();
-                read_slot_bytes(payload, tid).is_ok()
+                page.owner() == self.owner && read_slot_bytes(page.payload(), tid).is_ok()
             })
             .unwrap_or(false)
     }
@@ -208,19 +226,14 @@ fn read_slot_bytes(payload: &[u8], tid: TupleId) -> Result<Vec<u8>> {
     // Mirror of SlottedPage::read for the immutable path.
     let nslots = u16::from_le_bytes(payload[0..2].try_into().unwrap()); // lint:allow(L001, fixed-width slice of a checked-length payload)
     if tid.slot.0 >= nslots {
-        return Err(instant_common::Error::NotFound(format!(
-            "slot {} out of range",
-            tid.slot
-        )));
+        return Err(Error::NotFound(format!("slot {} out of range", tid.slot)));
     }
     let p = payload.len() - (tid.slot.0 as usize + 1) * 6;
     let offset = u16::from_le_bytes(payload[p..p + 2].try_into().unwrap()) as usize; // lint:allow(L001, fixed-width slice of a checked-length payload)
     let cap = u16::from_le_bytes(payload[p + 2..p + 4].try_into().unwrap()) as usize; // lint:allow(L001, fixed-width slice of a checked-length payload)
     let len = u16::from_le_bytes(payload[p + 4..p + 6].try_into().unwrap()) as usize; // lint:allow(L001, fixed-width slice of a checked-length payload)
     if cap == 0 {
-        return Err(instant_common::Error::NotFound(format!(
-            "tuple {tid} deleted"
-        )));
+        return Err(Error::NotFound(format!("tuple {tid} deleted")));
     }
     Ok(payload[offset..offset + len].to_vec())
 }
@@ -233,7 +246,7 @@ mod tests {
     fn heap(policy: SecurePolicy) -> HeapFile {
         let disk = Arc::new(DiskManager::temp("heap").unwrap());
         let pool = Arc::new(BufferPool::new(disk, 16));
-        HeapFile::create(pool, policy)
+        HeapFile::create(pool, TableId(1), policy)
     }
 
     #[test]
@@ -349,15 +362,35 @@ mod tests {
     }
 
     #[test]
-    fn attach_recovers_pages() {
-        let disk = Arc::new(DiskManager::temp("heap-attach").unwrap());
+    fn adopt_rebuilds_the_page_list_from_headers() {
+        let disk = Arc::new(DiskManager::temp("heap-adopt").unwrap());
         let pool = Arc::new(BufferPool::new(disk.clone(), 16));
-        let h = HeapFile::create(pool.clone(), SecurePolicy::Overwrite);
-        let tid = h.insert(b"persisted", 16).unwrap();
-        let pages = h.page_ids();
+        let a = HeapFile::create(pool.clone(), TableId(1), SecurePolicy::Overwrite);
+        let b = HeapFile::create(pool.clone(), TableId(2), SecurePolicy::Overwrite);
+        let ta = a.insert(b"persisted", 16).unwrap();
+        let tb = b.insert(b"other table", 16).unwrap();
         pool.flush_all().unwrap();
-        drop(h);
-        let h2 = HeapFile::attach(pool, pages, SecurePolicy::Overwrite);
-        assert_eq!(h2.read(tid).unwrap(), b"persisted");
+        drop((a, b));
+        let a2 = HeapFile::create(pool.clone(), TableId(1), SecurePolicy::Overwrite);
+        for id in 1..disk.page_count() {
+            assert_eq!(a2.adopt(PageId(id)).unwrap(), PageId(id) == ta.page);
+        }
+        assert_eq!(a2.scan().unwrap(), vec![(ta, b"persisted".to_vec())]);
+        // The other table's page is not this heap's to touch.
+        assert!(!a2.exists(tb));
+        assert!(a2.read(tb).is_err());
+        assert!(a2.update(tb, b"x").is_err());
+        assert!(a2.delete(tb).is_err());
+    }
+
+    #[test]
+    fn allocated_unformatted_page_belongs_to_nobody() {
+        let h = heap(SecurePolicy::Overwrite);
+        let free = h.pool.allocate_page().unwrap();
+        assert!(!h.adopt(free).unwrap());
+        assert!(!h.exists(TupleId {
+            page: free,
+            slot: instant_common::SlotId(0)
+        }));
     }
 }

@@ -6,10 +6,16 @@
 //! offset  size  field
 //! 0       4     magic "IDBP"
 //! 4       4     page id
-//! 8       8     page LSN (last WAL record that touched the page)
+//! 8       4     owner: id of the table whose heap formatted the page
+//!               (0 = none — allocated, never formatted, i.e. free)
+//! 12      4     reserved (zero)
 //! 16      8     checksum (FNV-1a over bytes [24, PAGE_SIZE))
 //! 24      …     payload (slotted layout, see `slotted`)
 //! ```
+//!
+//! The owner field is the only durable record of which pages a table holds:
+//! a heap touches only pages that name it, and recovery rebuilds every
+//! heap's page list by reading these headers (see `heap`).
 //!
 //! The checksum is recomputed by the disk manager on write and verified on
 //! read, so torn writes and bit rot surface as [`Error::Corrupt`] instead of
@@ -17,7 +23,7 @@
 //! resurrect bytes that degradation was supposed to have destroyed.
 
 use instant_common::codec::fnv1a;
-use instant_common::{Error, PageId, Result};
+use instant_common::{Error, PageId, Result, TableId};
 
 /// Page size in bytes. 8 KiB, a conventional DBMS default.
 pub const PAGE_SIZE: usize = 8192;
@@ -38,7 +44,7 @@ impl std::fmt::Debug for Page {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Page")
             .field("id", &self.id())
-            .field("lsn", &self.lsn())
+            .field("owner", &self.owner())
             .finish()
     }
 }
@@ -88,12 +94,13 @@ impl Page {
         PageId(u32::from_le_bytes(self.bytes[4..8].try_into().unwrap())) // lint:allow(L001, fixed-width header slice)
     }
 
-    pub fn lsn(&self) -> u64 {
-        u64::from_le_bytes(self.bytes[8..16].try_into().unwrap()) // lint:allow(L001, fixed-width header slice)
+    /// The table whose heap formatted this page; `TableId(0)` = none.
+    pub fn owner(&self) -> TableId {
+        TableId(u32::from_le_bytes(self.bytes[8..12].try_into().unwrap())) // lint:allow(L001, fixed-width header slice)
     }
 
-    pub fn set_lsn(&mut self, lsn: u64) {
-        self.bytes[8..16].copy_from_slice(&lsn.to_le_bytes());
+    pub fn set_owner(&mut self, owner: TableId) {
+        self.bytes[8..12].copy_from_slice(&owner.0.to_le_bytes());
     }
 
     /// Immutable payload view (the slotted region).
@@ -121,7 +128,7 @@ mod tests {
     fn new_page_has_header() {
         let p = Page::new(PageId(7));
         assert_eq!(p.id(), PageId(7));
-        assert_eq!(p.lsn(), 0);
+        assert_eq!(p.owner(), TableId(0));
         assert!(p.payload().iter().all(|&b| b == 0));
         assert_eq!(p.payload().len(), PAGE_PAYLOAD);
     }
@@ -129,11 +136,11 @@ mod tests {
     #[test]
     fn round_trip_with_checksum() {
         let mut p = Page::new(PageId(3));
-        p.set_lsn(42);
+        p.set_owner(TableId(42));
         p.payload_mut()[0..5].copy_from_slice(b"hello");
         let bytes = p.to_bytes();
         let back = Page::from_bytes(PageId(3), bytes).unwrap();
-        assert_eq!(back.lsn(), 42);
+        assert_eq!(back.owner(), TableId(42));
         assert_eq!(&back.payload()[0..5], b"hello");
     }
 
@@ -169,11 +176,11 @@ mod tests {
     }
 
     #[test]
-    fn lsn_not_covered_by_payload_mutation() {
-        // LSN lives in the header; setting it then sealing must still verify.
+    fn owner_not_covered_by_payload_mutation() {
+        // The owner lives in the header; setting it then sealing must still verify.
         let mut p = Page::new(PageId(9));
-        p.set_lsn(u64::MAX);
+        p.set_owner(TableId(u32::MAX));
         let back = Page::from_bytes(PageId(9), p.to_bytes()).unwrap();
-        assert_eq!(back.lsn(), u64::MAX);
+        assert_eq!(back.owner(), TableId(u32::MAX));
     }
 }

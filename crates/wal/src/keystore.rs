@@ -12,9 +12,11 @@
 //! crate docs). Windows are indexed by `floor(now / window_len)`.
 //!
 //! **Threat model note.** Because keys are seed-derived, the seed plays the
-//! role of a *key vault*: shredding removes a window from the set the vault
-//! will ever serve again (persisted across restarts via
-//! [`KeyStore::export_shredded`]). The adversary of the paper's experiments
+//! role of a *key vault*: shredding raises the watermark below which the
+//! vault will never serve a window again. The engine only ever shreds at a
+//! checkpoint, with the checkpoint's own timestamp as the horizon, so the
+//! watermark needs no storage of its own: recovery restores it from the
+//! last `Checkpoint` record. The adversary of the paper's experiments
 //! obtains the disk and the log but not the vault — matching the authors'
 //! broader line of work, which places keys in tamper-resistant secure
 //! hardware. A production deployment would use random per-window keys whose
@@ -35,7 +37,9 @@ pub struct WindowId(pub u64);
 #[derive(Debug)]
 struct Inner {
     keys: HashMap<WindowId, Key>,
-    shredded: Vec<WindowId>,
+    /// Every window below this one is shredded — derived in this process
+    /// or not.
+    shredded_below: WindowId,
     counter: u64,
 }
 
@@ -58,7 +62,7 @@ impl KeyStore {
                 530,
                 Inner {
                     keys: HashMap::new(),
-                    shredded: Vec::new(),
+                    shredded_below: WindowId(0),
                     counter: 0,
                 },
             ),
@@ -80,7 +84,7 @@ impl KeyStore {
     pub fn key_for(&self, t: Timestamp) -> Result<(WindowId, Key)> {
         let w = self.window_of(t);
         let mut inner = self.inner.write();
-        if inner.shredded.contains(&w) {
+        if w < inner.shredded_below {
             return Err(Error::Policy(format!(
                 "window {w:?} already shredded; cannot seal into the past"
             )));
@@ -94,12 +98,12 @@ impl KeyStore {
     }
 
     /// The key for window `w` if it is still alive (for opening payloads).
-    /// Keys are seed-derived, so a restart can re-derive any window that
-    /// was never shredded — only the shredded set is truly destroyed.
+    /// Keys are seed-derived, so a restart can re-derive any window at or
+    /// above the shred watermark — only those below it are truly destroyed.
     pub fn key_of(&self, w: WindowId) -> Option<Key> {
         {
             let inner = self.inner.read();
-            if inner.shredded.contains(&w) {
+            if w < inner.shredded_below {
                 return None;
             }
             if let Some(k) = inner.keys.get(&w) {
@@ -113,16 +117,18 @@ impl KeyStore {
 
     /// Has `w` been shredded?
     pub fn is_shredded(&self, w: WindowId) -> bool {
-        self.inner.read().shredded.contains(&w)
+        w < self.inner.read().shredded_below
     }
 
     /// Shred every window that ended strictly before `horizon`. Returns the
-    /// windows destroyed. After this call the sealed payloads of those
-    /// windows are unrecoverable — the log-side counterpart of the heap's
+    /// derived keys destroyed. After this call the sealed payloads of
+    /// every such window — whether or not this process ever derived its
+    /// key — are unrecoverable: the log-side counterpart of the heap's
     /// secure overwrite.
     pub fn shred_before(&self, horizon: Timestamp) -> Vec<WindowId> {
         let horizon_window = self.window_of(horizon);
         let mut inner = self.inner.write();
+        inner.shredded_below = inner.shredded_below.max(horizon_window);
         let victims: Vec<WindowId> = inner
             .keys
             .keys()
@@ -136,10 +142,7 @@ impl KeyStore {
                 // outside short-lived seal/open calls).
                 k.fill(0);
             }
-            inner.shredded.push(*w);
         }
-        inner.shredded.sort_unstable();
-        inner.shredded.dedup();
         victims
     }
 
@@ -148,9 +151,9 @@ impl KeyStore {
         self.inner.read().keys.len()
     }
 
-    /// Number of shredded windows.
-    pub fn shredded_count(&self) -> usize {
-        self.inner.read().shredded.len()
+    /// The shred watermark: every window below it is destroyed.
+    pub fn shredded_below(&self) -> WindowId {
+        self.inner.read().shredded_below
     }
 
     /// A fresh unique nonce (per-record).
@@ -158,24 +161,6 @@ impl KeyStore {
         let mut inner = self.inner.write();
         inner.counter += 1;
         inner.counter
-    }
-
-    /// Export the shredded window list (persisted across restarts — keys
-    /// are seed-derived, so *which windows are destroyed* is the only state
-    /// that must survive; losing it would resurrect old keys).
-    pub fn export_shredded(&self) -> Vec<WindowId> {
-        self.inner.read().shredded.clone()
-    }
-
-    /// Re-import a shredded window list after restart. Idempotent.
-    pub fn mark_shredded(&self, windows: &[WindowId]) {
-        let mut inner = self.inner.write();
-        for w in windows {
-            inner.keys.remove(w);
-            inner.shredded.push(*w);
-        }
-        inner.shredded.sort_unstable();
-        inner.shredded.dedup();
     }
 }
 
@@ -236,6 +221,21 @@ mod tests {
     }
 
     #[test]
+    fn shredding_covers_windows_never_derived_here() {
+        // A fresh process (nothing derived) restores the watermark from a
+        // checkpoint: windows below it must not be re-derivable on demand.
+        let ks = ks();
+        assert!(ks
+            .shred_before(Timestamp::ZERO + Duration::hours(5))
+            .is_empty());
+        assert!(ks.key_of(WindowId(4)).is_none());
+        assert!(ks.key_of(WindowId(5)).is_some());
+        // The watermark never moves backwards.
+        ks.shred_before(Timestamp::ZERO + Duration::hours(2));
+        assert!(ks.is_shredded(WindowId(4)));
+    }
+
+    #[test]
     fn sealing_into_shredded_window_rejected() {
         let ks = ks();
         ks.key_for(Timestamp::ZERO).unwrap();
@@ -273,6 +273,6 @@ mod tests {
         assert_eq!(ks.live_keys(), 2);
         ks.shred_before(Timestamp::ZERO + Duration::hours(10));
         assert_eq!(ks.live_keys(), 0);
-        assert_eq!(ks.shredded_count(), 2);
+        assert_eq!(ks.shredded_below(), WindowId(10));
     }
 }

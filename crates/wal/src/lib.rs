@@ -20,7 +20,10 @@
 //!   checkpoint. Periodic checkpoints flush the store and physically
 //!   truncate the old log by **deleting whole dead segments**
 //!   ([`writer::Wal::truncate_before`]) — O(segments freed), never a
-//!   rewrite of retained data.
+//!   rewrite of retained data. The [`record::LogRecord::Checkpoint`]
+//!   record is the whole checkpoint: it carries the table directory, and
+//!   its timestamp is the key-shred horizon, so no side file exists to
+//!   fall out of step with the log.
 //! * The log is **sharded** ([`walset::WalSet`]): N per-shard segment
 //!   directories (`shard-<k>/`) behind one global LSN allocator, so
 //!   independent committers append and fsync in parallel; recovery k-way

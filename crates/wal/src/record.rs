@@ -132,8 +132,15 @@ pub enum LogRecord {
         tid: TupleId,
         at: Timestamp,
     },
-    /// Checkpoint: all dirty pages flushed; log before this is dead.
-    Checkpoint { at: Timestamp },
+    /// Checkpoint: all dirty pages flushed; log before this is dead. The
+    /// record is the whole checkpoint — no side file: `tables` is the
+    /// catalog's `(id, name)` directory as of the flush, and `at` is the
+    /// very horizon the engine shreds key windows before, so recovery
+    /// restores both from the last one of these.
+    Checkpoint {
+        at: Timestamp,
+        tables: Vec<(TableId, String)>,
+    },
     /// Shard-log LSN discontinuity marker: the *next* record in this
     /// shard's byte stream carries global LSN `next`. Written when the
     /// allocator handed other shards the intervening LSNs; consumes no
@@ -167,7 +174,7 @@ impl LogRecord {
             | LogRecord::Degrade { at, .. }
             | LogRecord::Delete { at, .. }
             | LogRecord::Expunge { at, .. }
-            | LogRecord::Checkpoint { at } => *at,
+            | LogRecord::Checkpoint { at, .. } => *at,
             // A jump is pure log plumbing; it happens at no event time.
             LogRecord::LsnJump { .. } => Timestamp::ZERO,
         }
@@ -255,9 +262,14 @@ impl LogRecord {
                 raw::put_u64(&mut out, tid.pack());
                 raw::put_u64(&mut out, at.0);
             }
-            LogRecord::Checkpoint { at } => {
+            LogRecord::Checkpoint { at, tables } => {
                 out.push(9);
                 raw::put_u64(&mut out, at.0);
+                raw::put_u32(&mut out, tables.len() as u32);
+                for (id, name) in tables {
+                    raw::put_u32(&mut out, id.0);
+                    raw::put_bytes(&mut out, name.as_bytes());
+                }
             }
             LogRecord::LsnJump { next } => {
                 out.push(10);
@@ -338,9 +350,20 @@ impl LogRecord {
                     LogRecord::Expunge { tx, table, tid, at }
                 }
             }
-            9 => LogRecord::Checkpoint {
-                at: Timestamp(raw::get_u64(buf)?),
-            },
+            9 => {
+                let at = Timestamp(raw::get_u64(buf)?);
+                let n = raw::get_u32(buf)? as usize;
+                // An entry is at least 8 bytes, which bounds the
+                // allocation by the record's own length.
+                let mut tables = Vec::with_capacity(n.min(buf.len() / 8));
+                for _ in 0..n {
+                    let id = TableId(raw::get_u32(buf)?);
+                    let name = String::from_utf8(raw::get_bytes(buf)?)
+                        .map_err(|_| Error::Corrupt("checkpoint table name not UTF-8".into()))?;
+                    tables.push((id, name));
+                }
+                LogRecord::Checkpoint { at, tables }
+            }
             10 => LogRecord::LsnJump {
                 next: raw::get_u64(buf)?,
             },
@@ -451,7 +474,17 @@ mod tests {
                 tid: TupleId::new(1, 3),
                 at: t,
             },
-            LogRecord::Checkpoint { at: t },
+            LogRecord::Checkpoint {
+                at: t,
+                tables: vec![],
+            },
+            LogRecord::Checkpoint {
+                at: t,
+                tables: vec![
+                    (TableId(1), "person".into()),
+                    (TableId(2), "événement".into()),
+                ],
+            },
             LogRecord::LsnJump { next: 123_456 },
         ]
     }
@@ -482,6 +515,7 @@ mod tests {
     fn trailing_bytes_rejected() {
         let mut bytes = LogRecord::Checkpoint {
             at: Timestamp::ZERO,
+            tables: vec![],
         }
         .encode();
         bytes.push(0);
@@ -514,8 +548,12 @@ mod tests {
     fn tx_and_at_accessors() {
         let t = Timestamp::micros(5);
         assert_eq!(LogRecord::Begin { tx: TxId(7), at: t }.tx(), Some(TxId(7)));
-        assert_eq!(LogRecord::Checkpoint { at: t }.tx(), None);
-        assert_eq!(LogRecord::Checkpoint { at: t }.at(), t);
+        let ckpt = LogRecord::Checkpoint {
+            at: t,
+            tables: vec![],
+        };
+        assert_eq!(ckpt.tx(), None);
+        assert_eq!(ckpt.at(), t);
         assert_eq!(LogRecord::LsnJump { next: 9 }.tx(), None);
     }
 }

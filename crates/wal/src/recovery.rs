@@ -22,7 +22,7 @@ use std::collections::HashSet;
 use instant_common::{ColumnId, LevelId, TableId, Timestamp, TupleId, TxId};
 
 use crate::keystore::KeyStore;
-use crate::record::{LogRecord, Lsn, Payload};
+use crate::record::{LogRecord, Lsn};
 
 /// One recovered (redo) operation, in commit order.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -94,70 +94,66 @@ impl Op {
 /// Outcome of recovery analysis + redo.
 #[derive(Debug, Default)]
 pub struct RecoveryPlan {
-    /// LSN of the last checkpoint (redo starts after it); `None` = replay all.
-    pub checkpoint_lsn: Option<Lsn>,
+    /// `at` of the checkpoint redo was cut at: the horizon the engine had
+    /// shredded key windows before. `None` when nothing was cut.
+    pub checkpoint_at: Option<Timestamp>,
+    /// That checkpoint's `(id, name)` table directory.
+    pub tables: Vec<(TableId, String)>,
     /// Committed transactions seen in the replayed suffix.
     pub committed: HashSet<TxId>,
     /// Transactions that began but never committed (their work is ignored).
     pub losers: HashSet<TxId>,
-    /// Redo operations in LSN order (committed transactions only).
-    pub ops: Vec<Op>,
-    /// LSN of the log record each entry of `ops` was produced from
-    /// (parallel to `ops`). Replication followers key incremental
-    /// replay off this: "apply every op with LSN below the barrier".
-    pub op_lsns: Vec<Lsn>,
+    /// Redo operations (committed transactions only) in LSN order, each
+    /// with the LSN of the record it came from. Replication followers key
+    /// incremental replay off the LSN: "apply every op below the barrier".
+    pub ops: Vec<(Lsn, Op)>,
     /// Count of records skipped because their tx never committed.
     pub skipped_uncommitted: usize,
     /// Count of sealed images that could not be opened (shredded keys).
     pub unrecoverable: usize,
 }
 
-/// Run analysis + redo over the sharded log, opening sealed payloads via
-/// `ks`: the set's k-way merge yields the shards' records re-serialized
-/// into global LSN order, and [`replay`] consumes that one stream.
+/// LSN of the last [`LogRecord::Checkpoint`] in the stream: the cut a
+/// leader recovering over its own flushed heap hands to [`replay`].
+pub fn last_checkpoint(records: &[(Lsn, LogRecord)]) -> Option<Lsn> {
+    records
+        .iter()
+        .rev()
+        .find(|(_, rec)| matches!(rec, LogRecord::Checkpoint { .. }))
+        .map(|(lsn, _)| *lsn)
+}
+
+/// Run analysis + redo over the sharded log from its last checkpoint,
+/// opening sealed payloads via `ks`: the set's k-way merge yields the
+/// shards' records re-serialized into global LSN order, and [`replay`]
+/// consumes that one stream.
 pub fn recover_set(
     set: &crate::walset::WalSet,
     ks: &KeyStore,
 ) -> instant_common::Result<RecoveryPlan> {
     let records = set.iterate()?;
-    Ok(replay(&records, ks))
+    Ok(replay(&records, last_checkpoint(&records), ks))
 }
 
-/// Pure-function core of [`recover_set`] (also used by tests on lone and
-/// synthetic logs).
-pub fn replay(records: &[(Lsn, LogRecord)], ks: &KeyStore) -> RecoveryPlan {
+/// The one replay: redo every committed record after `cut`.
+///
+/// A leader passes `Some(`[`last_checkpoint`]`)` — its heap is flushed up
+/// to that record, whose table directory and `at` come back in the plan.
+/// A replication follower passes `None`: it has no heap image of its own,
+/// so a leader-side `Checkpoint` (which means "the *leader's* heap below
+/// this LSN is flushed") must not truncate its redo.
+pub fn replay(records: &[(Lsn, LogRecord)], cut: Option<Lsn>, ks: &KeyStore) -> RecoveryPlan {
     let mut plan = RecoveryPlan::default();
-    // Pass 0: find last checkpoint.
-    for (lsn, rec) in records {
-        if matches!(rec, LogRecord::Checkpoint { .. }) {
-            plan.checkpoint_lsn = Some(*lsn);
-        }
+    // `records` is LSN-ordered; `None < Some(_)`, so no cut keeps it all.
+    let (dead, suffix) = records.split_at(records.partition_point(|(lsn, _)| Some(*lsn) <= cut));
+    if let Some((_, LogRecord::Checkpoint { at, tables })) = dead.last() {
+        plan.checkpoint_at = Some(*at);
+        plan.tables = tables.clone();
     }
-    replay_into(plan, records, ks)
-}
-
-/// [`replay`] without the checkpoint cut: redo **every** committed record
-/// in the stream. A replication follower has no heap image of its own —
-/// its state is built purely from the shipped log — so a leader-side
-/// `Checkpoint` record (which on the leader means "the heap below this
-/// LSN is flushed") must not truncate the follower's redo.
-pub fn replay_all(records: &[(Lsn, LogRecord)], ks: &KeyStore) -> RecoveryPlan {
-    replay_into(RecoveryPlan::default(), records, ks)
-}
-
-fn replay_into(
-    mut plan: RecoveryPlan,
-    records: &[(Lsn, LogRecord)],
-    ks: &KeyStore,
-) -> RecoveryPlan {
-    let start = plan.checkpoint_lsn.map(|l| l + 1).unwrap_or(0);
 
     // Pass 1 (analysis): committed / loser transactions over the suffix.
     // Commits may land after the data records, so scan the whole suffix first.
-    for (lsn, rec) in records {
-        if *lsn < start {
-            continue;
-        }
+    for (_, rec) in suffix {
         match rec {
             LogRecord::Commit { tx, .. } => {
                 plan.committed.insert(*tx);
@@ -174,139 +170,69 @@ fn replay_into(
         }
     }
 
-    // Pass 2 (redo): committed data records in order.
-    for (lsn, rec) in records {
-        if *lsn < start {
+    // Pass 2 (redo): one op per committed data record, in order.
+    for (lsn, rec) in suffix {
+        let (tx, table, tid, at) = match rec {
+            LogRecord::Insert {
+                tx, table, tid, at, ..
+            }
+            | LogRecord::Update {
+                tx, table, tid, at, ..
+            }
+            | LogRecord::Degrade {
+                tx, table, tid, at, ..
+            }
+            | LogRecord::Delete { tx, table, tid, at }
+            | LogRecord::Expunge { tx, table, tid, at } => (tx, *table, *tid, *at),
+            _ => continue,
+        };
+        if !plan.committed.contains(tx) {
+            plan.skipped_uncommitted += 1;
             continue;
         }
-        let Some(tx) = rec.tx() else { continue };
-        let committed = plan.committed.contains(&tx);
-        let open = |p: &Payload| p.open(ks);
-        match rec {
-            LogRecord::Insert {
+        let op = match rec {
+            LogRecord::Insert { row, .. } => row.open(ks).map(|row| Op::Insert {
                 table,
                 tid,
                 row,
                 at,
-                ..
-            } => {
-                if !committed {
-                    plan.skipped_uncommitted += 1;
-                    continue;
-                }
-                match open(row) {
-                    Some(bytes) => plan.ops.push(Op::Insert {
-                        table: *table,
-                        tid: *tid,
-                        row: bytes,
-                        at: *at,
-                    }),
-                    None => {
-                        plan.unrecoverable += 1;
-                        plan.ops.push(Op::Unrecoverable {
-                            table: *table,
-                            tid: *tid,
-                            at: *at,
-                        });
-                    }
-                }
-            }
-            LogRecord::Update {
+            }),
+            LogRecord::Update { row, .. } => row.open(ks).map(|row| Op::Update {
                 table,
                 tid,
                 row,
                 at,
-                ..
-            } => {
-                if !committed {
-                    plan.skipped_uncommitted += 1;
-                    continue;
-                }
-                match open(row) {
-                    Some(bytes) => plan.ops.push(Op::Update {
-                        table: *table,
-                        tid: *tid,
-                        row: bytes,
-                        at: *at,
-                    }),
-                    None => {
-                        plan.unrecoverable += 1;
-                        plan.ops.push(Op::Unrecoverable {
-                            table: *table,
-                            tid: *tid,
-                            at: *at,
-                        });
-                    }
-                }
-            }
+            }),
             LogRecord::Degrade {
-                table,
-                tid,
                 column,
                 to_level,
                 row,
-                at,
                 ..
-            } => {
-                if !committed {
-                    plan.skipped_uncommitted += 1;
-                    continue;
-                }
-                match open(row) {
-                    Some(bytes) => plan.ops.push(Op::Degrade {
-                        table: *table,
-                        tid: *tid,
-                        column: *column,
-                        to_level: *to_level,
-                        row: bytes,
-                        at: *at,
-                    }),
-                    None => {
-                        plan.unrecoverable += 1;
-                        plan.ops.push(Op::Unrecoverable {
-                            table: *table,
-                            tid: *tid,
-                            at: *at,
-                        });
-                    }
-                }
-            }
-            LogRecord::Delete { table, tid, at, .. } => {
-                if !committed {
-                    plan.skipped_uncommitted += 1;
-                    continue;
-                }
-                plan.ops.push(Op::Delete {
-                    table: *table,
-                    tid: *tid,
-                    at: *at,
-                });
-            }
-            LogRecord::Expunge { table, tid, at, .. } => {
-                if !committed {
-                    plan.skipped_uncommitted += 1;
-                    continue;
-                }
-                plan.ops.push(Op::Expunge {
-                    table: *table,
-                    tid: *tid,
-                    at: *at,
-                });
-            }
-            _ => {}
-        }
-        // Each record emits at most one op; tag it with the record's LSN.
-        if plan.ops.len() > plan.op_lsns.len() {
-            plan.op_lsns.push(*lsn);
-        }
+            } => row.open(ks).map(|row| Op::Degrade {
+                table,
+                tid,
+                column: *column,
+                to_level: *to_level,
+                row,
+                at,
+            }),
+            LogRecord::Delete { .. } => Some(Op::Delete { table, tid, at }),
+            // Only `Expunge` is left of the five the match above admits.
+            _ => Some(Op::Expunge { table, tid, at }),
+        };
+        let op = op.unwrap_or_else(|| {
+            plan.unrecoverable += 1;
+            Op::Unrecoverable { table, tid, at }
+        });
+        plan.ops.push((*lsn, op));
     }
-    debug_assert_eq!(plan.ops.len(), plan.op_lsns.len());
     plan
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::Payload;
     use crate::writer::Wal;
     use instant_common::Duration;
 
@@ -339,6 +265,11 @@ mod tests {
         }
     }
 
+    /// A leader's recovery: redo cut at the last checkpoint.
+    fn recover(log: &[(Lsn, LogRecord)], ks: &KeyStore) -> RecoveryPlan {
+        replay(log, last_checkpoint(log), ks)
+    }
+
     fn commit(tx: u64) -> LogRecord {
         LogRecord::Commit {
             tx: TxId(tx),
@@ -356,9 +287,9 @@ mod tests {
             begin(2),
             insert(2, 1, b"b"), // never commits
         ]);
-        let plan = replay(&log, &ks);
+        let plan = recover(&log, &ks);
         assert_eq!(plan.ops.len(), 1);
-        assert!(matches!(&plan.ops[0], Op::Insert { row, .. } if row == b"a"));
+        assert!(matches!(&plan.ops[0].1, Op::Insert { row, .. } if row == b"a"));
         assert_eq!(plan.skipped_uncommitted, 1);
         assert!(plan.committed.contains(&TxId(1)));
         assert!(plan.losers.contains(&TxId(2)));
@@ -375,7 +306,7 @@ mod tests {
                 at: Timestamp::ZERO,
             },
         ]);
-        let plan = replay(&log, &ks);
+        let plan = recover(&log, &ks);
         assert!(plan.ops.is_empty());
         assert!(plan.losers.contains(&TxId(1)));
     }
@@ -388,16 +319,19 @@ mod tests {
             insert(1, 0, b"old"),
             commit(1),
             LogRecord::Checkpoint {
-                at: Timestamp::ZERO,
+                at: Timestamp::micros(7),
+                tables: vec![(TableId(1), "person".into())],
             },
             begin(2),
             insert(2, 1, b"new"),
             commit(2),
         ]);
-        let plan = replay(&log, &ks);
-        assert_eq!(plan.checkpoint_lsn, Some(3));
+        assert_eq!(last_checkpoint(&log), Some(3));
+        let plan = recover(&log, &ks);
+        assert_eq!(plan.checkpoint_at, Some(Timestamp::micros(7)));
+        assert_eq!(plan.tables, vec![(TableId(1), "person".to_string())]);
         assert_eq!(plan.ops.len(), 1);
-        assert!(matches!(&plan.ops[0], Op::Insert { row, .. } if row == b"new"));
+        assert!(matches!(&plan.ops[0].1, Op::Insert { row, .. } if row == b"new"));
     }
 
     #[test]
@@ -409,7 +343,7 @@ mod tests {
             insert(1, 1, b"also"),
             commit(1),
         ]);
-        let plan = replay(&log, &ks);
+        let plan = recover(&log, &ks);
         assert_eq!(plan.ops.len(), 2);
     }
 
@@ -430,13 +364,13 @@ mod tests {
             commit(1),
         ]);
         // Before shredding: recoverable.
-        let plan = replay(&log, &ks);
-        assert!(matches!(&plan.ops[0], Op::Insert { row, .. } if row == b"accurate-address"));
+        let plan = recover(&log, &ks);
+        assert!(matches!(&plan.ops[0].1, Op::Insert { row, .. } if row == b"accurate-address"));
         // Shred, replay again: unrecoverable, no plaintext anywhere.
         ks.shred_before(now + Duration::hours(5));
-        let plan2 = replay(&log, &ks);
+        let plan2 = recover(&log, &ks);
         assert_eq!(plan2.unrecoverable, 1);
-        assert!(matches!(&plan2.ops[0], Op::Unrecoverable { .. }));
+        assert!(matches!(&plan2.ops[0].1, Op::Unrecoverable { .. }));
     }
 
     #[test]
@@ -461,20 +395,20 @@ mod tests {
             },
             commit(1),
         ]);
-        let plan = replay(&log, &ks);
+        let plan = recover(&log, &ks);
         assert_eq!(plan.ops.len(), 2);
         assert!(matches!(
-            &plan.ops[0],
+            &plan.ops[0].1,
             Op::Degrade {
                 to_level: Some(LevelId(2)),
                 ..
             }
         ));
-        assert!(matches!(&plan.ops[1], Op::Expunge { .. }));
+        assert!(matches!(&plan.ops[1].1, Op::Expunge { .. }));
     }
 
     #[test]
-    fn op_lsns_parallel_the_ops() {
+    fn ops_carry_their_record_lsn() {
         let ks = ks();
         let log = seq(vec![
             begin(1),
@@ -484,13 +418,13 @@ mod tests {
             begin(2),
             insert(2, 2, b"loser"),
         ]);
-        let plan = replay(&log, &ks);
-        assert_eq!(plan.ops.len(), 2);
-        assert_eq!(plan.op_lsns, vec![1, 2], "data-record LSNs, in order");
+        let plan = recover(&log, &ks);
+        let lsns: Vec<Lsn> = plan.ops.iter().map(|(lsn, _)| *lsn).collect();
+        assert_eq!(lsns, vec![1, 2], "data-record LSNs, in order");
     }
 
     #[test]
-    fn replay_all_ignores_the_checkpoint_cut() {
+    fn no_cut_ignores_checkpoints() {
         let ks = ks();
         let log = seq(vec![
             begin(1),
@@ -498,21 +432,22 @@ mod tests {
             commit(1),
             LogRecord::Checkpoint {
                 at: Timestamp::ZERO,
+                tables: vec![],
             },
             begin(2),
             insert(2, 1, b"new"),
             commit(2),
         ]);
         // A leader recovering itself starts after the checkpoint…
-        let plan = replay(&log, &ks);
+        let plan = recover(&log, &ks);
         assert_eq!(plan.ops.len(), 1);
         // …a follower with no heap of its own redoes everything.
-        let full = replay_all(&log, &ks);
-        assert_eq!(full.checkpoint_lsn, None);
+        let full = replay(&log, None, &ks);
+        assert_eq!(full.checkpoint_at, None);
         assert_eq!(full.ops.len(), 2);
-        assert_eq!(full.op_lsns, vec![1, 5]);
-        assert!(matches!(&full.ops[0], Op::Insert { row, .. } if row == b"old"));
-        assert!(matches!(&full.ops[1], Op::Insert { row, .. } if row == b"new"));
+        assert_eq!((full.ops[0].0, full.ops[1].0), (1, 5));
+        assert!(matches!(&full.ops[0].1, Op::Insert { row, .. } if row == b"old"));
+        assert!(matches!(&full.ops[1].1, Op::Insert { row, .. } if row == b"new"));
     }
 
     #[test]
@@ -523,7 +458,7 @@ mod tests {
         wal.append(&insert(1, 0, b"durable")).unwrap();
         wal.append(&commit(1)).unwrap();
         wal.sync().unwrap();
-        let plan = replay(&wal.iterate().unwrap(), &ks);
+        let plan = recover(&wal.iterate().unwrap(), &ks);
         assert_eq!(plan.ops.len(), 1);
     }
 
@@ -540,8 +475,8 @@ mod tests {
         wal.append(&commit(2)).unwrap();
         // No sync; simulate torn write chopping into tx2's commit.
         wal.torn_tail(5).unwrap();
-        let plan = replay(&wal.iterate().unwrap(), &ks);
+        let plan = recover(&wal.iterate().unwrap(), &ks);
         assert_eq!(plan.ops.len(), 1, "only tx1 survives");
-        assert!(matches!(&plan.ops[0], Op::Insert { row, .. } if row == b"safe"));
+        assert!(matches!(&plan.ops[0].1, Op::Insert { row, .. } if row == b"safe"));
     }
 }

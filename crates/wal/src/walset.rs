@@ -667,6 +667,7 @@ mod tests {
         let ckpt = set
             .append(&LogRecord::Checkpoint {
                 at: Timestamp::ZERO,
+                tables: vec![],
             })
             .unwrap();
         set.sync(0).unwrap();

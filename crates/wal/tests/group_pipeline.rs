@@ -71,7 +71,7 @@ fn tear_mid_group_batch_loses_no_acknowledged_commit() {
     // Tear mid-way through the un-acknowledged batch.
     wal.torn_tail((full - synced) / 2).unwrap();
 
-    let plan = recovery::replay(&wal.iterate().unwrap(), &ks());
+    let plan = recovery::replay(&wal.iterate().unwrap(), None, &ks());
     assert_eq!(plan.ops.len(), 5, "all five acknowledged inserts replay");
     for tx in 0..5 {
         assert!(plan.committed.contains(&TxId(tx)));
@@ -115,7 +115,7 @@ fn concurrent_commits_all_durable_with_fewer_fsyncs() {
     assert_eq!(syncs, stats.batches, "exactly one fsync per drain");
 
     // Every acknowledged transaction replays, none duplicated.
-    let plan = recovery::replay(&wal.iterate().unwrap(), &ks());
+    let plan = recovery::replay(&wal.iterate().unwrap(), None, &ks());
     assert_eq!(plan.ops.len(), (THREADS * PER_THREAD) as usize);
     for tx in 0..THREADS * PER_THREAD {
         assert!(plan.committed.contains(&TxId(tx)), "tx {tx} lost");
@@ -138,6 +138,7 @@ fn pipeline_commits_then_truncate_round_trip() {
     let ckpt_lsn = gc
         .commit(vec![LogRecord::Checkpoint {
             at: Timestamp::micros(1),
+            tables: vec![],
         }])
         .unwrap();
     for tx in 10..13 {
@@ -151,8 +152,10 @@ fn pipeline_commits_then_truncate_round_trip() {
     assert!(wal.truncated_bytes() > 0);
     assert_eq!(wal.base_lsn(), ckpt_lsn);
 
-    let plan = recovery::replay(&wal.iterate().unwrap(), &ks());
-    assert_eq!(plan.checkpoint_lsn, Some(ckpt_lsn));
+    let records = wal.iterate().unwrap();
+    assert_eq!(recovery::last_checkpoint(&records), Some(ckpt_lsn));
+    let plan = recovery::replay(&records, Some(ckpt_lsn), &ks());
+    assert_eq!(plan.checkpoint_at, Some(Timestamp::micros(1)));
     assert_eq!(plan.ops.len(), 3, "only the post-checkpoint suffix replays");
     for tx in 10..13 {
         assert!(plan.committed.contains(&TxId(tx)));

@@ -90,7 +90,7 @@ fn acknowledged_commit_in_segment_n_survives_deletion_of_older_segments() {
     assert_eq!(dropped, 60, "all twenty 3-record batches below the cut die");
     assert!(wal.segment_stats().segments_deleted >= 4);
 
-    let plan = recovery::replay(&wal.iterate().unwrap(), &ks());
+    let plan = recovery::replay(&wal.iterate().unwrap(), None, &ks());
     assert_eq!(plan.ops.len(), 3, "exactly the retained inserts replay");
     for tx in 20..23 {
         assert!(
@@ -185,7 +185,7 @@ fn commit_is_acknowledged_while_truncation_runs() {
         "commits + segment-delete truncation must not serialize behind \
          log-sized work (took {elapsed:?})"
     );
-    let plan = recovery::replay(&wal.iterate().unwrap(), &ks());
+    let plan = recovery::replay(&wal.iterate().unwrap(), None, &ks());
     for tx in 0..20 {
         assert!(plan.committed.contains(&TxId(1000 + tx)));
     }

@@ -66,7 +66,15 @@ fn arb_record() -> impl Strategy<Value = LogRecord> {
                 at: Timestamp(at),
             }
         }),
-        t.prop_map(|at| LogRecord::Checkpoint { at: Timestamp(at) }),
+        (t, proptest::collection::vec((0u32..10, 0u32..1000), 0..4)).prop_map(|(at, tables)| {
+            LogRecord::Checkpoint {
+                at: Timestamp(at),
+                tables: tables
+                    .into_iter()
+                    .map(|(id, n)| (TableId(id), format!("t{n}")))
+                    .collect(),
+            }
+        }),
     ]
 }
 
@@ -304,7 +312,7 @@ proptest! {
             .enumerate()
             .map(|(i, r)| (i as u64, r))
             .collect();
-        let plan = recovery::replay(&seq, &ks);
+        let plan = recovery::replay(&seq, recovery::last_checkpoint(&seq), &ks);
         // Find last checkpoint; compute committed txs of the suffix.
         let ckpt = seq
             .iter()

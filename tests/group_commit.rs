@@ -43,7 +43,7 @@ impl TempDbPath {
         t
     }
     fn cleanup(&self) {
-        for ext in ["idb", "wal", "meta"] {
+        for ext in ["idb", "wal"] {
             let mut s = self.0.as_os_str().to_os_string();
             s.push(".");
             s.push(ext);
