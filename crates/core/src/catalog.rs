@@ -21,7 +21,7 @@ use instant_index::SecondaryIndex;
 use instant_storage::{BufferPool, HeapFile, SecurePolicy};
 
 use crate::schema::TableSchema;
-use crate::tuple::{decode_stored, encode_stored_raw, StoredTuple};
+use crate::tuple::{decode_stored, encode_stored_raw, IndexMove, StoredTuple};
 
 /// A physical table.
 pub struct Table {
@@ -137,13 +137,12 @@ impl Table {
 
     /// Rewrite a tuple in place (degradation step or stable-column update),
     /// maintaining indexes. `index_moves` describes degradable index
-    /// migrations: `(column, old_level, old_key, new_level, new_key)`.
-    #[allow(clippy::type_complexity)]
+    /// migrations (see [`StoredTuple::coarsen`]).
     pub fn rewrite_physical(
         &self,
         tid: TupleId,
         new_tuple: &StoredTuple,
-        index_moves: &[(ColumnId, LevelId, Value, Option<(LevelId, Value)>)],
+        index_moves: &[IndexMove],
         stable_updates: &[(ColumnId, Value, Value)],
     ) -> Result<()> {
         let bytes = encode_stored_raw(new_tuple.insert_ts, &new_tuple.stages, &new_tuple.row);

@@ -24,7 +24,9 @@
 //!   ticks (no WAL growth since the last checkpoint) are skipped.
 //!
 //! Any non-retryable error stops the owning daemon and is handed back
-//! from its `stop` method.
+//! from its `stop` method. The pump first hands the failed batch's
+//! unfinished transitions back to the scheduler, so the next pump — a
+//! restarted daemon or a direct call — still runs them.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -166,9 +168,10 @@ pub struct CheckpointReport {
 /// Background checkpoint daemon — the sibling of [`DegradationDaemon`].
 ///
 /// Every tick with WAL growth it runs [`Db::checkpoint`]: flushes dirty
-/// pages, rotates the WAL segment, commits a `Checkpoint` record through
-/// the group-commit pipeline, persists catalog meta, shreds key windows
-/// older than the checkpoint and deletes the wholly-dead log segments.
+/// pages, rotates the WAL segment, commits a `Checkpoint` record (which
+/// carries the table directory) through the group-commit pipeline, shreds
+/// key windows older than the checkpoint and deletes the wholly-dead log
+/// segments.
 /// See the module docs for why truncation must chase shredding.
 pub struct Checkpointer {
     core: DaemonCore<CheckpointReport>,

@@ -10,9 +10,10 @@
 //! * **Degradation pump**: pops due transitions, executes each batch as a
 //!   **system transaction** under tuple X locks (readers delay the
 //!   degrader, never see torn state), rewrites in place with secure
-//!   overwrite, migrates index levels, redo-logs the after-image only, and
-//!   re-arms. Reader/degrader lock casualties are counted, not fatal —
-//!   the victim transition is re-queued.
+//!   overwrite, migrates index levels, logs each step as a fact — tuple,
+//!   column, stage entered, no value — and re-arms. Reader/degrader lock
+//!   casualties are counted, not fatal — the victim transition is
+//!   re-queued; so is the rest of a batch a hard error cuts short.
 //! * **Checkpoint**: flush pages → `Checkpoint` record (carrying the table
 //!   directory) → fsync → **shred** key windows older than the checkpoint →
 //!   physically truncate the old log. The data file and the log are the
@@ -507,7 +508,13 @@ impl Db {
     /// before its record is enqueued — which is safe *only* because
     /// degradation is monotone: recovering a further-degraded or
     /// expunged state than the log claims can never resurrect accuracy,
-    /// and `rearm_all` re-arms from the stored stage bytes.
+    /// and `rearm_all` re-arms from the stored stage bytes. The records
+    /// carry no image, so nothing is sealed: a checkpoint shredding the
+    /// window of `now` meanwhile cannot fail a step.
+    ///
+    /// A hard error stops the batch but drops no work: the failing
+    /// transition and every one not yet applied go back to the scheduler,
+    /// the steps already applied still commit, and then the error returns.
     pub fn pump_one_batch(&self) -> Result<PumpReport> {
         let now = self.now();
         let batch = self.sched.due_batch(now, self.cfg.batch_max);
@@ -519,7 +526,9 @@ impl Db {
         // The batch's log records accumulate here and commit as one unit
         // through the pipeline (one ticket, one shared fsync).
         let mut recs: Vec<LogRecord> = Vec::new();
-        for pt in batch {
+        let mut failed = None;
+        let mut batch = batch.into_iter();
+        for pt in batch.by_ref() {
             match self.apply_transition(&tx, &pt, now, &mut recs) {
                 Ok(Applied::Stepped) => {
                     report.fired += 1;
@@ -542,9 +551,14 @@ impl Db {
                         .degrader_lock_retries
                         .fetch_add(1, Ordering::Relaxed);
                 }
-                Err(e) => return Err(e),
+                Err(e) => {
+                    self.sched.schedule(pt);
+                    failed = Some(e);
+                    break;
+                }
             }
         }
+        batch.for_each(|pt| self.sched.schedule(pt));
         if !recs.is_empty() {
             recs.push(LogRecord::Commit {
                 tx: tx.id(),
@@ -554,7 +568,7 @@ impl Db {
             self.enforce_wal_retention();
         }
         tx.commit()?;
-        Ok(report)
+        failed.map_or(Ok(report), Err)
     }
 
     fn apply_transition(
@@ -571,99 +585,58 @@ impl Db {
             return Ok(Applied::Skipped); // deleted meanwhile
         }
         let mut tuple = table.get(pt.tid)?;
-        let deg_cols = table.schema().degradable_columns();
         let slot = pt.deg_slot as usize;
-        let cid = deg_cols[slot];
-        match tuple.stages.get(slot).copied().flatten() {
-            Some(stage) if stage == pt.from_stage => {}
-            _ => return Ok(Applied::Skipped), // already advanced / removed
+        if tuple.stages.get(slot).copied().flatten() != Some(pt.from_stage) {
+            return Ok(Applied::Skipped); // already advanced / removed
         }
+        let cid = table.schema().degradable_columns()[slot];
         let d = table.schema().column(cid).degrader().expect("degradable"); // lint:allow(L001, column from degradable_columns() always has a degrader)
-        let stages = d.lcp().stages();
-        let old_level = stages[pt.from_stage as usize].level;
-        let old_value = tuple.row[cid.0 as usize].clone();
-        let tx_id = tx.id();
-        let push_logged = |recs: &mut Vec<LogRecord>, rec: LogRecord| {
-            if recs.is_empty() {
-                recs.push(LogRecord::Begin { tx: tx_id, at: now });
-            }
-            recs.push(rec);
+        let Some(index_move) = tuple.coarsen(slot, cid, d, Some(pt.from_stage + 1))? else {
+            return Ok(Applied::Skipped);
         };
-        if let Some(next) = stages.get(pt.from_stage as usize + 1) {
-            // Degrade one step.
-            let new_value = d.hierarchy().generalize(&old_value, next.level)?;
-            tuple.stages[slot] = Some(pt.from_stage + 1);
-            tuple.row[cid.0 as usize] = new_value.clone();
-            table.rewrite_physical(
-                pt.tid,
-                &tuple,
-                &[(cid, old_level, old_value, Some((next.level, new_value)))],
-                &[],
-            )?;
-            let bytes = encode_stored_raw(tuple.insert_ts, &tuple.stages, &tuple.row);
-            push_logged(
-                recs,
-                LogRecord::Degrade {
-                    tx: tx.id(),
-                    table: table.id(),
-                    tid: pt.tid,
-                    column: cid,
-                    to_level: Some(next.level),
-                    row: self.payload(&bytes, now)?,
-                    at: now,
-                },
-            );
-            // Arm the next transition of this attribute.
-            if let Some(due) = d.due_time(tuple.insert_ts, pt.from_stage as usize + 1) {
+        let (applied, logged) = if tuple.fully_degraded() {
+            // Whole tuple leaves the database (stable attributes too).
+            table.expunge_physical(pt.tid)?;
+            let rec = LogRecord::Expunge {
+                tx: tx.id(),
+                table: table.id(),
+                tid: pt.tid,
+                at: now,
+            };
+            (Applied::Expunged, rec)
+        } else {
+            table.rewrite_physical(pt.tid, &tuple, &[index_move], &[])?;
+            let rec = LogRecord::Degrade {
+                tx: tx.id(),
+                table: table.id(),
+                tid: pt.tid,
+                insert_ts: tuple.insert_ts,
+                column: cid,
+                to_stage: tuple.stages[slot],
+                at: now,
+            };
+            (Applied::Stepped, rec)
+        };
+        if recs.is_empty() {
+            recs.push(LogRecord::Begin {
+                tx: tx.id(),
+                at: now,
+            });
+        }
+        recs.push(logged);
+        // Arm the next transition of this attribute, if it has one left.
+        if let Some(stage) = tuple.stages[slot] {
+            if let Some(due) = d.due_time(tuple.insert_ts, stage as usize) {
                 self.sched.schedule(PendingTransition {
                     due,
                     table: table.id(),
                     tid: pt.tid,
                     deg_slot: pt.deg_slot,
-                    from_stage: pt.from_stage + 1,
+                    from_stage: stage,
                 });
             }
-            Ok(Applied::Stepped)
-        } else {
-            // Final transition: remove the attribute value.
-            tuple.stages[slot] = None;
-            tuple.row[cid.0 as usize] = Value::Removed;
-            if tuple.fully_degraded() {
-                // Whole tuple leaves the database (stable attributes too).
-                table.expunge_physical(pt.tid)?;
-                push_logged(
-                    recs,
-                    LogRecord::Expunge {
-                        tx: tx.id(),
-                        table: table.id(),
-                        tid: pt.tid,
-                        at: now,
-                    },
-                );
-                Ok(Applied::Expunged)
-            } else {
-                table.rewrite_physical(
-                    pt.tid,
-                    &tuple,
-                    &[(cid, old_level, old_value, None)],
-                    &[],
-                )?;
-                let bytes = encode_stored_raw(tuple.insert_ts, &tuple.stages, &tuple.row);
-                push_logged(
-                    recs,
-                    LogRecord::Degrade {
-                        tx: tx.id(),
-                        table: table.id(),
-                        tid: pt.tid,
-                        column: cid,
-                        to_level: None,
-                        row: self.payload(&bytes, now)?,
-                        at: now,
-                    },
-                );
-                Ok(Applied::Stepped)
-            }
         }
+        Ok(applied)
     }
 
     /// Checkpoint: flush → rotate the WAL segment → log Checkpoint (with
@@ -881,12 +854,12 @@ impl Db {
     /// logical stream. Ops below `state.applied_upto` are skipped
     /// (already applied by an earlier call). Returns the number applied.
     ///
-    /// When [`DbConfig::replica_degrade_to`] is `Some(s)`, every stored
-    /// image is eagerly degraded through at least `s` transitions before
-    /// it reaches the heap (a fully-degraded result becomes an expunge),
-    /// and the stage floor is re-verified on the final image — a tuple
-    /// more precise than stage `s` fails with [`Error::Policy`] instead
-    /// of being written.
+    /// When [`DbConfig::replica_degrade_to`] is `Some(s)`, every insert
+    /// or update image is coarsened to at least stage `s` before it
+    /// reaches the heap (a fully-degraded result becomes an expunge), and
+    /// the stage floor is re-verified on the final image — a tuple more
+    /// precise than stage `s` fails with [`Error::Policy`] instead of
+    /// being written. A degrade step below the floor is then a no-op.
     pub fn replay_external_ops(
         &self,
         ops: &[(Lsn, Op)],
@@ -910,90 +883,34 @@ impl Db {
         Ok(applied)
     }
 
-    /// Rewrite `op` so any stored image it carries sits at or past
-    /// degradation stage `floor` in every degradable column (an image
-    /// with nothing left becomes an [`Op::Expunge`]), then verify the
-    /// floor actually holds. Ops without an image pass through.
+    /// Rewrite an insert or update `op` so its image sits at or past
+    /// stage `floor` in every degradable column (an image with nothing
+    /// left becomes an [`Op::Expunge`]), then verify the floor holds. Ops
+    /// without an image pass through: a degrade step only ever coarsens,
+    /// and deletes/expunges/unrecoverables only remove precision.
     fn degrade_op_to_stage(&self, op: &Op, floor: u8) -> Result<Op> {
-        let (row, at) = match op {
-            Op::Insert { row, at, .. } | Op::Update { row, at, .. } => (row, *at),
-            Op::Degrade { row, at, .. } => (row, *at),
-            // Deletes/expunges/unrecoverables only ever *remove*
-            // precision — nothing to degrade.
-            Op::Delete { .. } | Op::Expunge { .. } | Op::Unrecoverable { .. } => {
-                return Ok(op.clone())
-            }
+        let (Op::Insert { row, at, .. } | Op::Update { row, at, .. }) = op else {
+            return Ok(op.clone());
         };
         let table = self.catalog.get_by_id(op.table())?;
-        let schema = table.schema();
-        let deg_cols = schema.degradable_columns();
         let mut tuple = decode_stored(row)?;
-        for (slot, cid) in deg_cols.iter().enumerate() {
-            let Some(mut stage) = tuple.stages.get(slot).copied().flatten() else {
-                continue; // already removed — coarser than any floor
-            };
-            let d = schema.column(*cid).degrader().expect("degradable"); // lint:allow(L001, column from degradable_columns() always has a degrader)
-            let stages = d.lcp().stages();
-            while stage < floor {
-                match stages.get(stage as usize + 1) {
-                    Some(next) => {
-                        let coarser = d
-                            .hierarchy()
-                            .generalize(&tuple.row[cid.0 as usize], next.level)?;
-                        tuple.row[cid.0 as usize] = coarser;
-                        stage += 1;
-                        tuple.stages[slot] = Some(stage);
-                    }
-                    None => {
-                        // The LCP ends before the floor: the value is
-                        // removed outright (degrading past the last
-                        // stage only ever loses information).
-                        tuple.stages[slot] = None;
-                        tuple.row[cid.0 as usize] = Value::Removed;
-                        break;
-                    }
-                }
-            }
+        for (slot, cid) in table.schema().degradable_columns().into_iter().enumerate() {
+            let d = table.schema().column(cid).degrader().expect("degradable"); // lint:allow(L001, column from degradable_columns() always has a degrader)
+            tuple.coarsen(slot, cid, d, Some(floor))?;
         }
         self.check_replica_stage_floor(&table, &tuple, floor)?;
         if tuple.fully_degraded() {
             return Ok(Op::Expunge {
-                table: op.table(),
+                table: table.id(),
                 tid: op.tid(),
-                at,
+                at: *at,
             });
         }
-        let bytes = encode_stored_raw(tuple.insert_ts, &tuple.stages, &tuple.row);
-        Ok(match op {
-            Op::Insert { table, tid, at, .. } => Op::Insert {
-                table: *table,
-                tid: *tid,
-                row: bytes,
-                at: *at,
-            },
-            Op::Update { table, tid, at, .. } => Op::Update {
-                table: *table,
-                tid: *tid,
-                row: bytes,
-                at: *at,
-            },
-            Op::Degrade {
-                table,
-                tid,
-                column,
-                to_level,
-                at,
-                ..
-            } => Op::Degrade {
-                table: *table,
-                tid: *tid,
-                column: *column,
-                to_level: *to_level,
-                row: bytes,
-                at: *at,
-            },
-            _ => unreachable!("image-less ops returned above"),
-        })
+        let mut op = op.clone();
+        if let Op::Insert { row, .. } | Op::Update { row, .. } = &mut op {
+            *row = encode_stored_raw(tuple.insert_ts, &tuple.stages, &tuple.row);
+        }
+        Ok(op)
     }
 
     /// The degraded-replica invariant: every degradable value of `tuple`
@@ -1023,10 +940,12 @@ impl Db {
     /// Redo one logged operation — the leader's recovery and the
     /// follower's apply share this. The rule is **monotone**: a logged
     /// image is never written over the tuple it describes as-is but
-    /// merged with what is stored ([`merge_coarser`]), so a tuple whose
-    /// page reached disk *after* the logged state (a write-back between
-    /// checkpoint and crash, or a degradation step flushed before its
-    /// record) is neither duplicated nor stepped back to a finer value.
+    /// merged with what is stored ([`merge_coarser`]), and a logged
+    /// degrade step coarsens the stored value only if it sits at a finer
+    /// stage ([`StoredTuple::coarsen`]), so a tuple whose page reached
+    /// disk *after* the logged state (a write-back between checkpoint and
+    /// crash, or a degradation step flushed before its record) is neither
+    /// duplicated nor stepped back to a finer value.
     fn apply_recovery_op(&self, op: &Op, state: &mut ReplicaApplyState) -> Result<()> {
         let table = self.catalog.get_by_id(op.table())?;
         let key = (table.id(), op.tid());
@@ -1039,6 +958,13 @@ impl Db {
                 table.replace_stored(tid, stored, &merged)?;
             }
             Ok(())
+        };
+        // Where the tuple the log names — born at `insert_ts` — lives now.
+        let find = |insert_ts: Timestamp| {
+            state
+                .resolve(key)
+                .and_then(|at| Some((at, table.get(at).ok()?)))
+                .filter(|(_, stored)| stored.insert_ts == insert_ts)
         };
         match op {
             Op::Insert { tid, row, .. } => {
@@ -1064,20 +990,40 @@ impl Db {
                 }
                 state.placed(key, table.insert_raw_stored(row)?);
             }
-            Op::Update { row, .. } | Op::Degrade { row, .. } => {
+            Op::Update { row, .. } => {
                 let image = decode_stored(row)?;
-                let found = state
-                    .resolve(key)
-                    .and_then(|at| Some((at, table.get(at).ok()?)))
-                    .filter(|(_, stored)| stored.insert_ts == image.insert_ts);
-                match found {
+                match find(image.insert_ts) {
                     Some((at, stored)) => redo(at, image, &stored)?,
                     // Not in the heap (its insert was unrecoverable, or
                     // the page was written back after it was expunged and
                     // the slot is free or reused): the image itself
-                    // recreates the tuple at its coarser state, and the
-                    // rest of its history replays onto that.
+                    // recreates the tuple, and the rest of its history
+                    // replays onto that.
                     None => state.placed(key, table.insert_raw_stored(row)?),
+                }
+            }
+            Op::Degrade {
+                insert_ts,
+                column,
+                to_stage,
+                ..
+            } => {
+                // Not in the heap: it was expunged or deleted later and
+                // its page written back after that — nothing to coarsen.
+                if let Some((at, stored)) = find(*insert_ts) {
+                    let schema = table.schema();
+                    let (slot, d) = schema
+                        .degradable_columns()
+                        .iter()
+                        .position(|c| c == column)
+                        .zip(schema.column(*column).degrader())
+                        .ok_or_else(|| {
+                            Error::Corrupt(format!("degrade step on stable column {column}"))
+                        })?;
+                    let mut coarser = stored.clone();
+                    if coarser.coarsen(slot, *column, d, *to_stage)?.is_some() {
+                        redo(at, coarser, &stored)?;
+                    }
                 }
             }
             // Unrecoverable: the image is cryptographically erased. If a
@@ -1261,6 +1207,91 @@ mod tests {
         assert!(!table.exists(tid));
         assert_eq!(table.live_count().unwrap(), 0);
         assert!(db.scheduler().is_empty());
+    }
+
+    /// The Fig. 1 tree, except that the `fail_in`-th `generalize` call
+    /// from now fails (0 = never).
+    #[derive(Debug)]
+    struct FailingTree {
+        tree: instant_lcp::gtree::GeneralizationTree,
+        fail_in: std::sync::atomic::AtomicUsize,
+    }
+
+    impl Hierarchy for FailingTree {
+        fn levels(&self) -> u8 {
+            self.tree.levels()
+        }
+        fn level_of(&self, v: &Value) -> Option<LevelId> {
+            self.tree.level_of(v)
+        }
+        fn generalize(&self, v: &Value, k: LevelId) -> Result<Value> {
+            let left = self
+                .fail_in
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1));
+            if left == Ok(1) {
+                return Err(Error::Corrupt("injected generalize failure".into()));
+            }
+            self.tree.generalize(v, k)
+        }
+        fn residual_info(&self, v: &Value, k: LevelId) -> f64 {
+            self.tree.residual_info(v, k)
+        }
+        fn cardinality_at(&self, k: LevelId) -> u64 {
+            self.tree.cardinality_at(k)
+        }
+    }
+
+    #[test]
+    fn failed_batch_drops_no_work() {
+        let clock = MockClock::new();
+        let flaky = Arc::new(FailingTree {
+            tree: location_tree_fig1(),
+            fail_in: 0.into(),
+        });
+        let db = Db::open(DbConfig::default(), clock.shared()).unwrap();
+        let location = flaky.clone();
+        db.create_table(
+            TableSchema::new(
+                "person",
+                vec![
+                    Column::stable("id", DataType::Int),
+                    Column::degradable(
+                        "location",
+                        DataType::Str,
+                        location,
+                        AttributeLcp::fig2_location(),
+                    )
+                    .unwrap()
+                    .with_index(),
+                ],
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        for i in 0..10 {
+            db.insert("person", &row(i, "4 rue Jussieu")).unwrap();
+        }
+        clock.advance(Duration::hours(2));
+        // The fourth step of the one batch fails.
+        flaky.fail_in.store(4, Ordering::Relaxed);
+        assert!(matches!(db.pump_one_batch(), Err(Error::Corrupt(_))));
+        assert_eq!(db.stats().degrade_steps.load(Ordering::Relaxed), 3);
+        // The failed step and the six after it were handed back.
+        assert_eq!(db.pump_degradation().unwrap().fired, 7);
+        let table = db.catalog().get("person").unwrap();
+        for (_, t) in table.scan().unwrap() {
+            assert_eq!(
+                (t.stages[0], &t.row[1]),
+                (Some(1), &Value::Str("Paris".into()))
+            );
+        }
+        // The three steps applied before the failure were committed too.
+        let steps = db.wal().unwrap().iterate().unwrap();
+        let steps = steps
+            .iter()
+            .filter(|(_, r)| matches!(r, LogRecord::Degrade { .. }))
+            .count();
+        assert_eq!(steps, 10);
     }
 
     #[test]

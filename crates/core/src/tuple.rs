@@ -17,7 +17,8 @@
 //! skew.
 
 use instant_common::codec::{decode_row, encode_row, raw};
-use instant_common::{Error, LevelId, Result, Timestamp, Value};
+use instant_common::{ColumnId, Error, LevelId, Result, Timestamp, Value};
+use instant_lcp::Degrader;
 
 /// Fixed metadata bytes before the per-column stage bytes: insert_ts (8) +
 /// ndeg (1).
@@ -25,6 +26,10 @@ pub const META_BASE: usize = 9;
 
 /// Sentinel stage byte for "value removed".
 pub const STAGE_REMOVED: u8 = u8::MAX;
+
+/// One degradable-index migration: the column, its old level and key,
+/// and its new level and key (`None` = value removed).
+pub type IndexMove = (ColumnId, LevelId, Value, Option<(LevelId, Value)>);
 
 /// A decoded stored tuple.
 #[derive(Debug, Clone, PartialEq)]
@@ -104,6 +109,42 @@ impl StoredTuple {
     pub fn fully_degraded(&self) -> bool {
         !self.stages.is_empty() && self.stages.iter().all(|s| s.is_none())
     }
+
+    /// The one coarsening step, shared by the pump, redo and degraded
+    /// replicas: move degradable column `cid` (schema slot `slot`, policy
+    /// `d`) to LCP stage `to` — generalize its value to that stage's
+    /// level, or remove it when `to` is `None` or past the last stage.
+    /// Monotone by construction: unless the column is stored at a finer
+    /// stage this is a no-op and returns `None`; otherwise it returns the
+    /// index migration the step implies.
+    pub fn coarsen(
+        &mut self,
+        slot: usize,
+        cid: ColumnId,
+        d: &Degrader,
+        to: Option<u8>,
+    ) -> Result<Option<IndexMove>> {
+        let stages = d.lcp().stages();
+        let to = to.filter(|s| (*s as usize) < stages.len());
+        let Some(from) = self.stages.get(slot).copied().flatten() else {
+            return Ok(None); // removed: nothing is coarser
+        };
+        if to.is_some_and(|to| to <= from) {
+            return Ok(None);
+        }
+        let value = &mut self.row[cid.0 as usize];
+        let new = match to {
+            Some(s) => {
+                let level = stages[s as usize].level;
+                Some((level, d.hierarchy().generalize(value, level)?))
+            }
+            None => None,
+        };
+        let kept = new.as_ref().map_or(Value::Removed, |(_, v)| v.clone());
+        let old = std::mem::replace(value, kept);
+        self.stages[slot] = to;
+        Ok(Some((cid, stages[from as usize].level, old, new)))
+    }
 }
 
 #[cfg(test)]
@@ -172,6 +213,40 @@ mod tests {
             row: vec![],
         };
         assert!(!t3.fully_degraded());
+    }
+
+    #[test]
+    fn coarsen_only_ever_moves_to_a_coarser_stage() {
+        use instant_lcp::gtree::location_tree_fig1;
+        use instant_lcp::AttributeLcp;
+        let d = Degrader::new(
+            std::sync::Arc::new(location_tree_fig1()),
+            AttributeLcp::fig2_location(),
+        )
+        .unwrap();
+        let cid = ColumnId(1);
+        let addr = Value::Str("4 rue Jussieu".into());
+        let mut t = StoredTuple {
+            insert_ts: Timestamp::ZERO,
+            stages: vec![Some(0)],
+            row: vec![Value::Int(1), addr.clone()],
+        };
+        // Two stages in one step: address → region.
+        let region = Value::Str("Ile-de-France".into());
+        assert_eq!(
+            t.coarsen(0, cid, &d, Some(2)).unwrap(),
+            Some((cid, LevelId(0), addr, Some((LevelId(2), region.clone()))))
+        );
+        assert_eq!((t.stages[0], &t.row[1]), (Some(2), &region));
+        // The same or a finer stage is a no-op.
+        for to in [Some(0), Some(2)] {
+            assert_eq!(t.coarsen(0, cid, &d, to).unwrap(), None);
+        }
+        // Past the last stage means removed.
+        let (_, _, _, new) = t.coarsen(0, cid, &d, Some(9)).unwrap().unwrap();
+        assert_eq!(new, None);
+        assert_eq!((t.stages[0], &t.row[1]), (None, &Value::Removed));
+        assert_eq!(t.coarsen(0, cid, &d, None).unwrap(), None);
     }
 
     #[test]

@@ -6,15 +6,16 @@
 //! the paper (citing Stahlberg et al.) calls out "unintended retention in …
 //! the logs". This crate closes that channel with **cryptographic erasure**:
 //!
-//! * Row payloads in log records are sealed with a stream cipher under a
-//!   **time-windowed key** ([`keystore::KeyStore`]). Once every tuple whose
-//!   images fall in a window has degraded past those images, the window key
-//!   is **shredded** — the ciphertext remains on disk but is information-
-//!   theoretically useless, making the degradation irreversible *in the log*
-//!   without rewriting it.
-//! * Degradation steps log **redo-only after-images**
-//!   ([`record::LogRecord::Degrade`]); the finer pre-image is never written
-//!   to the log in any form.
+//! * The log holds a row image only for inserts and stable-column updates,
+//!   sealed with a stream cipher under a **time-windowed key**
+//!   ([`keystore::KeyStore`]). At each checkpoint the keys of windows older
+//!   than it are **shredded** — the ciphertext remains on disk but is
+//!   information-theoretically useless, making the degradation
+//!   irreversible *in the log* without rewriting it.
+//! * Degradation steps are **logical** ([`record::LogRecord::Degrade`]):
+//!   tuple, column and the LCP stage entered, no value in any form. Redo
+//!   recomputes the coarser value from the stored one, so a step adds no
+//!   ciphertext to shred or ship, and sealing can never fail one.
 //! * The log is **segmented** ([`segment`]): a directory of fixed-capacity
 //!   `wal.<seqno>.seg` files, rotated on capacity and right before each
 //!   checkpoint. Periodic checkpoints flush the store and physically
@@ -35,9 +36,10 @@
 //!   committers share a single fsync.
 //!
 //! Recovery ([`recovery`]) is logical redo: committed operations after the
-//! last checkpoint are replayed; records whose window key has been shredded
-//! are surfaced as [`recovery::Op::Unrecoverable`] — by construction these
-//! can only concern states the degradation process had already retired.
+//! last checkpoint are replayed; row images whose window key has been
+//! shredded are surfaced as [`recovery::Op::Unrecoverable`] — by
+//! construction these can only concern states a checkpoint had already
+//! flushed.
 //!
 //! The cipher ([`cipher`]) is a from-scratch ChaCha20 core. **It exists to
 //! model keyed erasure in a dependency-free build, not as audited

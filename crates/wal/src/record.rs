@@ -2,19 +2,25 @@
 //!
 //! Design points driven by the paper:
 //!
-//! * [`LogRecord::Degrade`] carries **only the after-image** (redo-only).
-//!   A degradation step never logs the finer pre-image, in any encoding —
-//!   logging it would re-open the forensic channel the whole mechanism
-//!   exists to close.
+//! * The log holds a row image only for inserts and stable-column
+//!   updates. A degradation step ([`LogRecord::Degrade`]) is logged as a
+//!   fact — which tuple, which column, which LCP stage it now sits at —
+//!   with no value in any form: generalization is a pure function of the
+//!   stored value and the LCP, so redo recomputes the coarser value from
+//!   the heap, and the log never holds one more copy of it to seal,
+//!   shred, ship and scrape.
 //! * Row images ride in a [`Payload`], which is either `Plain` (classical
 //!   WAL mode, used as the baseline in experiment E10/E8) or `Sealed`
 //!   (ciphertext + window id + nonce). Once the window key is shredded a
 //!   `Sealed` payload can never be opened again.
+//! * Tag 6 was an older degradation step that carried a row image. It
+//!   decodes to [`Error::Unsupported`] — not to a corrupt frame, which
+//!   open would trim the log at — so such a log is refused whole.
 //! * Every record is framed by the writer with a length + FNV checksum so
 //!   torn tails are detected and recovery stops cleanly.
 
 use instant_common::codec::raw;
-use instant_common::{ColumnId, Error, LevelId, Result, TableId, Timestamp, TupleId, TxId};
+use instant_common::{ColumnId, Error, Result, TableId, Timestamp, TupleId, TxId};
 
 use crate::cipher;
 use crate::keystore::{KeyStore, WindowId};
@@ -105,17 +111,21 @@ pub enum LogRecord {
         row: Payload,
         at: Timestamp,
     },
-    /// One degradation step of one tuple: redo-only after-image.
+    /// One degradation step of one attribute, logged as a fact: from now
+    /// on the tuple stores `column` at LCP stage `to_stage`. No value
+    /// rides along — redo recomputes it from the stored one.
     Degrade {
         tx: TxId,
         table: TableId,
         tid: TupleId,
+        /// The tuple's insert time: with `tid`, the identity redo matches.
+        /// Already plaintext in the tuple's `Insert` record (its `at`).
+        insert_ts: Timestamp,
         /// Which degradable attribute moved.
         column: ColumnId,
-        /// Level entered (`None` = attribute value removed).
-        to_level: Option<LevelId>,
-        /// Full row after-image (already degraded — safe to log).
-        row: Payload,
+        /// Stage index entered (`None` = attribute value removed). Stage
+        /// 255 is not representable: it is the heap's own "removed" byte.
+        to_stage: Option<u8>,
         at: Timestamp,
     },
     /// User deletion (predicate-selected); tuple fully removed.
@@ -231,22 +241,19 @@ impl LogRecord {
                 tx,
                 table,
                 tid,
+                insert_ts,
                 column,
-                to_level,
-                row,
+                to_stage,
                 at,
             } => {
-                out.push(6);
+                out.push(11);
                 raw::put_u64(&mut out, tx.0);
                 raw::put_u32(&mut out, table.0);
                 raw::put_u64(&mut out, tid.pack());
+                raw::put_u64(&mut out, insert_ts.0);
                 raw::put_u16(&mut out, column.0);
-                out.push(match to_level {
-                    Some(l) => l.0 + 1,
-                    None => 0,
-                });
+                out.push(to_stage.unwrap_or(REMOVED));
                 raw::put_u64(&mut out, at.0);
-                encode_payload(&mut out, row);
             }
             LogRecord::Delete { tx, table, tid, at } => {
                 out.push(7);
@@ -321,23 +328,12 @@ impl LogRecord {
                 }
             }
             6 => {
-                let tx = TxId(raw::get_u64(buf)?);
-                let table = TableId(raw::get_u32(buf)?);
-                let tid = TupleId::unpack(raw::get_u64(buf)?);
-                let column = ColumnId(raw::get_u16(buf)?);
-                let lv = take_u8(buf)?;
-                let to_level = if lv == 0 { None } else { Some(LevelId(lv - 1)) };
-                let at = Timestamp(raw::get_u64(buf)?);
-                let row = decode_payload(buf)?;
-                LogRecord::Degrade {
-                    tx,
-                    table,
-                    tid,
-                    column,
-                    to_level,
-                    row,
-                    at,
-                }
+                return Err(Error::Unsupported(
+                    "log record tag 6: a degradation step carrying a row image, written by an \
+                     older version; this version logs steps without images and cannot replay \
+                     that log"
+                        .into(),
+                ))
             }
             7 | 8 => {
                 let tx = TxId(raw::get_u64(buf)?);
@@ -367,6 +363,15 @@ impl LogRecord {
             10 => LogRecord::LsnJump {
                 next: raw::get_u64(buf)?,
             },
+            11 => LogRecord::Degrade {
+                tx: TxId(raw::get_u64(buf)?),
+                table: TableId(raw::get_u32(buf)?),
+                tid: TupleId::unpack(raw::get_u64(buf)?),
+                insert_ts: Timestamp(raw::get_u64(buf)?),
+                column: ColumnId(raw::get_u16(buf)?),
+                to_stage: Some(take_u8(buf)?).filter(|s| *s != REMOVED),
+                at: Timestamp(raw::get_u64(buf)?),
+            },
             other => return Err(Error::Corrupt(format!("unknown log record tag {other}"))),
         };
         if !buf.is_empty() {
@@ -378,6 +383,9 @@ impl LogRecord {
         Ok(rec)
     }
 }
+
+/// `to_stage` byte of a [`LogRecord::Degrade`] whose value was removed.
+const REMOVED: u8 = u8::MAX;
 
 fn encode_payload(out: &mut Vec<u8>, p: &Payload) {
     match p {
@@ -448,18 +456,18 @@ mod tests {
                 tx: TxId(0),
                 table: TableId(7),
                 tid: TupleId::new(4, 5),
+                insert_ts: Timestamp::micros(12),
                 column: ColumnId(2),
-                to_level: Some(LevelId(1)),
-                row: Payload::Plain(b"degraded".to_vec()),
+                to_stage: Some(1),
                 at: t,
             },
             LogRecord::Degrade {
                 tx: TxId(0),
                 table: TableId(7),
                 tid: TupleId::new(4, 5),
+                insert_ts: Timestamp::micros(12),
                 column: ColumnId(2),
-                to_level: None,
-                row: Payload::Plain(vec![]),
+                to_stage: None,
                 at: t,
             },
             LogRecord::Delete {
@@ -513,13 +521,36 @@ mod tests {
 
     #[test]
     fn trailing_bytes_rejected() {
-        let mut bytes = LogRecord::Checkpoint {
-            at: Timestamp::ZERO,
-            tables: vec![],
+        for rec in samples() {
+            let mut bytes = rec.encode();
+            bytes.push(0);
+            assert!(LogRecord::decode(&bytes).is_err(), "{rec:?} + 1 byte");
         }
-        .encode();
-        bytes.push(0);
-        assert!(LogRecord::decode(&bytes).is_err());
+    }
+
+    #[test]
+    fn degrade_step_is_small_and_holds_no_value() {
+        let step = &samples()[5];
+        assert!(matches!(step, LogRecord::Degrade { .. }));
+        // tag + tx + table + tid + insert_ts + column + stage + at.
+        assert_eq!(step.encode().len(), 1 + 8 + 4 + 8 + 8 + 2 + 1 + 8);
+    }
+
+    #[test]
+    fn image_carrying_degrade_tag_is_unsupported_not_corrupt() {
+        // The older layout: tag 6, then tx, table, tid, column, level + 1,
+        // at, and a plain row image.
+        let mut old = vec![6];
+        raw::put_u64(&mut old, 1);
+        raw::put_u32(&mut old, 7);
+        raw::put_u64(&mut old, TupleId::new(4, 5).pack());
+        raw::put_u16(&mut old, 2);
+        old.push(2);
+        raw::put_u64(&mut old, 99);
+        old.push(0);
+        raw::put_bytes(&mut old, b"Paris");
+        let err = LogRecord::decode(&old).unwrap_err();
+        assert!(matches!(err, Error::Unsupported(_)), "{err:?}");
     }
 
     #[test]

@@ -6,20 +6,23 @@
 //! 1. **Analysis** — find the last checkpoint and the set of committed
 //!    transactions in the suffix.
 //! 2. **Redo** — in LSN order, emit one [`Op`] per committed data record,
-//!    opening sealed payloads through the [`KeyStore`].
+//!    opening the sealed row images of inserts and updates through the
+//!    [`KeyStore`].
 //!
-//! A sealed payload whose window key was shredded yields
+//! A sealed image whose window key was shredded yields
 //! [`Op::Unrecoverable`]: recovery *cannot* resurrect it, by design. The
-//! invariant that makes this safe is that key shredding only ever covers
-//! windows whose images the degradation process has already superseded —
-//! the core engine shreds a window only after every tuple state logged in
-//! it has been degraded again (producing a newer image) or expunged.
-//! Experiment E11 verifies both halves: committed recent work is recovered,
-//! and degraded states never reappear.
+//! engine shreds only at a checkpoint, windows older than the checkpoint
+//! itself, whose flush already put every earlier image's effect in the
+//! heap — so a leader's redo, which starts after that checkpoint, never
+//! needs a shredded key. A degradation step carries no image
+//! ([`LogRecord::Degrade`]): it always replays, as the stage the stored
+//! value moves to, and can never come back unrecoverable. Experiment E11
+//! verifies both halves: committed recent work is recovered, and degraded
+//! states never reappear.
 
 use std::collections::HashSet;
 
-use instant_common::{ColumnId, LevelId, TableId, Timestamp, TupleId, TxId};
+use instant_common::{ColumnId, TableId, Timestamp, TupleId, TxId};
 
 use crate::keystore::KeyStore;
 use crate::record::{LogRecord, Lsn};
@@ -39,12 +42,14 @@ pub enum Op {
         row: Vec<u8>,
         at: Timestamp,
     },
+    /// Move `column` of the tuple `(tid, insert_ts)` to LCP stage
+    /// `to_stage` (`None` = removed) — see [`LogRecord::Degrade`].
     Degrade {
         table: TableId,
         tid: TupleId,
+        insert_ts: Timestamp,
         column: ColumnId,
-        to_level: Option<LevelId>,
-        row: Vec<u8>,
+        to_stage: Option<u8>,
         at: Timestamp,
     },
     Delete {
@@ -57,9 +62,9 @@ pub enum Op {
         tid: TupleId,
         at: Timestamp,
     },
-    /// A committed image whose key was shredded. Carries enough metadata
-    /// for the engine to drop the stale tuple state instead of resurrecting
-    /// it with wrong accuracy.
+    /// A committed insert or update image whose key was shredded. Carries
+    /// enough metadata for the engine to drop the stale tuple state
+    /// instead of resurrecting it with wrong accuracy.
     Unrecoverable {
         table: TableId,
         tid: TupleId,
@@ -109,7 +114,7 @@ pub struct RecoveryPlan {
     pub ops: Vec<(Lsn, Op)>,
     /// Count of records skipped because their tx never committed.
     pub skipped_uncommitted: usize,
-    /// Count of sealed images that could not be opened (shredded keys).
+    /// Count of sealed row images that could not be opened (shredded keys).
     pub unrecoverable: usize,
 }
 
@@ -124,7 +129,7 @@ pub fn last_checkpoint(records: &[(Lsn, LogRecord)]) -> Option<Lsn> {
 }
 
 /// Run analysis + redo over the sharded log from its last checkpoint,
-/// opening sealed payloads via `ks`: the set's k-way merge yields the
+/// opening sealed row images via `ks`: the set's k-way merge yields the
 /// shards' records re-serialized into global LSN order, and [`replay`]
 /// consumes that one stream.
 pub fn recover_set(
@@ -204,16 +209,16 @@ pub fn replay(records: &[(Lsn, LogRecord)], cut: Option<Lsn>, ks: &KeyStore) -> 
                 at,
             }),
             LogRecord::Degrade {
+                insert_ts,
                 column,
-                to_level,
-                row,
+                to_stage,
                 ..
-            } => row.open(ks).map(|row| Op::Degrade {
+            } => Some(Op::Degrade {
                 table,
                 tid,
+                insert_ts: *insert_ts,
                 column: *column,
-                to_level: *to_level,
-                row,
+                to_stage: *to_stage,
                 at,
             }),
             LogRecord::Delete { .. } => Some(Op::Delete { table, tid, at }),
@@ -382,9 +387,9 @@ mod tests {
                 tx: TxId(1),
                 table: TableId(2),
                 tid: TupleId::new(3, 4),
+                insert_ts: Timestamp::micros(5),
                 column: ColumnId(1),
-                to_level: Some(LevelId(2)),
-                row: Payload::Plain(b"degraded-row".to_vec()),
+                to_stage: Some(2),
                 at: Timestamp::micros(50),
             },
             LogRecord::Expunge {
@@ -400,11 +405,31 @@ mod tests {
         assert!(matches!(
             &plan.ops[0].1,
             Op::Degrade {
-                to_level: Some(LevelId(2)),
+                insert_ts: Timestamp(5),
+                to_stage: Some(2),
                 ..
             }
         ));
         assert!(matches!(&plan.ops[1].1, Op::Expunge { .. }));
+    }
+
+    #[test]
+    fn degrade_steps_replay_after_their_window_is_shredded() {
+        let ks = ks();
+        let step = LogRecord::Degrade {
+            tx: TxId(1),
+            table: TableId(1),
+            tid: TupleId::new(1, 0),
+            insert_ts: Timestamp::ZERO,
+            column: ColumnId(1),
+            to_stage: None,
+            at: Timestamp::ZERO,
+        };
+        let log = seq(vec![begin(1), step, commit(1)]);
+        ks.shred_before(Timestamp::ZERO + Duration::hours(5));
+        let plan = recover(&log, &ks);
+        assert_eq!(plan.unrecoverable, 0);
+        assert!(matches!(&plan.ops[0].1, Op::Degrade { to_stage: None, .. }));
     }
 
     #[test]

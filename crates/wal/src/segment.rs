@@ -179,6 +179,10 @@ impl FrameScanner {
     /// corrupt frame. `pos()` advances only past frames that validate end
     /// to end, so after the scan it marks the exact end of the usable
     /// log — callers trim everything beyond it (torn *or* corrupt).
+    ///
+    /// A checksum-valid frame holding a record this version refuses
+    /// ([`Error::Unsupported`]) is an error, not an end: it was written
+    /// whole, and trimming from it would silently drop the log after it.
     pub fn next_record(&mut self) -> Result<Option<LogRecord>> {
         if self.pos + FRAME_HEADER_LEN > self.file_len {
             return Ok(None); // torn header / EOF
@@ -200,6 +204,7 @@ impl FrameScanner {
                 self.pos += FRAME_HEADER_LEN + len;
                 Ok(Some(rec))
             }
+            Err(e @ Error::Unsupported(_)) => Err(e),
             Err(_) => Ok(None),
         }
     }

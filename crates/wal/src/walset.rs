@@ -25,7 +25,9 @@
 //! single-file log, its `.legacy` migration marker, or segments directly
 //! under the root — is **rejected** at open with a typed error: creating
 //! `shard-000/` next to it would silently drop acknowledged records from
-//! recovery.
+//! recovery. So is a log holding a record this version refuses to read
+//! (an older image-carrying degradation step): every shard is scanned
+//! before any is trimmed, so a refused log is left byte for byte.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -37,7 +39,7 @@ use parking_lot::Mutex;
 
 use crate::record::{LogRecord, Lsn};
 use crate::segment::{self, SegmentConfig, SegmentStats};
-use crate::writer::{log_size, temp_path, Wal};
+use crate::writer::{log_size, scan_dir, temp_path, Wal};
 
 /// Directory name of shard `k` (zero-padded for stable listings).
 fn shard_dir_name(k: usize) -> String {
@@ -96,24 +98,29 @@ impl WalSet {
     pub fn open_with(path: impl AsRef<Path>, shards: usize, cfg: SegmentConfig) -> Result<WalSet> {
         let dir = path.as_ref().to_path_buf();
         reject_old_layout(&dir)?;
-        std::fs::create_dir_all(&dir)?;
 
         let mut max_on_disk = 0usize;
-        for entry in std::fs::read_dir(&dir)? {
-            let entry = entry?;
-            if let Some(k) = entry.file_name().to_str().and_then(parse_shard_dir) {
-                max_on_disk = max_on_disk.max(k + 1);
+        if dir.is_dir() {
+            for entry in std::fs::read_dir(&dir)? {
+                let entry = entry?;
+                if let Some(k) = entry.file_name().to_str().and_then(parse_shard_dir) {
+                    max_on_disk = max_on_disk.max(k + 1);
+                }
             }
         }
         let count = shards.max(1).max(max_on_disk);
 
+        // Scan every shard before repairing or creating anything, so a
+        // log this version refuses is left exactly as it was found.
+        let scans = (0..count)
+            .map(|k| scan_dir(&dir.join(shard_dir_name(k))))
+            .collect::<Result<Vec<_>>>()?;
         // Each shard raises the shared allocator to its own next LSN, so
         // once all are open it resumes past every shard.
         let alloc = Arc::new(AtomicU64::new(0));
         let mut shard_logs = Vec::with_capacity(count);
-        for k in 0..count {
-            let shard = Wal::open_shard(&dir.join(shard_dir_name(k)), cfg.clone(), alloc.clone())?;
-            shard_logs.push(Arc::new(shard));
+        for scan in scans {
+            shard_logs.push(Arc::new(scan.open(cfg.clone(), alloc.clone())?));
         }
         Ok(WalSet {
             dir,
@@ -554,6 +561,82 @@ mod tests {
         }
         assert_rejected(&path, "flat pre-shard layout");
         assert!(!path.join(shard_dir_name(0)).exists());
+        std::fs::remove_dir_all(&path).unwrap();
+    }
+
+    /// Every file under `dir` with its bytes.
+    fn snapshot(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+        let mut out = Vec::new();
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let p = entry.unwrap().path();
+            match p.is_dir() {
+                true => out.extend(snapshot(&p)),
+                false => out.push((p.clone(), std::fs::read(&p).unwrap())),
+            }
+        }
+        out.sort();
+        out
+    }
+
+    #[test]
+    fn image_carrying_degrade_record_is_rejected_before_any_shard_is_trimmed() {
+        use crate::segment::{write_frame, SegmentHeader};
+        use instant_common::codec::raw;
+        let path = scratch("old-degrade");
+        {
+            // Shard 0 ends in a torn frame that opening would trim.
+            let set = WalSet::open(&path, 2).unwrap();
+            set.append_batch(0, &[rec(0, 0), rec(0, 1)]).unwrap();
+            set.shard(0).torn_tail(3).unwrap();
+        }
+        // Shard 1: a degradation step in the older layout (tag 6: tx,
+        // table, tid, column, level + 1, at, plain row image), then a
+        // committed insert after it.
+        let mut old_step = vec![6];
+        raw::put_u64(&mut old_step, 1);
+        raw::put_u32(&mut old_step, 1);
+        raw::put_u64(&mut old_step, TupleId::new(1, 0).pack());
+        raw::put_u16(&mut old_step, 1);
+        old_step.push(2);
+        raw::put_u64(&mut old_step, 7);
+        old_step.push(0);
+        raw::put_bytes(&mut old_step, b"Paris");
+        let mut seg = SegmentHeader {
+            seqno: 0,
+            first_lsn: 2,
+        }
+        .encode()
+        .to_vec();
+        write_frame(&mut seg, &old_step).unwrap();
+        for r in [
+            LogRecord::Begin {
+                tx: TxId(3),
+                at: Timestamp::ZERO,
+            },
+            rec(3, 0),
+            LogRecord::Commit {
+                tx: TxId(3),
+                at: Timestamp::ZERO,
+            },
+        ] {
+            write_frame(&mut seg, &r.encode()).unwrap();
+        }
+        std::fs::write(
+            path.join(shard_dir_name(1)).join(segment::file_name(0)),
+            &seg,
+        )
+        .unwrap();
+
+        let before = snapshot(&path);
+        let err = WalSet::open(&path, 2).unwrap_err();
+        assert!(
+            matches!(&err, Error::Unsupported(m) if m.contains("tag 6")),
+            "{err:?}"
+        );
+        assert!(
+            before == snapshot(&path),
+            "a refused log is left byte for byte"
+        );
         std::fs::remove_dir_all(&path).unwrap();
     }
 

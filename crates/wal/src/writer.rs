@@ -257,109 +257,7 @@ impl Wal {
 
     /// [`Wal::open`] with explicit segment tuning.
     pub fn open_with(path: impl AsRef<Path>, cfg: SegmentConfig) -> Result<Wal> {
-        Self::open_shard(path.as_ref(), cfg, Arc::new(AtomicU64::new(0)))
-    }
-
-    /// Open the log at `dir` drawing LSNs from `alloc`, which is raised
-    /// to at least this log's next LSN — so after a [`WalSet`] has opened
-    /// every shard the shared allocator resumes past all of them.
-    ///
-    /// [`WalSet`]: crate::walset::WalSet
-    pub(crate) fn open_shard(dir: &Path, cfg: SegmentConfig, alloc: Arc<AtomicU64>) -> Result<Wal> {
-        let dir = dir.to_path_buf();
-        std::fs::create_dir_all(&dir)?;
-        let capacity = cfg.capacity();
-
-        let on_disk = segment::list_segments(&dir)?;
-        let mut metas: Vec<SealedSegment> = Vec::new();
-        // The LSN the next segment must start at; `None` until the first
-        // segment validates.
-        let mut next_lsn: Option<Lsn> = None;
-        for (i, (seqno, seg_path)) in on_disk.iter().enumerate() {
-            let chains = |s: &segment::ScannedSegment| {
-                s.header.seqno == *seqno && next_lsn.map_or(true, |e| s.header.first_lsn == e)
-            };
-            let Some(s) = segment::scan_segment(seg_path)?.filter(chains) else {
-                // Headerless/corrupt-header segment, or an LSN gap: this
-                // file and everything after it is unreachable garbage
-                // (e.g. a crash before a freshly rotated file's header
-                // was durable). Delete so future appends are reachable.
-                for (_, p) in &on_disk[i..] {
-                    std::fs::remove_file(p)?;
-                }
-                segment::sync_dir(&dir)?;
-                break;
-            };
-            let torn = s.valid_len < s.file_len;
-            if torn {
-                // Trim the torn/corrupt tail so post-recovery appends are
-                // reachable, and drop any later segments (only the last
-                // segment of a clean shutdown can tear; later files after
-                // a mid-log tear are beyond the usable log).
-                let f = OpenOptions::new().write(true).open(seg_path)?;
-                f.set_len(s.valid_len)?;
-                f.sync_all()?;
-                for (_, p) in &on_disk[i + 1..] {
-                    std::fs::remove_file(p)?;
-                }
-                if i + 1 < on_disk.len() {
-                    segment::sync_dir(&dir)?;
-                }
-            }
-            // The scan tracks the running LSN frame by frame (jump
-            // markers re-base it), so sharded logs with discontinuous
-            // per-shard LSNs chain-validate exactly like dense ones.
-            next_lsn = Some(s.next_lsn);
-            metas.push(SealedSegment {
-                seqno: *seqno,
-                first_lsn: s.header.first_lsn,
-                records: s.records,
-                bytes: s.valid_len,
-                path: seg_path.clone(),
-            });
-            if torn {
-                break;
-            }
-        }
-
-        let next_lsn = next_lsn.unwrap_or(0);
-        let active = match metas.pop() {
-            Some(last) => reopen_active(
-                last.path,
-                last.seqno,
-                last.first_lsn,
-                last.records,
-                last.bytes,
-            )?,
-            None => {
-                // Fresh (or fully corrupt) log: start at segment 0, LSN 0.
-                let active = create_active(&dir, 0, 0)?;
-                segment::sync_dir(&dir)?;
-                active
-            }
-        };
-
-        alloc.fetch_max(next_lsn, Ordering::Relaxed);
-        Ok(Wal {
-            dir: dir.clone(),
-            alloc,
-            inner: Mutex::ranked(
-                520,
-                WalInner {
-                    dir,
-                    capacity,
-                    sealed: metas,
-                    active,
-                    next_lsn,
-                    syncs: 0,
-                    appended: 0,
-                    truncated_bytes: 0,
-                    rotations: 0,
-                    segments_deleted: 0,
-                },
-            ),
-            ephemeral: false,
-        })
+        scan_dir(path.as_ref())?.open(cfg, Arc::new(AtomicU64::new(0)))
     }
 
     /// Throwaway log in the temp directory, removed on drop.
@@ -624,6 +522,126 @@ impl Drop for Wal {
         if self.ephemeral {
             let _ = std::fs::remove_dir_all(&self.dir);
         }
+    }
+}
+
+/// The open-time scan of one log directory: the segments that chain into
+/// the usable log, and the repair opening must make so that appends land
+/// where every later scan reaches them. Scanning writes nothing, so a
+/// [`crate::walset::WalSet`] scans every shard — and refuses them all
+/// when one holds a record this version cannot read — before repairing
+/// any.
+pub(crate) struct DirScan {
+    dir: PathBuf,
+    /// Every segment file in order; those past `usable` are unreachable.
+    on_disk: Vec<(u64, PathBuf)>,
+    usable: Vec<SealedSegment>,
+    /// Valid length of the last usable segment when its tail is torn.
+    torn: Option<u64>,
+    next_lsn: Lsn,
+}
+
+/// Scan the segments of the log at `dir` (absent = empty).
+pub(crate) fn scan_dir(dir: &Path) -> Result<DirScan> {
+    let on_disk = match dir.is_dir() {
+        true => segment::list_segments(dir)?,
+        false => Vec::new(),
+    };
+    let (mut usable, mut torn, mut next_lsn) = (Vec::new(), None, 0);
+    for (seqno, seg_path) in &on_disk {
+        let chains = |s: &segment::ScannedSegment| {
+            s.header.seqno == *seqno && (usable.is_empty() || s.header.first_lsn == next_lsn)
+        };
+        // A headerless/corrupt-header segment or an LSN gap ends the
+        // usable log: the file and everything after it is garbage (e.g. a
+        // crash before a freshly rotated file's header was durable).
+        let Some(s) = segment::scan_segment(seg_path)?.filter(chains) else {
+            break;
+        };
+        // The scan tracks the running LSN frame by frame (jump markers
+        // re-base it), so sharded logs with discontinuous per-shard LSNs
+        // chain-validate exactly like dense ones.
+        next_lsn = s.next_lsn;
+        usable.push(SealedSegment {
+            seqno: *seqno,
+            first_lsn: s.header.first_lsn,
+            records: s.records,
+            bytes: s.valid_len,
+            path: seg_path.clone(),
+        });
+        if s.valid_len < s.file_len {
+            // Only the last segment of a clean shutdown can tear; files
+            // after a mid-log tear are beyond the usable log.
+            torn = Some(s.valid_len);
+            break;
+        }
+    }
+    Ok(DirScan {
+        dir: dir.to_path_buf(),
+        on_disk,
+        usable,
+        torn,
+        next_lsn,
+    })
+}
+
+impl DirScan {
+    /// Repair what the scan found — trim the torn tail, delete the
+    /// unreachable files — and reopen the log for appending, drawing LSNs
+    /// from `alloc`. The allocator is raised to at least this log's next
+    /// LSN, so once a `WalSet` has opened every shard it resumes past all
+    /// of them.
+    pub(crate) fn open(mut self, cfg: SegmentConfig, alloc: Arc<AtomicU64>) -> Result<Wal> {
+        std::fs::create_dir_all(&self.dir)?;
+        if let (Some(len), Some(last)) = (self.torn, self.usable.last()) {
+            let f = OpenOptions::new().write(true).open(&last.path)?;
+            f.set_len(len)?;
+            f.sync_all()?;
+        }
+        let unreachable = &self.on_disk[self.usable.len()..];
+        for (_, p) in unreachable {
+            std::fs::remove_file(p)?;
+        }
+        if !unreachable.is_empty() {
+            segment::sync_dir(&self.dir)?;
+        }
+        let active = match self.usable.pop() {
+            Some(last) => reopen_active(
+                last.path,
+                last.seqno,
+                last.first_lsn,
+                last.records,
+                last.bytes,
+            )?,
+            None => {
+                // Fresh (or fully corrupt) log: start at segment 0, LSN 0.
+                let active = create_active(&self.dir, 0, 0)?;
+                segment::sync_dir(&self.dir)?;
+                active
+            }
+        };
+
+        alloc.fetch_max(self.next_lsn, Ordering::Relaxed);
+        Ok(Wal {
+            dir: self.dir.clone(),
+            alloc,
+            inner: Mutex::ranked(
+                520,
+                WalInner {
+                    dir: self.dir,
+                    capacity: cfg.capacity(),
+                    sealed: self.usable,
+                    active,
+                    next_lsn: self.next_lsn,
+                    syncs: 0,
+                    appended: 0,
+                    truncated_bytes: 0,
+                    rotations: 0,
+                    segments_deleted: 0,
+                },
+            ),
+            ephemeral: false,
+        })
     }
 }
 

@@ -2,7 +2,7 @@
 //! encode → frame → file → parse pipeline; torn tails lose only a suffix;
 //! sealing round-trips for live windows and never for shredded ones.
 
-use instant_common::{ColumnId, Duration, LevelId, TableId, Timestamp, TupleId, TxId};
+use instant_common::{ColumnId, Duration, TableId, Timestamp, TupleId, TxId};
 use instant_wal::group::{GroupCommit, GroupCommitConfig, GroupCommitSet};
 use instant_wal::keystore::KeyStore;
 use instant_wal::record::{LogRecord, Payload};
@@ -44,20 +44,22 @@ fn arb_record() -> impl Strategy<Value = LogRecord> {
             0u64..100,
             0u32..10,
             0u64..1000,
+            t.clone(),
             0u16..8,
             proptest::option::of(0u8..4),
-            arb_payload(),
             t.clone()
         )
-            .prop_map(|(tx, table, tid, col, lv, row, at)| LogRecord::Degrade {
-                tx: TxId(tx),
-                table: TableId(table),
-                tid: TupleId::unpack(tid),
-                column: ColumnId(col),
-                to_level: lv.map(LevelId),
-                row,
-                at: Timestamp(at),
-            }),
+            .prop_map(
+                |(tx, table, tid, born, col, stage, at)| LogRecord::Degrade {
+                    tx: TxId(tx),
+                    table: TableId(table),
+                    tid: TupleId::unpack(tid),
+                    insert_ts: Timestamp(born),
+                    column: ColumnId(col),
+                    to_stage: stage,
+                    at: Timestamp(at),
+                }
+            ),
         (0u64..100, 0u32..10, 0u64..1000, t.clone()).prop_map(|(tx, table, tid, at)| {
             LogRecord::Expunge {
                 tx: TxId(tx),

@@ -285,6 +285,69 @@ fn background_daemon_degrades_while_foreground_inserts_and_reads() {
     assert_eq!(table.live_count().unwrap(), 200);
 }
 
+/// A checkpoint shreds every key window older than its own clock reading.
+/// When it lands while a pump batch is running, the batch's `now` falls in
+/// a shredded window: no step of it may fail for that, and no row may be
+/// left behind at its accurate stage.
+#[test]
+fn checkpoint_shredding_beside_the_pump_fails_no_step_and_strands_no_row() {
+    const ROUNDS: usize = 2;
+    const ROWS: i64 = 1500;
+    let (clock, db) = setup();
+    let mut errors = Vec::new();
+    for round in 0..ROUNDS {
+        for i in 0..ROWS {
+            db.insert(
+                "person",
+                &[Value::Int(i), Value::Str("4 rue Jussieu".into())],
+            )
+            .unwrap();
+        }
+        clock.advance(Duration::hours(1)); // the whole round is due
+        let fired_before = db.scheduler().fired();
+        let pumping = Arc::new(AtomicBool::new(true));
+        let checkpointer = {
+            let (clock, db, pumping) = (clock.clone(), db.clone(), pumping.clone());
+            std::thread::spawn(move || {
+                // Once a batch has read its `now`, move the clock past that
+                // window and checkpoint: the shred lands mid-batch.
+                while db.scheduler().fired() == fired_before && pumping.load(Ordering::Relaxed) {
+                    std::thread::yield_now();
+                }
+                clock.advance(Duration::hours(1));
+                db.checkpoint().unwrap();
+            })
+        };
+        loop {
+            match db.pump_one_batch() {
+                Ok(r) if r.fired == 0 && r.deferred == 0 => break,
+                Ok(_) => {}
+                Err(e) => errors.push(format!("round {round}: {e}")),
+            }
+        }
+        pumping.store(false, Ordering::Relaxed);
+        checkpointer.join().unwrap();
+    }
+    clock.advance(Duration::hours(1));
+    db.pump_degradation().unwrap();
+
+    let now = db.now();
+    let deadline = |t: &instantdb::core::tuple::StoredTuple| t.insert_ts + Duration::hours(1);
+    let table = db.catalog().get("person").unwrap();
+    let stranded = table
+        .scan()
+        .unwrap()
+        .iter()
+        .filter(|(_, t)| t.stages[0] == Some(0) && now.since(deadline(t)) > Duration::hours(1))
+        .count();
+    assert!(
+        errors.is_empty() && stranded == 0,
+        "{} pump errors (first: {:?}); {stranded} rows still accurate over 1 h past their deadline",
+        errors.len(),
+        errors.first()
+    );
+}
+
 #[test]
 fn sharded_pool_config_reaches_the_engine() {
     let clock = MockClock::new();

@@ -101,6 +101,18 @@ fn plain_wal_is_the_only_leak_with_secure_heap() {
         !wal_report.clean(),
         "plaintext WAL retains the insert images"
     );
+    // ...and nothing else: a degradation step is logged without a value,
+    // so not one of the cities the rows now hold is in the log.
+    let gt = location_tree_fig1();
+    for a in ADDRESSES {
+        let city = &gt.degradation_path(a).unwrap()[1].1;
+        let hits = wal_img
+            .1
+            .windows(city.len())
+            .filter(|w| *w == city.as_bytes())
+            .count();
+        assert_eq!(hits, 0, "{city} logged {hits} times");
+    }
     // Checkpoint truncation closes even that channel.
     db.checkpoint().unwrap();
     let r = forensic_scan(&db, &scanner).unwrap();
