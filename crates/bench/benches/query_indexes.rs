@@ -4,8 +4,8 @@
 //! accurate level vs broad predicates over the collapsed-cardinality
 //! degraded levels. Three parts:
 //!
-//! * raw structure probes at d0 cardinality (B+-tree vs hash vs bitmap vs
-//!   linear scan) — B+-tree/hash should win;
+//! * raw structure probes at d0 cardinality (B+-tree vs bitmap vs linear
+//!   scan) — B+-tree should win;
 //! * raw structure probes at d3 cardinality (2 distinct values, huge
 //!   postings) — bitmap should win;
 //! * engine-level SELECT through the multi-level index vs forced seq scan.
@@ -18,7 +18,6 @@ use instant_core::db::{Db, DbConfig, WalMode};
 use instant_core::query::session::Session;
 use instant_index::bitmap::BitmapIndex;
 use instant_index::btree::BPlusTree;
-use instant_index::hash::HashIndex;
 use instant_index::SecondaryIndex;
 use instant_workload::location::{LocationDomain, LocationShape};
 use instant_workload::rng::Rng;
@@ -28,21 +27,18 @@ const N: usize = 100_000;
 fn raw_structures(c: &mut Criterion) {
     // d0 regime: N distinct int keys, point lookups.
     let mut btree = BPlusTree::new();
-    let mut hash = HashIndex::new();
     let mut bitmap = BitmapIndex::new();
     let mut scan_table: Vec<(i64, TupleId)> = Vec::new();
     for i in 0..N as i64 {
         let tid = TupleId::unpack(i as u64);
         let v = Value::Int(i);
         btree.insert(&v, tid);
-        hash.insert(&v, tid);
         bitmap.insert(&v, tid);
         scan_table.push((i, tid));
     }
     let mut group = c.benchmark_group("point_lookup_d0_100k_keys");
     let probe = Value::Int((N / 2) as i64);
     group.bench_function("btree", |b| b.iter(|| btree.get(&probe)));
-    group.bench_function("hash", |b| b.iter(|| hash.get(&probe)));
     group.bench_function("bitmap", |b| b.iter(|| bitmap.get(&probe)));
     group.bench_function("seq_scan", |b| {
         b.iter(|| {

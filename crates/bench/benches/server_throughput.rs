@@ -33,29 +33,24 @@ use instant_server::{Client, Server, ServerConfig};
 /// Inserts per client per timed iteration.
 const PER_CLIENT: i64 = 50;
 
-fn start_server(workers: usize) -> Server {
-    start_server_with(workers, DbConfig::default())
+fn start_server() -> Server {
+    start_server_with(DbConfig::default())
 }
 
 /// Serve an engine with `shards` WAL shards (independent drain
 /// pipelines behind one LSN allocator).
-fn start_server_sharded(workers: usize, shards: usize) -> Server {
-    start_server_with(
-        workers,
-        DbConfig::builder().wal_shards(shards).build().unwrap(),
-    )
+fn start_server_sharded(shards: usize) -> Server {
+    start_server_with(DbConfig::builder().wal_shards(shards).build().unwrap())
 }
 
-fn start_server_with(workers: usize, cfg: DbConfig) -> Server {
+fn start_server_with(cfg: DbConfig) -> Server {
     let clock = MockClock::new();
     let db = Arc::new(Db::open(cfg, clock.shared()).unwrap());
     Server::start(
         db,
         HierarchyRegistry::new(),
         ServerConfig {
-            workers,
             max_connections: 32,
-            queue_depth: 256,
             ..ServerConfig::default()
         },
     )
@@ -104,9 +99,7 @@ fn bench_server_throughput(c: &mut Criterion) {
     let mut g = c.benchmark_group("server_throughput");
     g.sample_size(10);
     for &clients in &[1usize, 4, 8] {
-        // Workers ≥ clients so the pool never serializes the committers
-        // the pipeline is supposed to batch.
-        let server = start_server(clients.max(4));
+        let server = start_server();
         let addr = server.local_addr().to_string();
         let mut admin = Client::connect(&addr).unwrap();
         admin
@@ -152,7 +145,7 @@ fn bench_shard_throughput(c: &mut Criterion) {
     let mut g = c.benchmark_group("server_shard_throughput");
     g.sample_size(10);
     for &shards in &[1usize, 4] {
-        let server = start_server_sharded(CLIENTS, shards);
+        let server = start_server_sharded(shards);
         let addr = server.local_addr().to_string();
         let mut admin = Client::connect(&addr).unwrap();
         admin

@@ -2,8 +2,8 @@
 //!
 //! The experiment harness: reporting utilities shared by the experiment
 //! binaries (`src/bin/exp_*.rs`) and Criterion benches (`benches/`).
-//! Each binary regenerates one experiment of DESIGN.md §6 and prints the
-//! table/series the corresponding figure of EXPERIMENTS.md quotes.
+//! Each binary regenerates one of the paper's experiments (README,
+//! "Running things") and prints its table/series.
 
 use std::fmt::Display;
 use std::io::Write;

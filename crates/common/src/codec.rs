@@ -2,7 +2,8 @@
 //!
 //! Used by the heap storage format and the WAL. The format is deliberately
 //! simple and self-describing (1-byte tag per value) so forensic experiments
-//! (`E8` in DESIGN.md) can scan raw pages for recoverable plaintext — the
+//! (`exp_forensic`, `tests/forensic.rs`) can scan raw pages for recoverable
+//! plaintext — the
 //! very attack surface the paper says secure degradation must close.
 
 use crate::error::{Error, Result};

@@ -32,8 +32,8 @@ pub enum Error {
     Accuracy(String),
     /// Buffer pool exhausted or page capacity exceeded.
     Capacity(String),
-    /// The server shed this request under admission control (connection
-    /// limit reached or the worker queue is full). Retry after backoff.
+    /// The server refused this connection under admission control (its
+    /// connection limit is reached). Retry after backoff.
     ServerBusy(String),
     /// The endpoint serves reads only (a replication follower): the
     /// statement would mutate state and was refused. Not retryable —

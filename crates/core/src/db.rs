@@ -309,7 +309,6 @@ impl Db {
     pub fn insert(&self, table_name: &str, row: &[Value]) -> Result<TupleId> {
         let table = self.catalog.get(table_name)?;
         table.schema().validate_insert(row)?;
-        let now = self.now();
         let tx = self.txs.begin();
         tx.lock(Resource::Table(table.id()), LockMode::IntentionExclusive)?;
         // Gate held across mutation *and* enqueue: a checkpoint's
@@ -319,6 +318,10 @@ impl Db {
         // freshly allocated tuple id, which nothing else can contend.
         let (tid, stored, pending) = {
             let _shared = self.ckpt_gate.read();
+            // The clock is read under the gate: a checkpoint reads its own
+            // `now` under the exclusive side, so the window this image is
+            // sealed into can never already be shredded.
+            let now = self.now();
             let tid = table.insert_physical(now, row)?;
             tx.lock(Resource::Tuple(table.id(), tid), LockMode::Exclusive)?;
             // WAL: the logged image is the *stored* tuple (already
@@ -435,7 +438,6 @@ impl Db {
                 col.name, col.ty
             )));
         }
-        let now = self.now();
         let tx = self.txs.begin();
         tx.lock(Resource::Table(table.id()), LockMode::IntentionExclusive)?;
         tx.lock(Resource::Tuple(table.id(), tid), LockMode::Exclusive)?;
@@ -443,6 +445,9 @@ impl Db {
         // so a checkpoint flush can never persist an unlogged rewrite.
         let pending = {
             let _shared = self.ckpt_gate.read();
+            // Read under the gate, as in `insert`: the sealing window is
+            // never below a racing checkpoint's shred horizon.
+            let now = self.now();
             let mut tuple = table.get(tid)?;
             let old_value = tuple.row[cid.0 as usize].clone();
             tuple.row[cid.0 as usize] = new_value.clone();
@@ -760,8 +765,9 @@ impl Db {
     /// Reopen a crashed database: name the tables from the last
     /// checkpoint, hand every heap its pages back, rebuild indexes, redo
     /// the committed WAL suffix, re-arm the scheduler. `schemas` must
-    /// match the schemas at crash time, in creation order (catalog DDL
-    /// persistence is out of the reproduced scope — see DESIGN.md).
+    /// match the schemas at crash time, in creation order: the log holds
+    /// no DDL, so the caller supplies them (the server replays its DDL
+    /// journal, `instant_server::open_or_recover`).
     pub fn recover_with_schemas(
         cfg: DbConfig,
         clock: SharedClock,

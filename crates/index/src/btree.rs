@@ -8,8 +8,8 @@
 //! Deletion removes postings and, when a key's postings empty, unlinks the
 //! key from its leaf **without rebalancing** (lazy deletion). Degradation
 //! workloads delete monotonically by age, so underfull leaves are transient
-//! and the occasional `rebuild()` (vacuum) restores tightness; the trade-off
-//! is documented in DESIGN.md's ablation notes.
+//! and the occasional `rebuild()` (vacuum) restores tightness — cheaper
+//! than rebalancing on every delete of an age-ordered stream.
 
 use std::cmp::Ordering;
 

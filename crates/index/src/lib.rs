@@ -7,7 +7,7 @@
 //! introduces the need for indexing techniques supporting efficiently
 //! degradation."
 //!
-//! Three from-scratch structures behind one [`SecondaryIndex`] trait:
+//! Two from-scratch structures behind one [`SecondaryIndex`] trait:
 //!
 //! * [`btree::BPlusTree`] — order-64 B+-tree with leaf links; the right
 //!   tool for the *accurate* state `d0`, where the domain is wide and
@@ -16,7 +16,6 @@
 //!   for *degraded* states, whose cardinality collapses (7 addresses → 2
 //!   countries in Fig. 1) and whose queries touch large fractions of the
 //!   store.
-//! * [`hash::HashIndex`] — equality-only baseline.
 //!
 //! [`multilevel::MultiLevelIndex`] is the degradation-aware composite: one
 //! structure per accuracy level (B+-tree at `d0`, bitmaps above), kept
@@ -26,7 +25,6 @@
 
 pub mod bitmap;
 pub mod btree;
-pub mod hash;
 pub mod multilevel;
 
 use instant_common::{TupleId, Value};

@@ -222,15 +222,59 @@ fn cli_json_format_emits_one_object_per_violation() {
     assert!(lines[0].ends_with("\"}"), "complete object: {}", lines[0]);
 }
 
+fn repo_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("crates/lint sits two levels below the workspace root")
+        .to_path_buf()
+}
+
+#[test]
+fn invariants_rank_table_matches_the_ranks_the_code_declares() {
+    // `--ranks` prints `rank  file:line`, one declaration per line.
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_instantdb-lint"))
+        .arg("--root")
+        .arg(repo_root())
+        .arg("--ranks")
+        .output()
+        .expect("run instantdb-lint --ranks");
+    assert_eq!(out.status.code(), Some(0));
+    let mut declared: Vec<(u32, String)> = String::from_utf8_lossy(&out.stdout)
+        .lines()
+        .skip(1)
+        .map(|line| {
+            let (rank, site) = line.trim().split_once(char::is_whitespace).unwrap();
+            let file = site.trim().rsplit_once(':').unwrap().0;
+            (rank.parse().unwrap(), file.to_string())
+        })
+        .collect();
+    declared.sort();
+
+    // INVARIANTS.md rank rows: `| rank | lock | `crates/…/file.rs` |`.
+    let doc = std::fs::read_to_string(repo_root().join("INVARIANTS.md")).unwrap();
+    let mut documented: Vec<(u32, String)> = doc
+        .lines()
+        .filter_map(|line| {
+            let cells: Vec<&str> = line.split('|').map(str::trim).collect();
+            let rank = cells.get(1)?.parse().ok()?;
+            let file = cells.get(3)?.strip_prefix('`')?.strip_suffix('`')?;
+            file.ends_with(".rs").then(|| (rank, file.to_string()))
+        })
+        .collect();
+    documented.sort();
+    assert!(!declared.is_empty());
+    assert_eq!(
+        documented, declared,
+        "INVARIANTS.md's lock-rank table must list exactly what `--ranks` reports"
+    );
+}
+
 #[test]
 fn cli_lints_the_real_workspace_clean() {
     // The repository itself is the ultimate fixture: the tree this test
     // runs in must satisfy every invariant the linter enforces.
-    let repo_root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("crates/lint sits two levels below the workspace root")
-        .to_path_buf();
+    let repo_root = repo_root();
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_instantdb-lint"))
         .arg("--root")
         .arg(&repo_root)

@@ -223,9 +223,9 @@ impl Obs {
     /// per-purpose counters; lands in the slow-query ring when the
     /// threshold is set and exceeded. Call with no engine lock held —
     /// the purpose map (rank 600) and ring (610) are above the engine
-    /// bands, so this is safe even from a worker holding its session
-    /// lock, but must never run under catalog/WAL locks going the other
-    /// way.
+    /// bands, so this is safe even from a server thread holding the DDL
+    /// journal lock, but must never run under catalog/WAL locks going the
+    /// other way.
     pub fn record_query(
         &self,
         kind: &'static str,

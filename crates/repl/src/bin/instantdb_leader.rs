@@ -27,7 +27,7 @@ fn usage(err: &str) -> ! {
     eprintln!("error: {err}");
     eprintln!(
         "usage: instantdb-leader [--addr A] [--repl-addr A] [--data PATH] \
-         [--max-conns N] [--workers N] [--wal-shards N] \
+         [--max-conns N] [--wal-shards N] \
          [--checkpoint-every-ms N] [--degrade-every-ms N] [--no-degrade] \
          [--wal-retention-segments N] [--repl-tick-ms N] [--stdin-control]"
     );
@@ -39,7 +39,6 @@ struct Args {
     repl_addr: String,
     data: Option<std::path::PathBuf>,
     max_conns: usize,
-    workers: usize,
     wal_shards: Option<usize>,
     checkpoint_every_ms: Option<u64>,
     degrade_every_ms: Option<u64>,
@@ -54,7 +53,6 @@ fn parse_args() -> Args {
         repl_addr: "127.0.0.1:5434".into(),
         data: None,
         max_conns: 64,
-        workers: 4,
         wal_shards: None,
         checkpoint_every_ms: None,
         degrade_every_ms: Some(250),
@@ -73,7 +71,6 @@ fn parse_args() -> Args {
             "--repl-addr" => args.repl_addr = value("--repl-addr"),
             "--data" => args.data = Some(value("--data").into()),
             "--max-conns" => args.max_conns = parse(&value("--max-conns"), "--max-conns"),
-            "--workers" => args.workers = parse(&value("--workers"), "--workers"),
             "--wal-shards" => args.wal_shards = Some(parse(&value("--wal-shards"), "--wal-shards")),
             "--checkpoint-every-ms" => {
                 args.checkpoint_every_ms = Some(parse(
@@ -156,7 +153,6 @@ fn main() {
     let server_cfg = ServerConfig {
         addr: args.addr,
         max_connections: args.max_conns,
-        workers: args.workers,
         degrade_every: args.degrade_every_ms.map(std::time::Duration::from_millis),
         ..ServerConfig::default()
     };

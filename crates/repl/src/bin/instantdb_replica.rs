@@ -36,7 +36,7 @@ fn usage(err: &str) -> ! {
     eprintln!(
         "usage: instantdb-replica --leader A --dir PATH [--addr A] \
          [--degrade-to STAGE] [--key-seed N] [--key-window-ms N] \
-         [--max-conns N] [--workers N] [--tick-ms N] [--stdin-control]"
+         [--max-conns N] [--tick-ms N] [--stdin-control]"
     );
     std::process::exit(2);
 }
@@ -49,7 +49,6 @@ struct Args {
     key_seed: Option<u64>,
     key_window_ms: Option<u64>,
     max_conns: usize,
-    workers: usize,
     tick_ms: u64,
     stdin_control: bool,
 }
@@ -63,7 +62,6 @@ fn parse_args() -> Args {
         key_seed: None,
         key_window_ms: None,
         max_conns: 64,
-        workers: 4,
         tick_ms: 5,
         stdin_control: false,
     };
@@ -83,7 +81,6 @@ fn parse_args() -> Args {
                 args.key_window_ms = Some(parse(&value("--key-window-ms"), "--key-window-ms"))
             }
             "--max-conns" => args.max_conns = parse(&value("--max-conns"), "--max-conns"),
-            "--workers" => args.workers = parse(&value("--workers"), "--workers"),
             "--tick-ms" => args.tick_ms = parse(&value("--tick-ms"), "--tick-ms"),
             "--stdin-control" => args.stdin_control = true,
             "--help" | "-h" => usage("help requested"),
@@ -151,7 +148,6 @@ fn main() {
     let server_cfg = ServerConfig {
         addr: args.addr,
         max_connections: args.max_conns,
-        workers: args.workers,
         read_only: true,
         // Local degradation daemons belong to the leader; a replica's
         // heap changes only through the apply path.

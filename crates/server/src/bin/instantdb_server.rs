@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! instantdb-server --addr 127.0.0.1:5433 --data /var/lib/idb/main \
-//!     [--max-conns N] [--workers N] [--queue-depth N]
+//!     [--max-conns N] [--max-frame-bytes N]
 //!     [--wal-shards N] [--checkpoint-every-ms N] [--degrade-every-ms N]
 //!     [--wal-retention-segments N] [--stdin-control]
 //! ```
@@ -26,7 +26,7 @@ fn usage(err: &str) -> ! {
     eprintln!("error: {err}");
     eprintln!(
         "usage: instantdb-server [--addr A] [--data PATH] [--max-conns N] \
-         [--workers N] [--queue-depth N] [--max-frame-bytes N] \
+         [--max-frame-bytes N] \
          [--wal-shards N] [--checkpoint-every-ms N] [--degrade-every-ms N] \
          [--wal-retention-segments N] [--slow-query-ms N] [--stdin-control]"
     );
@@ -37,8 +37,6 @@ struct Args {
     addr: String,
     data: Option<std::path::PathBuf>,
     max_conns: usize,
-    workers: usize,
-    queue_depth: usize,
     max_frame_bytes: u32,
     wal_shards: Option<usize>,
     checkpoint_every_ms: Option<u64>,
@@ -53,8 +51,6 @@ fn parse_args() -> Args {
         addr: "127.0.0.1:5433".into(),
         data: None,
         max_conns: 64,
-        workers: 4,
-        queue_depth: 64,
         max_frame_bytes: instant_server::protocol::DEFAULT_MAX_FRAME_BYTES,
         wal_shards: None,
         checkpoint_every_ms: None,
@@ -73,8 +69,6 @@ fn parse_args() -> Args {
             "--addr" => args.addr = value("--addr"),
             "--data" => args.data = Some(value("--data").into()),
             "--max-conns" => args.max_conns = parse(&value("--max-conns"), "--max-conns"),
-            "--workers" => args.workers = parse(&value("--workers"), "--workers"),
-            "--queue-depth" => args.queue_depth = parse(&value("--queue-depth"), "--queue-depth"),
             "--max-frame-bytes" => {
                 args.max_frame_bytes = parse(&value("--max-frame-bytes"), "--max-frame-bytes")
             }
@@ -151,8 +145,6 @@ fn main() {
     let server_cfg = ServerConfig {
         addr: args.addr,
         max_connections: args.max_conns,
-        workers: args.workers,
-        queue_depth: args.queue_depth,
         max_frame_bytes: args.max_frame_bytes,
         degrade_every: args.degrade_every_ms.map(std::time::Duration::from_millis),
         ..ServerConfig::default()

@@ -2,24 +2,24 @@
 //!
 //! The network front-end that turns the embedded InstantDB engine into a
 //! served one: a TCP server speaking a length-prefixed, versioned frame
-//! protocol ([`protocol`]), one [`Session`](instant_core::Session) per
-//! connection (purpose declarations persist across a connection's
-//! queries), a bounded worker pool executing statements, and two-gate
-//! admission control — connection count at accept, queue depth at
-//! dispatch — that sheds overload with a typed
+//! protocol ([`protocol`]), one thread and one
+//! [`Session`](instant_core::Session) per connection (purpose
+//! declarations persist across a connection's queries, which run in
+//! arrival order on that thread), and an admission gate at accept that
+//! sheds connections past `max_connections` with a typed
 //! [`ServerBusy`](instant_common::Error::ServerBusy) error instead of
-//! queueing unboundedly or stalling the accept loop.
+//! stalling the accept loop.
 //!
 //! The serving layer is deliberately thin: concurrency control (2PL),
 //! durability (the group-commit pipeline — built precisely to amortize
 //! many concurrent committers' fsyncs, which a multi-client server
 //! finally supplies) and timely degradation all live in the engine
-//! below. What this crate adds is the traffic shape: admission, session
-//! multiplexing, typed error transport, graceful shutdown in dependency
-//! order, and a DDL journal so a restarted server recovers its schemas
-//! ([`server::open_or_recover`]).
+//! below. What this crate adds is the traffic shape: admission, one
+//! session per connection, typed error transport, graceful shutdown in
+//! dependency order, and a DDL journal so a restarted server recovers its
+//! schemas ([`server::open_or_recover`]).
 //!
-//! * [`server`] — [`Server`]: acceptor, readers, worker pool, stats,
+//! * [`server`] — [`Server`]: acceptor, connection threads, stats,
 //!   shutdown.
 //! * [`client`] — [`Client`]: blocking, reconnect-aware, replays purpose
 //!   declarations after re-dial.

@@ -1,29 +1,26 @@
-//! The server: acceptor, per-connection sessions, bounded worker pool,
-//! admission control, graceful shutdown.
+//! The server: acceptor, one thread per connection, admission control,
+//! graceful shutdown.
 //!
 //! Thread shape:
 //!
-//! * **acceptor** — one thread on the listener. Admission gate #1: past
+//! * **acceptor** — one thread on the listener. The admission gate: past
 //!   `max_connections` live connections a new client gets one typed
 //!   `ServerBusy` error frame and an immediate close; the accept loop
 //!   itself never blocks on engine work.
-//! * **reader per connection** (bounded by `max_connections`) — performs
-//!   the versioned handshake, then turns `Query` frames into jobs for the
-//!   worker pool. Admission gate #2: when the job queue is at
-//!   `queue_depth` the query is answered with `ServerBusy` right from the
-//!   reader — shed, not queued, so a burst degrades into fast failures
-//!   instead of unbounded latency. `Ping` is answered inline (it must
-//!   stay cheap precisely when the pool is saturated).
-//! * **worker pool** (`workers` threads) — executes jobs against the
-//!   connection's [`Session`] (one session per connection, reused across
-//!   frames, so `DECLARE PURPOSE` state persists between queries) and
-//!   writes the `ResultSet`/`Error` frame back. A client that vanished
-//!   mid-query costs one failed write (`dropped_replies`), never a
-//!   worker.
+//! * **one thread per connection** (bounded by `max_connections`) —
+//!   performs the versioned handshake, then reads a frame, executes it on
+//!   the connection's own [`Session`] (reused across frames, so `DECLARE
+//!   PURPOSE` state persists between queries) and writes the reply before
+//!   it reads the next. Queries carry no correlation id, so a pipelining
+//!   client pairs replies by order — which this loop gives by
+//!   construction. A client that pipelines faster than its queries run is
+//!   slowed by TCP flow control on its own socket; no other connection
+//!   notices. A client that vanished mid-query costs one failed write
+//!   (`dropped_replies`).
 //!
-//! [`Server::shutdown`] tears down in dependency order: stop admitting,
-//! unblock and join the readers, drain the worker queue (in-flight
-//! queries finish and their commits are acknowledged), stop the
+//! [`Server::shutdown`] tears down in dependency order: stop accepting,
+//! close the read side of every connection and join their threads (a
+//! query already read finishes and its commit is acknowledged), stop the
 //! background daemons, and only then drop the [`Db`] — whose own drop
 //! order drains the group-commit pipeline before the log handle closes,
 //! so an acknowledged commit can never be lost to a graceful shutdown.
@@ -37,7 +34,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration as StdDuration;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use instant_common::{Error, Result, SharedClock};
 use instant_core::query::{schema_for_create, HierarchyRegistry, QueryOutput};
@@ -53,14 +50,9 @@ use crate::stats::{ServerStats, StatsCells};
 pub struct ServerConfig {
     /// Bind address; port 0 picks a free port (see [`Server::local_addr`]).
     pub addr: String,
-    /// Admission gate #1: connections past this are refused with
+    /// The admission gate: connections past this are refused with
     /// `ServerBusy`.
     pub max_connections: usize,
-    /// Query-executing worker threads.
-    pub workers: usize,
-    /// Admission gate #2: queries queued beyond the workers; a full queue
-    /// sheds with `ServerBusy`.
-    pub queue_depth: usize,
     /// Largest accepted frame (`len` field), bytes.
     pub max_frame_bytes: u32,
     /// Spawn a [`DegradationDaemon`] pumping every interval — the served
@@ -74,8 +66,8 @@ pub struct ServerConfig {
     pub handshake_timeout: StdDuration,
     /// Per-syscall cap on reply writes. A client that stops reading
     /// (zero TCP window) fails its reply after this long instead of
-    /// parking a worker forever; a slow-but-draining reader gets a fresh
-    /// allowance per partial write and is unaffected.
+    /// parking its connection thread forever; a slow-but-draining reader
+    /// gets a fresh allowance per partial write and is unaffected.
     pub write_timeout: StdDuration,
     /// Slow-query threshold for the engine's slow-query log. Applied at
     /// start only when [`DbConfig::slow_query`] left the engine's own
@@ -93,8 +85,6 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".into(),
             max_connections: 64,
-            workers: 4,
-            queue_depth: 64,
             max_frame_bytes: protocol::DEFAULT_MAX_FRAME_BYTES,
             degrade_every: None,
             handshake_timeout: StdDuration::from_secs(10),
@@ -105,146 +95,7 @@ impl Default for ServerConfig {
     }
 }
 
-/// Per-connection state shared between its reader and the workers.
-struct ConnState {
-    /// Writing side; every response frame is written under this lock so
-    /// frames never interleave on the stream.
-    stream: Mutex<TcpStream>, // lock-rank: 160
-    /// Outgoing frame cap (mirrors the incoming one): a reply larger
-    /// than this is replaced by a typed `capacity` error, keeping the
-    /// connection alive instead of desynchronizing the client.
-    max_frame_bytes: u32,
-    /// The connection's session — reused across frames, so purpose
-    /// declarations persist for the connection's lifetime.
-    session: Mutex<Session>, // lock-rank: 150
-    /// Sequence of the next Query that may execute and reply. Query
-    /// frames carry no correlation id, so a pipelining client pairs
-    /// replies with queries by order alone — and session state demands
-    /// in-order *execution* too (a pipelined `DECLARE PURPOSE` must
-    /// govern the `SELECT` behind it). This ticket serializes each
-    /// connection's queries in arrival order across the pool — worker
-    /// results *and* reader-side `ServerBusy` sheds — even when two
-    /// pipelined queries land on different workers. (Execution was
-    /// already serialized by the session mutex; the ticket only pins
-    /// its order, so cross-connection parallelism is untouched.)
-    turn: Mutex<u64>, // lock-rank: 140
-    turn_cv: Condvar,
-}
-
-impl ConnState {
-    /// Best-effort frame write (oversized replies become typed capacity
-    /// errors); `false` when the client is gone.
-    fn send(&self, frame: &Frame) -> bool {
-        let mut stream = self.stream.lock();
-        // lint:allow(L102, the per-connection stream mutex exists to keep frames atomic on the wire; the write must happen under it)
-        protocol::write_frame_capped(&mut *stream, frame, self.max_frame_bytes).is_ok()
-    }
-
-    /// Block until query number `seq` may run: every earlier query on
-    /// this connection has executed and its reply is on the wire.
-    fn await_turn(&self, seq: u64) {
-        let mut turn = self.turn.lock();
-        while *turn != seq {
-            self.turn_cv.wait(&mut turn);
-        }
-    }
-
-    /// Reply for the current-turn query and open the next turn. Always
-    /// advances, even when the client is gone — later replies must never
-    /// wait on a dead send.
-    fn finish_turn(&self, frame: &Frame) -> bool {
-        let ok = self.send(frame);
-        *self.turn.lock() += 1;
-        self.turn_cv.notify_all();
-        ok
-    }
-
-    /// [`ConnState::await_turn`] + [`ConnState::finish_turn`] in one step
-    /// (the reader's shed path, which has no work between them).
-    fn send_in_turn(&self, seq: u64, frame: &Frame) -> bool {
-        self.await_turn(seq);
-        self.finish_turn(frame)
-    }
-}
-
-/// One unit of work for the pool: a query on behalf of a connection.
-struct Job {
-    conn: Arc<ConnState>,
-    sql: String,
-    /// Arrival order on the connection; replies are serialized by it.
-    seq: u64,
-}
-
-/// Outcome of offering a job to the bounded queue.
-enum Pushed {
-    Queued,
-    Shed,
-    Closed,
-}
-
-/// The bounded MPMC job queue behind the worker pool.
-struct JobQueue {
-    inner: Mutex<QueueInner>, // lock-rank: 130
-    cv: Condvar,
-    depth: usize,
-}
-
-struct QueueInner {
-    jobs: std::collections::VecDeque<Job>,
-    open: bool,
-}
-
-impl JobQueue {
-    fn new(depth: usize) -> JobQueue {
-        JobQueue {
-            inner: Mutex::ranked(
-                130,
-                QueueInner {
-                    jobs: std::collections::VecDeque::new(),
-                    open: true,
-                },
-            ),
-            cv: Condvar::new(),
-            depth: depth.max(1),
-        }
-    }
-
-    fn try_push(&self, job: Job) -> Pushed {
-        let mut inner = self.inner.lock();
-        if !inner.open {
-            return Pushed::Closed;
-        }
-        if inner.jobs.len() >= self.depth {
-            return Pushed::Shed;
-        }
-        inner.jobs.push_back(job);
-        drop(inner);
-        self.cv.notify_one();
-        Pushed::Queued
-    }
-
-    /// Blocking pop; `None` once the queue is closed *and* drained, so a
-    /// shutdown still executes every admitted query.
-    fn pop(&self) -> Option<Job> {
-        let mut inner = self.inner.lock();
-        loop {
-            if let Some(job) = inner.jobs.pop_front() {
-                return Some(job);
-            }
-            if !inner.open {
-                return None;
-            }
-            self.cv.wait(&mut inner);
-        }
-    }
-
-    fn close(&self) {
-        self.inner.lock().open = false;
-        self.cv.notify_all();
-    }
-}
-
-/// State shared by the acceptor, readers and workers.
+/// State shared by the acceptor and the connection threads.
 struct Shared {
     db: Arc<Db>,
     hierarchies: HierarchyRegistry,
@@ -252,14 +103,13 @@ struct Shared {
     /// Shared with the obs "server" counter provider, which outlives any
     /// one `Server` over the same engine (re-registration replaces it).
     stats: Arc<StatsCells>,
-    queue: JobQueue,
     shutting_down: AtomicBool,
     next_conn_id: AtomicU64,
     /// In-flight courtesy-refusal threads (see [`refuse`]); bounded so a
     /// connection flood cannot turn the shed path itself into thread
     /// exhaustion.
     refusing: AtomicU64,
-    /// Write-side stream clones, for unblocking readers at shutdown.
+    /// Stream clones, for closing each connection's read side at shutdown.
     conns: Mutex<HashMap<u64, TcpStream>>, // lock-rank: 120
     readers: Mutex<Vec<JoinHandle<()>>>, // lock-rank: 110
     /// Append-only DDL journal (see [`open_or_recover`]); `None` for an
@@ -272,7 +122,6 @@ pub struct Server {
     shared: Arc<Shared>,
     local_addr: SocketAddr,
     acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
     checkpointer: Option<Checkpointer>,
     degrader: Option<DegradationDaemon>,
 }
@@ -287,8 +136,8 @@ impl std::fmt::Debug for Server {
 }
 
 impl Server {
-    /// Bind, spawn the acceptor + worker pool (+ the background daemons
-    /// the engine config arms), and return. `hierarchies` is shared by
+    /// Bind, spawn the acceptor (+ the background daemons the engine
+    /// config arms), and return. `hierarchies` is shared by
     /// every connection's session — register domain trees here so remote
     /// `CREATE TABLE … DEGRADE USING <name>` can resolve them.
     pub fn start(db: Arc<Db>, hierarchies: HierarchyRegistry, cfg: ServerConfig) -> Result<Server> {
@@ -310,7 +159,6 @@ impl Server {
             .map(|every| DegradationDaemon::spawn(db.clone(), every))
             .transpose()?;
         let shared = Arc::new(Shared {
-            queue: JobQueue::new(cfg.queue_depth),
             db,
             hierarchies,
             cfg,
@@ -345,7 +193,6 @@ impl Server {
                     ("frames".into(), s.frames),
                     ("queries".into(), s.queries),
                     ("query_errors".into(), s.query_errors),
-                    ("queries_shed".into(), s.queries_shed),
                     ("pings".into(), s.pings),
                     ("protocol_errors".into(), s.protocol_errors),
                     ("dropped_replies".into(), s.dropped_replies),
@@ -353,45 +200,17 @@ impl Server {
             });
         }
         // Thread spawns can fail under resource pressure; a server that
-        // cannot field its pool must report that, not panic half-built.
-        // Closing the queue unblocks any workers that did start so they
-        // exit instead of leaking.
-        let spawned = (0..shared.cfg.workers.max(1))
-            .map(|i| {
-                let shared = shared.clone();
-                std::thread::Builder::new()
-                    .name(format!("idb-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
-            })
-            .collect::<std::io::Result<Vec<_>>>();
-        let workers = match spawned {
-            Ok(workers) => workers,
-            Err(e) => {
-                shared.queue.close();
-                return Err(e.into());
-            }
-        };
+        // cannot field its acceptor must report that, not panic half-built.
         let acceptor = {
-            let shared2 = shared.clone();
-            let spawned = std::thread::Builder::new()
+            let shared = shared.clone();
+            std::thread::Builder::new()
                 .name("idb-acceptor".into())
-                .spawn(move || accept_loop(&listener, &shared2));
-            match spawned {
-                Ok(handle) => handle,
-                Err(e) => {
-                    shared.queue.close();
-                    for h in workers {
-                        let _ = h.join();
-                    }
-                    return Err(e.into());
-                }
-            }
+                .spawn(move || accept_loop(&listener, &shared))?
         };
         Ok(Server {
             shared,
             local_addr,
             acceptor: Some(acceptor),
-            workers,
             checkpointer,
             degrader,
         })
@@ -420,30 +239,22 @@ impl Server {
     }
 
     fn shutdown_inner(&mut self) -> Result<()> {
-        // 1. Stop admitting: flag + a self-connection to unblock accept().
+        // 1. Stop accepting: flag + a self-connection to unblock accept().
         self.shared.shutting_down.store(true, Ordering::Release);
         let _ = TcpStream::connect(self.local_addr);
         if let Some(h) = self.acceptor.take() {
             let _ = h.join();
         }
-        // 2. Unblock readers (close the read side so in-flight responses
-        //    can still be written) and join them — no new jobs after this.
+        // 2. Close every connection's read side and join its thread. A
+        //    query already read runs to the end and its reply (the commit
+        //    acknowledgment) is written; the next read sees end-of-stream.
         for stream in self.shared.conns.lock().values() {
             let _ = stream.shutdown(Shutdown::Read);
         }
         for h in std::mem::take(&mut *self.shared.readers.lock()) {
             let _ = h.join();
         }
-        // 3. Drain the pool: close the queue, workers finish every
-        //    admitted job (acknowledging its commit) and exit.
-        self.shared.queue.close();
-        for h in std::mem::take(&mut self.workers) {
-            let _ = h.join();
-        }
-        for stream in self.shared.conns.lock().drain().map(|(_, s)| s) {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
-        // 4. Background daemons: final drain tick, then join.
+        // 3. Background daemons: final drain tick, then join.
         let mut first_err = None;
         if let Some(d) = self.degrader.take() {
             if let Err(e) = d.stop() {
@@ -455,7 +266,7 @@ impl Server {
                 first_err.get_or_insert(e);
             }
         }
-        // 5. The Db (and with it the group-commit pipeline, drained by
+        // 4. The Db (and with it the group-commit pipeline, drained by
         //    its drop order) goes down with the last Arc — the caller may
         //    still hold one for post-shutdown inspection.
         match first_err {
@@ -467,7 +278,7 @@ impl Server {
 
 impl Drop for Server {
     fn drop(&mut self) {
-        if self.acceptor.is_some() || !self.workers.is_empty() {
+        if self.acceptor.is_some() {
             // lint:allow(L006, drop is best-effort; shutdown errors have no caller left to report to)
             let _ = self.shutdown_inner();
         }
@@ -561,9 +372,8 @@ fn refuse(mut stream: TcpStream) {
 }
 
 fn reader_loop(mut stream: TcpStream, shared: &Arc<Shared>) {
-    // Timeouts apply to the socket, so the write-side clone taken below
-    // inherits them: replies to a client that stopped reading fail after
-    // `write_timeout` per syscall instead of parking a worker forever.
+    // Replies to a client that stopped reading fail after `write_timeout`
+    // per syscall instead of parking this thread forever.
     let _ = stream.set_write_timeout(Some(shared.cfg.write_timeout));
     // The handshake read is deadlined — a connect-and-say-nothing client
     // must not hold a max_connections slot indefinitely…
@@ -606,59 +416,26 @@ fn reader_loop(mut stream: TcpStream, shared: &Arc<Shared>) {
     // …but an *established* idle connection is legitimate: lift the
     // read deadline for the session loop.
     let _ = stream.set_read_timeout(None);
-    let conn = Arc::new(ConnState {
-        stream: Mutex::ranked(
-            160,
-            match stream.try_clone() {
-                Ok(s) => s,
-                Err(_) => return,
-            },
-        ),
-        max_frame_bytes: shared.cfg.max_frame_bytes,
-        session: Mutex::ranked(150, {
-            let mut session = Session::with_registry(shared.db.clone(), shared.hierarchies.clone());
-            session.set_read_only(shared.cfg.read_only);
-            session
-        }),
-        turn: Mutex::ranked(140, 0),
-        turn_cv: Condvar::new(),
-    });
-    let mut next_seq = 0u64;
+    let max_frame_bytes = shared.cfg.max_frame_bytes;
+    let mut session = Session::with_registry(shared.db.clone(), shared.hierarchies.clone());
+    session.set_read_only(shared.cfg.read_only);
     loop {
-        match protocol::read_frame(&mut stream, shared.cfg.max_frame_bytes) {
+        match protocol::read_frame(&mut stream, max_frame_bytes) {
             Ok(Some(Frame::Query { sql })) => {
                 shared.stats.add(|s| &s.frames);
-                let seq = next_seq;
-                next_seq += 1;
-                match shared.queue.try_push(Job {
-                    conn: conn.clone(),
-                    sql,
-                    seq,
-                }) {
-                    Pushed::Queued => {}
-                    Pushed::Shed => {
-                        // In turn like any reply: a shed for query N must
-                        // not overtake the result of admitted query N-1,
-                        // or a pipelining client mispairs them. Blocking
-                        // here also stops reading from this connection —
-                        // natural per-connection backpressure; the accept
-                        // loop and other connections are unaffected.
-                        shared.stats.add(|s| &s.shed_queries);
-                        conn.send_in_turn(
-                            seq,
-                            &Frame::error(&Error::ServerBusy(format!(
-                                "query queue full ({} deep)",
-                                shared.cfg.queue_depth
-                            ))),
-                        );
-                    }
-                    Pushed::Closed => return,
+                let reply = execute(shared, &mut session, &sql);
+                let _reply_span = shared.db.obs().span(Stage::QueryReply);
+                if !send(&mut stream, &reply, max_frame_bytes) {
+                    // Mid-query disconnect: the commit (if any) stands, the
+                    // reply has no reader.
+                    shared.stats.add(|s| &s.dropped_replies);
+                    return;
                 }
             }
             Ok(Some(Frame::Ping)) => {
                 shared.stats.add(|s| &s.frames);
                 shared.stats.add(|s| &s.pings);
-                if !conn.send(&Frame::Pong) {
+                if !send(&mut stream, &Frame::Pong, max_frame_bytes) {
                     return;
                 }
             }
@@ -670,9 +447,13 @@ fn reader_loop(mut stream: TcpStream, shared: &Arc<Shared>) {
             }
             Ok(Some(other)) => {
                 shared.stats.add(|s| &s.protocol_errors);
-                conn.send(&Frame::error(&Error::Corrupt(format!(
-                    "unexpected frame {other:?} after handshake"
-                ))));
+                send(
+                    &mut stream,
+                    &Frame::error(&Error::Corrupt(format!(
+                        "unexpected frame {other:?} after handshake"
+                    ))),
+                    max_frame_bytes,
+                );
                 return;
             }
             Ok(None) => return, // client disconnected
@@ -680,13 +461,20 @@ fn reader_loop(mut stream: TcpStream, shared: &Arc<Shared>) {
                 // Oversized or unparseable frame: the stream position is
                 // no longer trustworthy — answer typed, then close.
                 shared.stats.add(|s| &s.protocol_errors);
-                conn.send(&Frame::error(&e));
+                send(&mut stream, &Frame::error(&e), max_frame_bytes);
                 let _ = stream.shutdown(Shutdown::Both);
                 return;
             }
             Err(_) => return, // transport error
         }
     }
+}
+
+/// Best-effort reply (an oversized one becomes a typed capacity error,
+/// keeping the connection alive instead of desynchronizing the client);
+/// `false` when the client is gone.
+fn send(stream: &mut TcpStream, frame: &Frame, max_frame_bytes: u32) -> bool {
+    protocol::write_frame_capped(stream, frame, max_frame_bytes).is_ok()
 }
 
 /// Write a frame to a not-yet-registered connection (handshake errors).
@@ -696,77 +484,51 @@ fn send_raw(stream: &mut TcpStream, frame: &Frame) {
     let _ = protocol::write_frame(stream, frame);
 }
 
-fn worker_loop(shared: &Arc<Shared>) {
-    while let Some(job) = shared.queue.pop() {
-        // Arrival-order gate: never executes query N before N-1's reply
-        // is out (no deadlock: the global queue is FIFO, so every
-        // earlier same-connection job was popped — and is progressing on
-        // some worker — before this one).
-        job.conn.await_turn(job.seq);
-        // DDL statements execute under the journal lock, so the journal
-        // records CREATE TABLEs in exactly catalog-TableId order even
-        // when two connections race — recovery replays the journal top
-        // to bottom and must re-derive the same ids the WAL records
-        // carry. (Residual window, documented on `journal_ddl`: a crash
-        // between the catalog insert and the journal fsync can lose a
-        // table another connection already saw by name.)
-        let ddl_guard = if is_ddl(&job.sql) {
-            shared.ddl.as_ref().map(|m| m.lock())
-        } else {
-            None
-        };
-        let result = {
-            let mut session = job.conn.session.lock();
-            // lint:allow(L102, the session turn mutex is held for the whole statement by design (sessions are serial); a CHECKPOINT statement fsyncs under it)
-            session.execute(&job.sql)
-        };
-        shared.stats.add(|s| &s.queries);
-        let reply = match result {
-            Ok(output) => {
-                // A created table must be journaled durably *before* the
-                // acknowledgment: if the journal write fails, the client
-                // is told the CREATE failed (the in-memory table exists
-                // but would be unrecoverable after a restart — rows
-                // committed into it must not look durable).
-                let journaled = match (&output, ddl_guard) {
-                    (QueryOutput::TableCreated(name), Some(mut file)) => {
-                        let journaled = journal_ddl(&mut file, &job.sql);
-                        if journaled.is_err() {
-                            // Undo the catalog insert so the unjournaled
-                            // table cannot accept acknowledged commits
-                            // that recovery would have no schema for.
-                            // Safe under the still-held DDL lock (no
-                            // concurrent CREATE can have taken an id).
-                            // lint:allow(L006, undo path already reporting the original error; a detach failure leaves only a harmless orphan entry)
-                            let _ = shared.db.catalog().detach_table(name);
-                        }
-                        journaled
-                    }
-                    _ => Ok(()),
-                };
-                match journaled {
-                    // A stats snapshot rides its own frame kind, so
-                    // monitoring agents can match on the kind byte.
-                    Ok(()) => match output {
-                        QueryOutput::Stats(snap) => Frame::Stats(snap),
-                        other => Frame::ResultSet(other),
-                    },
-                    Err(e) => {
-                        shared.stats.add(|s| &s.query_errors);
-                        Frame::error(&e)
-                    }
+/// Execute one statement on the connection's session and build its reply.
+fn execute(shared: &Shared, session: &mut Session, sql: &str) -> Frame {
+    // DDL statements execute under the journal lock, so the journal
+    // records CREATE TABLEs in exactly catalog-TableId order even when two
+    // connections race — recovery replays the journal top to bottom and
+    // must re-derive the same ids the WAL records carry. (Residual window,
+    // documented on `journal_ddl`: a crash between the catalog insert and
+    // the journal fsync can lose a table another connection already saw
+    // by name.)
+    let ddl_guard = if is_ddl(sql) {
+        shared.ddl.as_ref().map(|m| m.lock())
+    } else {
+        None
+    };
+    let result = session.execute(sql);
+    shared.stats.add(|s| &s.queries);
+    // A created table must be journaled durably *before* the
+    // acknowledgment: if the journal write fails, the client is told the
+    // CREATE failed (the in-memory table exists but would be unrecoverable
+    // after a restart — rows committed into it must not look durable).
+    let result = match (result, ddl_guard) {
+        (Ok(QueryOutput::TableCreated(name)), Some(mut file)) => {
+            match journal_ddl(&mut file, sql) {
+                Ok(()) => Ok(QueryOutput::TableCreated(name)),
+                Err(e) => {
+                    // Undo the catalog insert so the unjournaled table cannot
+                    // accept acknowledged commits that recovery would have no
+                    // schema for. Safe under the still-held DDL lock (no
+                    // concurrent CREATE can have taken an id).
+                    // lint:allow(L006, undo path already reporting the original error; a detach failure leaves only a harmless orphan entry)
+                    let _ = shared.db.catalog().detach_table(&name);
+                    Err(e)
                 }
             }
-            Err(e) => {
-                shared.stats.add(|s| &s.query_errors);
-                Frame::error(&e)
-            }
-        };
-        let _reply_span = shared.db.obs().span(Stage::QueryReply);
-        if !job.conn.finish_turn(&reply) {
-            // Mid-query disconnect: the commit (if any) stands, the
-            // reply has no reader. The worker moves on.
-            shared.stats.add(|s| &s.dropped_replies);
+        }
+        (result, _) => result,
+    };
+    match result {
+        // A stats snapshot rides its own frame kind, so monitoring agents
+        // can match on the kind byte.
+        Ok(QueryOutput::Stats(snap)) => Frame::Stats(snap),
+        Ok(other) => Frame::ResultSet(other),
+        Err(e) => {
+            shared.stats.add(|s| &s.query_errors);
+            Frame::error(&e)
         }
     }
 }

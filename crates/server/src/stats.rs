@@ -4,7 +4,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Monotonic counters updated by the acceptor, readers and workers.
+/// Monotonic counters updated by the acceptor and the connection threads.
 #[derive(Debug, Default)]
 pub(crate) struct StatsCells {
     pub accepted: AtomicU64,
@@ -13,7 +13,6 @@ pub(crate) struct StatsCells {
     pub frames: AtomicU64,
     pub queries: AtomicU64,
     pub query_errors: AtomicU64,
-    pub shed_queries: AtomicU64,
     pub pings: AtomicU64,
     pub protocol_errors: AtomicU64,
     pub dropped_replies: AtomicU64,
@@ -33,7 +32,6 @@ impl StatsCells {
             frames: self.frames.load(o),
             queries: self.queries.load(o),
             query_errors: self.query_errors.load(o),
-            queries_shed: self.shed_queries.load(o),
             pings: self.pings.load(o),
             protocol_errors: self.protocol_errors.load(o),
             dropped_replies: self.dropped_replies.load(o),
@@ -58,9 +56,6 @@ pub struct ServerStats {
     pub queries: u64,
     /// Executed queries that returned an engine error frame.
     pub query_errors: u64,
-    /// Query frames shed by queue-depth backpressure with `ServerBusy`
-    /// (never executed).
-    pub queries_shed: u64,
     /// Ping frames answered.
     pub pings: u64,
     /// Connections torn down for protocol violations (oversized frame,
@@ -69,11 +64,4 @@ pub struct ServerStats {
     /// Responses that could not be written because the client was gone
     /// (mid-query disconnects).
     pub dropped_replies: u64,
-}
-
-impl ServerStats {
-    /// Requests refused by admission control (either gate).
-    pub fn total_shed(&self) -> u64 {
-        self.connections_shed + self.queries_shed
-    }
 }

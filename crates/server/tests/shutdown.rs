@@ -3,12 +3,14 @@
 //! the background daemons, and close listeners — and no commit the
 //! server *acknowledged* over the wire may be lost.
 
+use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use instant_common::MockClock;
-use instant_core::query::HierarchyRegistry;
-use instant_core::{Db, DbConfig};
+use instant_core::query::{HierarchyRegistry, QueryOutput};
+use instant_core::{Db, DbConfig, GroupCommitConfig};
+use instant_server::protocol::{self, Frame};
 use instant_server::{open_or_recover, Client, Server, ServerConfig};
 
 fn scratch(tag: &str) -> std::path::PathBuf {
@@ -84,10 +86,11 @@ fn no_acknowledged_commit_lost_on_shutdown() {
 }
 
 #[test]
-fn shutdown_executes_admitted_queries_before_stopping_workers() {
-    // Queries already admitted to the worker queue when shutdown begins
-    // are executed, not dropped (their replies may fail — the client is
-    // being disconnected — but the engine work completes).
+fn shutdown_finishes_and_acknowledges_a_query_already_read() {
+    // A query the server has read when shutdown begins runs to the end and
+    // its reply — the commit acknowledgment — reaches the client before
+    // `shutdown` returns. A lingering group-commit drain keeps the INSERT
+    // in flight while shutdown starts.
     let dir = scratch("shutdown-drain");
     let base = dir.join("db");
     let clock = MockClock::new();
@@ -95,6 +98,10 @@ fn shutdown_executes_admitted_queries_before_stopping_workers() {
     let db = open_or_recover(
         DbConfig {
             path: Some(base.clone()),
+            group_commit: GroupCommitConfig {
+                max_delay: Duration::from_millis(150),
+                ..GroupCommitConfig::default()
+            },
             ..DbConfig::default()
         },
         clock.shared(),
@@ -102,13 +109,36 @@ fn shutdown_executes_admitted_queries_before_stopping_workers() {
     )
     .unwrap();
     let server = Server::start(db.clone(), reg.clone(), ServerConfig::default()).unwrap();
-    let addr = server.local_addr().to_string();
-    let mut client = Client::connect(&addr).unwrap();
+    let addr = server.local_addr();
+    let mut client = Client::connect(addr.to_string()).unwrap();
     client
         .query("CREATE TABLE kv (k INT INDEXED, v TEXT)")
         .unwrap();
-    client.query("INSERT INTO kv VALUES (1, 'one')").unwrap();
+
+    let mut raw = TcpStream::connect(addr).unwrap();
+    protocol::write_frame(&mut raw, &protocol::client_hello("raw")).unwrap();
+    assert!(matches!(
+        protocol::read_frame(&mut raw, 1 << 20).unwrap().unwrap(),
+        Frame::Hello { .. }
+    ));
+    protocol::write_frame(
+        &mut raw,
+        &Frame::Query {
+            sql: "INSERT INTO kv VALUES (1, 'one')".into(),
+        },
+    )
+    .unwrap();
+    // Read by the server = counted as a frame (the CREATE was the first).
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.stats().frames < 2 {
+        assert!(Instant::now() < deadline, "{:?}", server.stats());
+        std::thread::yield_now();
+    }
     server.shutdown().unwrap();
+    match protocol::read_frame(&mut raw, 1 << 20).unwrap() {
+        Some(Frame::ResultSet(QueryOutput::Inserted(1))) => {}
+        other => panic!("the INSERT read before shutdown must be acknowledged: {other:?}"),
+    }
     assert_eq!(
         db.catalog().get("kv").unwrap().live_count().unwrap(),
         1,

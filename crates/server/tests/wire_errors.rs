@@ -1,7 +1,7 @@
 //! Error-path coverage over the wire: malformed SQL, oversized frames,
 //! protocol garbage and mid-query disconnects must each produce a typed
 //! `Error` frame (or a clean close) and leave the connection and the
-//! worker pool healthy.
+//! server healthy.
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -100,7 +100,7 @@ fn oversized_frame_gets_typed_error_then_clean_close() {
         other => panic!("expected typed error, got {other:?}"),
     }
 
-    // And the pool is untouched: a well-behaved client works.
+    // And the server is untouched: a well-behaved client works.
     let mut client = Client::connect(addr.to_string()).unwrap();
     client
         .query("CREATE TABLE kv (k INT INDEXED, v TEXT)")
@@ -140,54 +140,64 @@ fn oversized_reply_becomes_typed_capacity_error_and_connection_survives() {
 }
 
 #[test]
-fn mid_query_disconnects_leave_worker_pool_healthy() {
-    let server = server_with(ServerConfig {
-        workers: 2,
-        ..ServerConfig::default()
-    });
+fn mid_query_disconnects_leave_the_server_healthy_and_count_dropped_replies() {
+    let server = server_with(ServerConfig::default());
     let addr = server.local_addr();
     let mut client = Client::connect(addr.to_string()).unwrap();
     client
         .query("CREATE TABLE kv (k INT INDEXED, v TEXT)")
         .unwrap();
+    // Wide rows: a full SELECT's reply spans many TCP segments, so writing
+    // it to a peer that has closed fails once the peer's reset arrives.
+    const ROWS: usize = 100;
+    let wide = "w".repeat(2000);
+    for i in 0..ROWS {
+        client
+            .query(&format!("INSERT INTO kv VALUES ({i}, '{wide}')"))
+            .unwrap();
+    }
 
-    // Far more vanishing clients than workers: each sends a query and
-    // drops the socket without reading the reply. If a worker leaked or
-    // wedged per incident, the final round trips below would hang.
-    for i in 0..10 {
+    // Vanishing clients: each sends one query and drops the socket
+    // without reading the reply. If a connection thread leaked or wedged
+    // per incident, the checks below would time out.
+    const DOOMED_INSERTS: usize = 10;
+    const DOOMED_SELECTS: u64 = 3;
+    let doomed = (0..DOOMED_INSERTS)
+        .map(|i| format!("INSERT INTO kv VALUES ({}, 'doomed')", 1000 + i))
+        .chain((0..DOOMED_SELECTS).map(|_| "SELECT v FROM kv".to_string()));
+    for sql in doomed {
         let mut raw = handshake(addr);
-        protocol::write_frame(
-            &mut raw,
-            &Frame::Query {
-                sql: format!("INSERT INTO kv VALUES ({}, 'doomed')", 100 + i),
-            },
-        )
-        .unwrap();
+        protocol::write_frame(&mut raw, &Frame::Query { sql }).unwrap();
         drop(raw); // gone before the reply
     }
 
-    // Every admitted query executed (commits stand even though nobody
-    // read the acks), and the pool still answers.
+    // Every query the server read executed (commits stand even though
+    // nobody read the acks), and every doomed connection's thread exited.
     let deadline = Instant::now() + Duration::from_secs(10);
-    let expected = 10;
+    let expected = ROWS + DOOMED_INSERTS;
     loop {
-        // Wait-die can victimize this reader while the doomed inserts
-        // drain — a typed, retryable conflict, exactly as embedded.
+        // Wait-die can victimize this reader while the doomed queries
+        // run — a typed, retryable conflict, exactly as embedded.
         let rows = match client.query("SELECT k FROM kv") {
-            Ok(out) => out.rows(),
+            Ok(out) => out.rows().rows.len(),
             Err(e) if e.is_retryable() && Instant::now() < deadline => continue,
             Err(e) => panic!("SELECT failed: {e:?}"),
         };
-        if rows.rows.len() == expected {
+        if rows == expected && server.stats().connections_active == 1 {
             break;
         }
         assert!(
             Instant::now() < deadline,
-            "only {} of {expected} disconnected-client inserts landed",
-            rows.rows.len()
+            "{rows} of {expected} rows landed; {:?}",
+            server.stats()
         );
         std::thread::sleep(Duration::from_millis(20));
     }
+    let stats = server.stats();
+    assert!(
+        stats.dropped_replies >= DOOMED_SELECTS,
+        "each unread multi-segment reply is a dropped reply: {stats:?}"
+    );
     client.query("INSERT INTO kv VALUES (1, 'alive')").unwrap();
     let rows = client.query("SELECT k FROM kv").unwrap().rows();
     assert_eq!(rows.rows.len(), expected + 1);

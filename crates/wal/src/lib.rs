@@ -43,7 +43,8 @@
 //!
 //! The cipher ([`cipher`]) is a from-scratch ChaCha20 core. **It exists to
 //! model keyed erasure in a dependency-free build, not as audited
-//! production cryptography** (see DESIGN.md, substitution table).
+//! production cryptography**: the build has no crate registry, so no
+//! vetted cipher crate can be linked; a deployment would swap one in.
 
 pub mod cipher;
 pub mod group;

@@ -4,7 +4,7 @@
 //! exact shape of the paper's Fig. 1 — address → city → region → country —
 //! at configurable fan-out, plus Zipf-skewed samplers over its leaves.
 //! This substitutes for the real cell-phone/RFID location feeds the paper
-//! assumes (see DESIGN.md's substitution table): the degradation mechanism
+//! assumes (PAPER.md), which are not public: the degradation mechanism
 //! only observes the hierarchy shape and the value skew, both of which are
 //! controlled here.
 

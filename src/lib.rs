@@ -51,7 +51,7 @@
 //! | [`index`] | B+-tree, bitmap, multi-level index |
 //! | [`tx`] | 2PL locks, wait-die, transactions |
 //! | [`core`] | catalog, scheduler, SQL, the [`prelude::Db`] engine |
-//! | [`server`] | TCP front-end: wire protocol, session pool, admission control |
+//! | [`server`] | TCP front-end: wire protocol, a thread per connection, admission control |
 //! | [`workload`] | generators and attacker models |
 
 pub use instant_common as common;

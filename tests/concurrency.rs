@@ -2,28 +2,31 @@
 //! together — the paper's "potential conflicts between degradation steps
 //! and reader transactions".
 
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+use std::thread::{JoinHandle, ThreadId};
 
 use instantdb::prelude::*;
+
+fn person_schema() -> TableSchema {
+    let gt: Arc<dyn Hierarchy> = Arc::new(location_tree_fig1());
+    TableSchema::new(
+        "person",
+        vec![
+            Column::stable("id", DataType::Int).with_index(),
+            Column::degradable("location", DataType::Str, gt, AttributeLcp::fig2_location())
+                .unwrap()
+                .with_index(),
+        ],
+    )
+    .unwrap()
+}
 
 fn setup() -> (MockClock, Arc<Db>) {
     let clock = MockClock::new();
     let db = Arc::new(Db::open(DbConfig::default(), clock.shared()).unwrap());
-    let gt: Arc<dyn Hierarchy> = Arc::new(location_tree_fig1());
-    db.create_table(
-        TableSchema::new(
-            "person",
-            vec![
-                Column::stable("id", DataType::Int).with_index(),
-                Column::degradable("location", DataType::Str, gt, AttributeLcp::fig2_location())
-                    .unwrap()
-                    .with_index(),
-            ],
-        )
-        .unwrap(),
-    )
-    .unwrap();
+    db.create_table(person_schema()).unwrap();
     (clock, db)
 }
 
@@ -346,6 +349,160 @@ fn checkpoint_shredding_beside_the_pump_fails_no_step_and_strands_no_row() {
         errors.len(),
         errors.first()
     );
+}
+
+/// A clock whose first reading on one armed thread races a checkpoint into
+/// the gap after that reading: on another thread it moves time on an hour
+/// and checkpoints — shredding the key window the reading falls in — and
+/// waits up to 500 ms for that checkpoint, then returns the reading it took
+/// before the jump.
+#[derive(Debug)]
+struct CheckpointOnFirstRead {
+    clock: MockClock,
+    armed: Mutex<Option<(ThreadId, Arc<Db>)>>,
+    checkpointer: Mutex<Option<JoinHandle<()>>>,
+}
+
+impl CheckpointOnFirstRead {
+    fn new() -> Arc<CheckpointOnFirstRead> {
+        Arc::new(CheckpointOnFirstRead {
+            clock: MockClock::new(),
+            armed: Mutex::new(None),
+            checkpointer: Mutex::new(None),
+        })
+    }
+
+    /// Race a checkpoint into the calling thread's next clock reading.
+    fn arm(&self, db: &Arc<Db>) {
+        *self.armed.lock().unwrap() = Some((std::thread::current().id(), db.clone()));
+    }
+
+    /// Wait for the raced checkpoint to finish.
+    fn join(&self) {
+        let handle = self.checkpointer.lock().unwrap().take();
+        handle.expect("the armed reading happened").join().unwrap();
+    }
+}
+
+impl Clock for CheckpointOnFirstRead {
+    fn now(&self) -> Timestamp {
+        let now = self.clock.now();
+        let fire = {
+            let mut armed = self.armed.lock().unwrap();
+            match armed.as_ref() {
+                Some((thread, _)) if *thread == std::thread::current().id() => armed.take(),
+                _ => None,
+            }
+        };
+        if let Some((_, db)) = fire {
+            let clock = self.clock.clone();
+            let (done, finished) = std::sync::mpsc::channel();
+            let handle = std::thread::spawn(move || {
+                clock.advance(Duration::hours(1));
+                db.checkpoint().unwrap();
+                let _ = done.send(());
+            });
+            let _ = finished.recv_timeout(std::time::Duration::from_millis(500));
+            *self.checkpointer.lock().unwrap() = Some(handle);
+        }
+        now
+    }
+}
+
+struct TempDbPath(PathBuf);
+
+impl TempDbPath {
+    fn new(tag: &str) -> TempDbPath {
+        let t = TempDbPath(std::env::temp_dir().join(format!(
+            "instantdb-conc-{tag}-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        )));
+        t.cleanup();
+        t
+    }
+
+    fn cfg(&self) -> DbConfig {
+        DbConfig {
+            path: Some(self.0.clone()),
+            ..DbConfig::default()
+        }
+    }
+
+    fn cleanup(&self) {
+        for ext in [".idb", ".wal"] {
+            let mut p = self.0.clone().into_os_string();
+            p.push(ext);
+            let _ = std::fs::remove_file(&p);
+            let _ = std::fs::remove_dir_all(&p); // the WAL is a segment dir
+        }
+    }
+}
+
+impl Drop for TempDbPath {
+    fn drop(&mut self) {
+        self.cleanup();
+    }
+}
+
+/// Run `op` with a checkpoint raced into its first clock reading, then
+/// crash and recover; returns the recovered `person` rows' ids.
+fn race_checkpoint_into_first_clock_read(
+    tag: &str,
+    op: impl FnOnce(&Arc<Db>, &CheckpointOnFirstRead) -> Result<()>,
+) -> Vec<Value> {
+    let path = TempDbPath::new(tag);
+    let clock = CheckpointOnFirstRead::new();
+    let db = Arc::new(Db::open(path.cfg(), clock.clone()).unwrap());
+    db.create_table(person_schema()).unwrap();
+    let outcome = op(&db, &clock);
+    clock.join();
+    assert!(outcome.is_ok(), "{outcome:?}");
+    drop(db); // crash: no shutdown checkpoint
+    let db =
+        Db::recover_with_schemas(path.cfg(), clock.clock.shared(), vec![person_schema()]).unwrap();
+    let table = db.catalog().get("person").unwrap();
+    table
+        .scan()
+        .unwrap()
+        .into_iter()
+        .map(|(_, t)| t.row[0].clone())
+        .collect()
+}
+
+/// `insert` reads the clock under the checkpoint gate's shared side, so a
+/// checkpoint that advances past that reading and shreds its window can
+/// only run after the insert has sealed its image: the insert succeeds
+/// and its row survives a crash.
+#[test]
+fn insert_seals_with_a_clock_read_under_the_checkpoint_gate() {
+    let ids = race_checkpoint_into_first_clock_read("ins", |db, clock| {
+        clock.arm(db);
+        db.insert(
+            "person",
+            &[Value::Int(1), Value::Str("4 rue Jussieu".into())],
+        )
+        .map(|_| ())
+    });
+    assert_eq!(ids, vec![Value::Int(1)]);
+}
+
+/// The same race for `update_stable`: its new image is sealed in a live
+/// window and the updated value survives a crash.
+#[test]
+fn update_stable_seals_with_a_clock_read_under_the_checkpoint_gate() {
+    let ids = race_checkpoint_into_first_clock_read("upd", |db, clock| {
+        let tid = db
+            .insert(
+                "person",
+                &[Value::Int(1), Value::Str("4 rue Jussieu".into())],
+            )
+            .unwrap();
+        let table = db.catalog().get("person").unwrap();
+        clock.arm(db);
+        db.update_stable(&table, tid, instantdb::common::ColumnId(0), Value::Int(2))
+    });
+    assert_eq!(ids, vec![Value::Int(2)]);
 }
 
 #[test]
