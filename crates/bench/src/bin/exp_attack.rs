@@ -9,7 +9,7 @@
 //! capture ≈ 100% while the attack period ≤ the shortest step (6 h), then
 //! decays ∝ step/period.
 //!
-//! Run: `cargo run --release -p instant-bench --bin exp_attack`
+//! Run: `cargo run --release -p instant_bench --bin exp_attack`
 
 use instant_bench::{f, setup, Report};
 use instant_common::{Duration, MockClock, Timestamp};

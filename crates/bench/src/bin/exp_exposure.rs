@@ -7,7 +7,7 @@
 //! t beyond the first LCP step; static anonymization constant between them;
 //! no-protection = retention until the TTL cliff.
 //!
-//! Run: `cargo run --release -p instant-bench --bin exp_exposure`
+//! Run: `cargo run --release -p instant_bench --bin exp_exposure`
 
 use instant_bench::{f, setup, Report};
 use instant_common::{Duration, LevelId, MockClock, Timestamp};

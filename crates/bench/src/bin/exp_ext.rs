@@ -7,7 +7,7 @@
 //!     accuracy over a mixed-age store.
 //! (c) Per-user LCPs: standard vs paranoid routing, exposure each.
 //!
-//! Run: `cargo run --release -p instant-bench --bin exp_ext`
+//! Run: `cargo run --release -p instant_bench --bin exp_ext`
 
 use std::sync::Arc;
 

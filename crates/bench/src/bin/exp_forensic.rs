@@ -7,7 +7,7 @@
 //! only overwrite+sealed reaches zero before checkpoint, and checkpoint
 //! truncation closes the plaintext-log channel after the fact.
 //!
-//! Run: `cargo run --release -p instant-bench --bin exp_forensic`
+//! Run: `cargo run --release -p instant_bench --bin exp_forensic`
 
 use instant_bench::{setup, Report};
 use instant_common::{Duration, MockClock, Value};

@@ -5,7 +5,7 @@
 //!          country 1mo → removed), driven through the real engine.
 //! Fig. 3 — the tuple LCP as the product of two attribute LCPs.
 //!
-//! Run: `cargo run --release -p instant-bench --bin exp_model`
+//! Run: `cargo run --release -p instant_bench --bin exp_model`
 
 use instant_bench::Report;
 use instant_common::{Duration, LevelId, Value};

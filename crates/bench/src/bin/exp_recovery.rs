@@ -4,9 +4,10 @@
 //! every committed tuple is back at its exact degraded state (engine ==
 //! abstract model), (b) nothing resurrected to finer accuracy, and report
 //! the recovery wall time against the replayed log size. Expected shape:
-//! recovery time linear in the post-checkpoint log.
+//! recovery time linear in the post-checkpoint log. Exits with status 1
+//! if any run counts a state mismatch or a resurrection.
 //!
-//! Run: `cargo run --release -p instant-bench --bin exp_recovery`
+//! Run: `cargo run --release -p instant_bench --bin exp_recovery`
 
 use std::path::PathBuf;
 use std::time::Instant;
@@ -32,8 +33,10 @@ fn main() {
             "recovery ms",
         ],
     );
+    let mut failures = 0usize;
     for n in [100usize, 500, 2000, 8000] {
         let row = run(&domain, n);
+        failures += row.2 + row.3;
         r.row_strings(vec![
             n.to_string(),
             row.0.to_string(),
@@ -44,6 +47,10 @@ fn main() {
         ]);
     }
     r.emit("e11_recovery");
+    if failures > 0 {
+        eprintln!("exp_recovery: recovered state diverged from the model");
+        std::process::exit(1);
+    }
 }
 
 fn run(domain: &LocationDomain, n: usize) -> (u64, usize, usize, usize, u128) {

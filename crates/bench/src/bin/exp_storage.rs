@@ -6,7 +6,7 @@
 //! vacuum-driven reuse cycle — the store does not grow without bound even
 //! though the stream never stops (complete disappearance is enforced).
 //!
-//! Run: `cargo run --release -p instant-bench --bin exp_storage`
+//! Run: `cargo run --release -p instant_bench --bin exp_storage`
 
 use instant_bench::{setup, Report};
 use instant_common::{Duration, MockClock, Timestamp, Value};

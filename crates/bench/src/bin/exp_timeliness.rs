@@ -7,7 +7,7 @@
 //! Expected shape: throughput grows with batch size (fewer WAL syncs /
 //! system transactions), lateness bounded by the pump interval.
 //!
-//! Run: `cargo run --release -p instant-bench --bin exp_timeliness`
+//! Run: `cargo run --release -p instant_bench --bin exp_timeliness`
 
 use std::time::Instant;
 

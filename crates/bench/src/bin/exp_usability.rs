@@ -16,7 +16,7 @@
 //! the long-lived purposes where retention returns nothing, and the recent
 //! accurate purpose where the static-anonymized store returns nothing.
 //!
-//! Run: `cargo run --release -p instant-bench --bin exp_usability`
+//! Run: `cargo run --release -p instant_bench --bin exp_usability`
 
 use instant_bench::{setup, Report};
 use instant_common::{Duration, LevelId, MockClock, Timestamp, Value};

@@ -1,9 +1,10 @@
-//! # instant-bench
+//! # instant_bench
 //!
 //! The experiment harness: reporting utilities shared by the experiment
-//! binaries (`src/bin/exp_*.rs`) and Criterion benches (`benches/`).
-//! Each binary regenerates one of the paper's experiments (README,
-//! "Running things") and prints its table/series.
+//! binaries (`src/bin/exp_*.rs`). Each binary regenerates one of the
+//! paper's experiments (README, "Running things") and prints its
+//! table/series. Performance is measured by the standalone `benchmark/`
+//! package, not here.
 
 use std::fmt::Display;
 use std::io::Write;

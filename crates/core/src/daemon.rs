@@ -88,9 +88,10 @@ impl<R: Send + 'static> DaemonCore<R> {
         }
     }
 
-    /// Is the daemon thread still attached (not yet stopped)?
+    /// Is the daemon thread still alive? `false` once a step error (or
+    /// panic) has ended the thread, even before `stop` collects it.
     pub fn is_running(&self) -> bool {
-        self.handle.is_some()
+        self.handle.as_ref().is_some_and(|h| !h.is_finished())
     }
 }
 
@@ -307,6 +308,29 @@ mod tests {
         let table = db.catalog().get("person").unwrap();
         for (_, t) in table.scan().unwrap() {
             assert_eq!(t.row[1], Value::Str("Paris".into()));
+        }
+    }
+
+    #[test]
+    fn daemon_that_died_on_a_step_error_reports_not_running() {
+        let core = DaemonCore::spawn(
+            "failing-daemon",
+            std::time::Duration::from_millis(1),
+            (),
+            |_| Err(instant_common::Error::Corrupt("step failed".into())),
+        )
+        .unwrap();
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(1);
+        while core.is_running() && std::time::Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        assert!(
+            !core.is_running(),
+            "a daemon whose thread exited is not running"
+        );
+        match core.stop() {
+            Err(instant_common::Error::Corrupt(msg)) => assert_eq!(msg, "step failed"),
+            other => panic!("stop must hand back the step error, got {other:?}"),
         }
     }
 

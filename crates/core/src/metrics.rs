@@ -490,12 +490,31 @@ mod tests {
             .unwrap(),
         )
         .unwrap();
-        for i in 0..6 {
+        for i in 0..8 {
             db.insert(
                 "person",
                 &[Value::Int(i), Value::Str("4 rue Jussieu".into())],
             )
             .unwrap();
+        }
+        // Each insert logs (Begin, Insert, Commit) on its transaction's
+        // shard. Two of them on a shard mean its first drain was recorded
+        // before the second was acknowledged (one completer thread per
+        // shard), so that shard's lanes are settled by now.
+        let wal = db.wal().unwrap();
+        for k in 0..2 {
+            let appended = wal.shard(k).counters().0;
+            assert!(
+                appended >= 6,
+                "burst left shard {k} with {appended} records"
+            );
+        }
+        let snap = stats_snapshot(&db);
+        for k in 0..2 {
+            for lane in [format!("wal.drain.shard{k}"), format!("wal.fsync.shard{k}")] {
+                let h = snap.hist(&lane).unwrap_or_else(|| panic!("missing {lane}"));
+                assert!(!h.is_empty(), "{lane} recorded nothing");
+            }
         }
         db.checkpoint().unwrap();
         let snap = stats_snapshot(&db);

@@ -6,8 +6,8 @@
 //! per-purpose counts, checkpoints and recovery record whole-pass spans,
 //! and the served front-end registers a *provider* that contributes its
 //! connection/admission counters. [`Obs::snapshot`] folds everything
-//! into one [`StatsSnapshot`] — the value behind `SHOW STATS`, the
-//! `Stats` wire frame, and the CI bench artifact's NDJSON lines.
+//! into one [`StatsSnapshot`] — the value behind `SHOW STATS` and the
+//! `Stats` wire frame.
 //!
 //! Lock discipline: the three mutexes here (purpose counters 600,
 //! slow-query ring 610, providers 620) form the observability band of
@@ -360,41 +360,6 @@ impl StatsSnapshot {
     pub fn hist(&self, name: &str) -> Option<&HistogramSnapshot> {
         self.hists.iter().find(|(n, _)| n == name).map(|(_, h)| h)
     }
-
-    /// Render every non-empty histogram as one NDJSON line with an
-    /// `id` of `"<prefix>/<hist name>"` plus integer-microsecond
-    /// percentile fields — the format the CI bench lane appends to
-    /// `BENCH_*.json` next to the criterion shim's own lines.
-    pub fn ndjson_lines(&self, prefix: &str) -> Vec<String> {
-        self.hists
-            .iter()
-            .filter(|(_, h)| !h.is_empty())
-            .map(|(name, h)| {
-                format!(
-                    "{{\"id\":\"{}/{}\",\"count\":{},\"p50_us\":{},\"p95_us\":{},\"p99_us\":{},\"max_us\":{},\"mean_us\":{}}}",
-                    escape_json(prefix),
-                    escape_json(name),
-                    h.count,
-                    h.p50(),
-                    h.p95(),
-                    h.p99(),
-                    h.max_micros,
-                    h.mean_micros(),
-                )
-            })
-            .collect()
-    }
-}
-
-/// Conservative JSON string escape for snapshot/bench identifiers.
-fn escape_json(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' | '\\' => vec!['\\', c],
-            c if c.is_control() => vec![' '],
-            c => vec![c],
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -449,16 +414,6 @@ mod tests {
     }
 
     #[test]
-    fn ndjson_lines_skip_empty_hists() {
-        let obs = Obs::new();
-        obs.commit_ack.record(1000);
-        let lines = obs.snapshot().ndjson_lines("bench/clients/1");
-        assert_eq!(lines.len(), 1);
-        assert!(lines[0].starts_with("{\"id\":\"bench/clients/1/commit.ack\","));
-        assert!(lines[0].contains("\"p99_us\":"));
-    }
-
-    #[test]
     fn wal_shard_lanes_surface_in_snapshots_by_shard_index() {
         let obs = Obs::new();
         assert!(obs.snapshot().hist("wal.drain.shard0").is_none());
@@ -479,8 +434,6 @@ mod tests {
             "asking for shard 2 materialized the lanes below it"
         );
         assert_eq!(s.hist("wal.fsync.shard2").map(|h| h.count), Some(1));
-        let lines = s.ndjson_lines("x");
-        assert!(lines.iter().any(|l| l.contains("\"x/wal.fsync.shard2\"")));
     }
 
     #[test]

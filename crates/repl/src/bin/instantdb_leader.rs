@@ -184,14 +184,6 @@ fn main() {
                         println!("followers={} acks={}", repl.followers(), repl.acks());
                         let _ = std::io::stdout().flush();
                     }
-                    "stats-ndjson" => {
-                        let snap = instant_core::metrics::stats_snapshot(server.db());
-                        for l in snap.ndjson_lines("leader") {
-                            println!("{l}");
-                        }
-                        println!();
-                        let _ = std::io::stdout().flush();
-                    }
                     "" => {}
                     other => eprintln!("instantdb-leader: unknown control '{other}'"),
                 },

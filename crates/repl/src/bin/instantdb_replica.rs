@@ -180,14 +180,6 @@ fn main() {
                         println!("{:?}", replica.status());
                         let _ = std::io::stdout().flush();
                     }
-                    "stats-ndjson" => {
-                        let snap = instant_core::metrics::stats_snapshot(server.db());
-                        for l in snap.ndjson_lines("replica") {
-                            println!("{l}");
-                        }
-                        println!();
-                        let _ = std::io::stdout().flush();
-                    }
                     "" => {}
                     other => eprintln!("instantdb-replica: unknown control '{other}'"),
                 },

@@ -148,6 +148,14 @@ fn follower_converges_incrementally_and_serves_read_only() {
     assert!(listener.acks() > 0);
     assert_eq!(listener.followers(), 1);
 
+    // Shipping is lock-step (ship → ack → record), so the tick that
+    // carried the second burst started only after the first burst's lag
+    // landed in the leader's snapshot.
+    let snap = instant_core::metrics::stats_snapshot(&leader);
+    let lag = snap.hist("repl.lag").expect("leader exposes repl.lag");
+    assert!(lag.count >= 1, "{lag:?}");
+    assert!(lag.p50() <= lag.p95() && lag.p95() <= lag.p99(), "{lag:?}");
+
     // The follower serves SELECT / SHOW STATS and refuses mutations with
     // the typed read_only class.
     let server = Server::start(

@@ -163,9 +163,7 @@ fn main() {
 
     if args.stdin_control {
         // Control protocol: any `shutdown` line (or EOF) triggers a
-        // graceful stop; `stats` prints a counter snapshot; `stats-ndjson`
-        // dumps the full observability snapshot one JSON object per line
-        // (terminated by a blank line so a controller knows it is done).
+        // graceful stop; `stats` prints a counter snapshot.
         let stdin = std::io::stdin();
         let mut line = String::new();
         loop {
@@ -177,14 +175,6 @@ fn main() {
                     "shutdown" | "quit" | "exit" => break,
                     "stats" => {
                         println!("{:?}", server.stats());
-                        let _ = std::io::stdout().flush();
-                    }
-                    "stats-ndjson" => {
-                        let snap = instant_core::metrics::stats_snapshot(server.db());
-                        for l in snap.ndjson_lines("server") {
-                            println!("{l}");
-                        }
-                        println!();
                         let _ = std::io::stdout().flush();
                     }
                     "" => {}

@@ -98,11 +98,6 @@ pub struct GroupCommitStats {
 }
 
 impl GroupCommitStats {
-    /// fsyncs avoided versus a per-commit-fsync discipline.
-    pub fn fsyncs_saved(&self) -> u64 {
-        self.commits.saturating_sub(self.batches)
-    }
-
     /// Fold `other` into `self`: counters add, the high-water batch
     /// depth takes the max. Used to aggregate per-shard pipelines.
     pub fn merge(&mut self, other: &GroupCommitStats) {
