@@ -345,7 +345,7 @@ impl Table {
             *idx = BPlusTree::new();
         }
         let deg_cols = self.schema.degradable_columns();
-        // lint:allow(L102, rebuild scans the heap under both index write guards so no stale entry is visible mid-rebuild; a page fault may write back an evicted page)
+        // Scans under both index write guards: no stale entry is visible mid-rebuild.
         for (tid, tuple) in self.scan()? {
             for (slot, cid) in deg_cols.iter().enumerate() {
                 if let (Some(idx), Some(stage)) = (deg.get_mut(cid), tuple.stages[slot]) {

@@ -109,7 +109,6 @@ impl<R> Drop for DaemonCore<R> {
         // Unlike stop(), a drop must swallow a daemon-thread panic: this
         // drop may itself run during an unwind, and resuming a second
         // panic there would abort the process and mask both errors.
-        // lint:allow(L006, drop during unwind must swallow the join error; stop() is the reporting path)
         let _ = self.signal_and_join();
     }
 }

@@ -370,6 +370,7 @@ impl Db {
                     due,
                     table: table.id(),
                     tid,
+                    insert_ts: stored.insert_ts,
                     deg_slot: slot as u8,
                     from_stage: stage,
                 });
@@ -590,6 +591,9 @@ impl Db {
             return Ok(Applied::Skipped); // deleted meanwhile
         }
         let mut tuple = table.get(pt.tid)?;
+        if tuple.insert_ts != pt.insert_ts {
+            return Ok(Applied::Skipped); // the slot now holds a newer tuple
+        }
         let slot = pt.deg_slot as usize;
         if tuple.stages.get(slot).copied().flatten() != Some(pt.from_stage) {
             return Ok(Applied::Skipped); // already advanced / removed
@@ -636,6 +640,7 @@ impl Db {
                     due,
                     table: table.id(),
                     tid: pt.tid,
+                    insert_ts: pt.insert_ts,
                     deg_slot: pt.deg_slot,
                     from_stage: stage,
                 });
@@ -659,7 +664,7 @@ impl Db {
     /// can never persist a half-done unlogged user operation.
     pub fn checkpoint(&self) -> Result<()> {
         let _serial = self.ckpt_serial.lock();
-        // lint:allow(L102, ckpt_serial exists to serialize whole checkpoints including their flush and fsync)
+        // ckpt_serial serializes whole checkpoints, flush and fsync included.
         self.checkpoint_serial_held()
     }
 
@@ -669,7 +674,6 @@ impl Db {
     fn try_checkpoint(&self) -> Result<bool> {
         match self.ckpt_serial.try_lock() {
             Some(_serial) => {
-                // lint:allow(L102, ckpt_serial exists to serialize whole checkpoints including their flush and fsync)
                 self.checkpoint_serial_held()?;
                 Ok(true)
             }
@@ -683,7 +687,8 @@ impl Db {
         let ckpt_lsn = {
             let _excl = self.ckpt_gate.write();
             let now = self.now();
-            // lint:allow(L102, the checkpoint flush must run under the gate's exclusive side so no user op mutates pages mid-flush)
+            // The flush runs under the gate's exclusive side so no user op
+            // mutates pages mid-flush.
             self.pool.flush_all()?;
             // Rotate every shard so the Checkpoint record starts a fresh
             // segment on its shard and everything before it lives in
@@ -713,7 +718,9 @@ impl Db {
                 .map(|t| (t.id(), t.schema().name.clone()))
                 .collect();
             tables.sort();
-            // lint:allow(L102, the checkpoint record must be appended and made durable while the gate is exclusively held so it cannot interleave with a committer's batch)
+            // The Checkpoint record is appended and made durable while the gate
+            // is exclusively held, so it cannot interleave with a committer's
+            // batch.
             let ckpt_lsn = self
                 .enqueue_records_gated(vec![LogRecord::Checkpoint { at: now, tables }])?
                 .wait()?;
@@ -1345,6 +1352,25 @@ mod tests {
         clock.advance(Duration::days(400));
         let r = db.pump_degradation().unwrap();
         assert_eq!(r.fired, 0, "transition on deleted tuple is skipped");
+    }
+
+    #[test]
+    fn stale_transition_skips_the_tuple_that_reused_its_slot() {
+        let clock = MockClock::new();
+        let db = fresh(&clock);
+        let table = db.catalog().get("person").unwrap();
+        let old = db.insert("person", &row(1, "4 rue Jussieu")).unwrap();
+        db.delete_tuple(&table, old).unwrap();
+        clock.advance(Duration::minutes(30));
+        let tid = db.insert("person", &row(2, "4 rue Jussieu")).unwrap();
+        assert_eq!(tid, old, "the new row reuses the tombstoned slot");
+        // Row 1's transition is due; row 2's is 29 minutes away.
+        clock.advance(Duration::minutes(31));
+        db.pump_degradation().unwrap();
+        assert_eq!(
+            table.get(tid).unwrap().row[1],
+            Value::Str("4 rue Jussieu".into())
+        );
     }
 
     #[test]

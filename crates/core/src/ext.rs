@@ -47,6 +47,7 @@ pub fn force_degrade(db: &Db, table: &Arc<Table>, tid: TupleId) -> Result<usize>
                 due: db.now(),
                 table: table.id(),
                 tid,
+                insert_ts: tuple.insert_ts,
                 deg_slot: slot as u8,
                 from_stage: stage,
             });

@@ -15,41 +15,20 @@ use parking_lot::Mutex;
 
 use instant_common::{Duration, TableId, Timestamp, TupleId};
 
-/// One scheduled attribute transition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One scheduled attribute transition. Ordered by its fields in
+/// declaration order, due time first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct PendingTransition {
     pub due: Timestamp,
     pub table: TableId,
     pub tid: TupleId,
+    /// The armed tuple's insert time. Tuple ids are recycled, so `tid`
+    /// alone may name a newer tuple by the time this fires.
+    pub insert_ts: Timestamp,
     /// Index into the table's degradable-column list (not the column id).
     pub deg_slot: u8,
     /// The LCP stage being *left* when this fires.
     pub from_stage: u8,
-}
-
-impl Ord for PendingTransition {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (
-            self.due,
-            self.table,
-            self.tid,
-            self.deg_slot,
-            self.from_stage,
-        )
-            .cmp(&(
-                other.due,
-                other.table,
-                other.tid,
-                other.deg_slot,
-                other.from_stage,
-            ))
-    }
-}
-
-impl PartialOrd for PendingTransition {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
 }
 
 /// Log₂-bucketed latency histogram (microseconds).
@@ -240,6 +219,7 @@ mod tests {
             due: Timestamp::micros(due_us),
             table: TableId(1),
             tid: TupleId::new(1, slot as u16),
+            insert_ts: Timestamp::ZERO,
             deg_slot: slot,
             from_stage: 0,
         }

@@ -5,7 +5,7 @@
 //! a doc comment or `"panic!"` in a string literal can never false-
 //! positive. Comments are *kept* (as trivia alongside the token stream)
 //! because three of the annotations this linter understands live in them:
-//! `lint:allow(...)`, `lock-rank: ...`, and `SAFETY:`.
+//! `lint:allow`, `lock-rank:`, and `SAFETY:`.
 
 /// Kind of a lexed token. Coarser than rustc's: the rules only ever match
 /// identifier text and single-character punctuation.
@@ -40,12 +40,13 @@ impl Tok {
     }
 }
 
-/// One comment (line or block) with the line span it covers. `text`
-/// includes the comment markers.
+/// One comment (line or block) with the line span it covers and the
+/// column it starts at. `text` includes the comment markers.
 #[derive(Debug, Clone)]
 pub struct Comment {
     pub text: String,
     pub start_line: u32,
+    pub start_col: u32,
     pub end_line: u32,
 }
 
@@ -109,6 +110,7 @@ pub fn lex(source: &str) -> Lexed {
             out.comments.push(Comment {
                 text,
                 start_line: line,
+                start_col: col,
                 end_line: line,
             });
         } else if c == '/' && cur.peek(1) == Some('*') {
@@ -136,6 +138,7 @@ pub fn lex(source: &str) -> Lexed {
             out.comments.push(Comment {
                 text,
                 start_line: line,
+                start_col: col,
                 end_line: cur.line,
             });
         } else if c == '"' {

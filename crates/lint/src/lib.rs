@@ -10,26 +10,20 @@
 //! | L003 | every `unsafe` carries a `SAFETY:` comment |
 //! | L004 | no direct `std::sync` locks outside `shims/` |
 //! | L005 | no printing from library code |
-//! | L006 | no `let _ =` swallowing a workspace `Result` in hot-path code |
-//! | L101 | static lock-order: no path may acquire rank r₂ ≤ a held r₁ |
-//! | L102 | no blocking I/O while an exclusive ranked lock is held |
+//! | L000 | every `lint:allow` names one of the rules above |
 //!
 //! Violations render as `file:line:col: [Lxxx] message` (clickable in
-//! terminals and CI). The escape hatch everywhere is
-//! `// lint:allow(Lxxx, reason)` with a mandatory reason; L002
-//! additionally accepts `// lock-rank: unranked(reason)` for locks whose
-//! ordering discipline is not a static total order.
+//! terminals and CI). The escape hatch everywhere is a `lint:allow`
+//! comment naming the rule and a mandatory reason; L002 additionally
+//! accepts `// lock-rank: unranked(reason)` for locks whose ordering
+//! discipline is not a static total order.
 //!
-//! L001–L006 are token rules; L101/L102 are whole-workspace flow rules
-//! built on a lightweight item parser ([`parser`]) and a summary-fixpoint
-//! call graph ([`callgraph`]) — the static complement of the dynamic
-//! rank checker in `shims/parking_lot` (which only fires on interleavings
-//! the test suite happens to execute). See `INVARIANTS.md` for the
-//! witness-path diagnostic format and triage log.
+//! Every rule reads one file's token stream; only rank uniqueness looks
+//! across files. Lock *order* is checked where it runs: the debug-build
+//! rank checker in `shims/parking_lot` panics on any out-of-order
+//! acquisition the test suite executes.
 
-pub mod callgraph;
 pub mod lexer;
-pub mod parser;
 pub mod rules;
 pub mod source;
 pub mod workspace;
@@ -56,13 +50,10 @@ pub struct WorkspaceReport {
 }
 
 /// Walk every workspace member's `src/` tree under `root` and run all
-/// rules: per-file token rules, the cross-file rank-uniqueness pass, and
-/// the workspace-wide flow analysis (L101/L102/L006).
+/// rules: the per-file token rules, then the cross-file rank-uniqueness
+/// pass.
 pub fn lint_workspace(root: &Path) -> io::Result<WorkspaceReport> {
     let mut report = WorkspaceReport::default();
-    // Parsed files retained for the flow analysis; shims are excluded
-    // (the rank checker itself legitimately manipulates raw locks).
-    let mut parsed: Vec<(SourceFile, parser::ParsedFile)> = Vec::new();
     for member in workspace::discover(root)? {
         for rel in &member.sources {
             let text = fs::read_to_string(root.join(rel))?;
@@ -70,23 +61,15 @@ pub fn lint_workspace(root: &Path) -> io::Result<WorkspaceReport> {
                 rel_path: rel.clone(),
                 member: member.name.clone(),
             };
-            let file = SourceFile::parse(ctx, &text);
-            let file_report = rules::check_file(&file);
+            let file_report = lint_source(ctx, &text);
             report.violations.extend(file_report.violations);
             report.rank_decls.extend(file_report.rank_decls);
             report.files_checked += 1;
-            if !file.ctx.is_shim() {
-                let items = parser::parse_file(&file);
-                parsed.push((file, items));
-            }
         }
     }
     report
         .violations
         .extend(rules::check_rank_uniqueness(&report.rank_decls));
-    let analysis = callgraph::Analysis::build(&parsed);
-    report.violations.extend(analysis.check_flow());
-    report.violations.extend(analysis.check_swallowed_results());
     report
         .violations
         .sort_by(|a, b| (&a.file, a.line, a.col).cmp(&(&b.file, b.line, b.col)));

@@ -1,27 +1,19 @@
 //! `instantdb-lint`: run the workspace invariant checker.
 //!
 //! ```text
-//! instantdb-lint [--root DIR] [--deny-all] [--ranks] [--format text|json]
+//! instantdb-lint [--root DIR] [--deny-all] [--ranks]
 //! ```
 //!
 //! Exits non-zero iff violations were found. `--ranks` prints the global
 //! lock-rank table instead (the source of truth for INVARIANTS.md).
-//! `--format json` emits one JSON object per line (machine-readable; the
-//! GitHub Actions problem-matcher consumes the default text format).
 
 use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-enum Format {
-    Text,
-    Json,
-}
-
 fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
     let mut print_ranks = false;
-    let mut format = Format::Text;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -33,28 +25,18 @@ fn main() -> ExitCode {
             // invocation states its intent explicitly.
             "--deny-all" => {}
             "--ranks" => print_ranks = true,
-            "--format" => match args.next().as_deref() {
-                Some("text") => format = Format::Text,
-                Some("json") => format = Format::Json,
-                Some(other) => return usage(&format!("unknown format `{other}`")),
-                None => return usage("--format needs `text` or `json`"),
-            },
-            "--format=text" => format = Format::Text,
-            "--format=json" => format = Format::Json,
             "-h" | "--help" => {
                 let mut out = std::io::stdout().lock();
                 let _ = writeln!(
                     out,
-                    "instantdb-lint [--root DIR] [--deny-all] [--ranks] [--format text|json]\n\n\
-                     Checks the workspace against INVARIANTS.md rules L001-L006 and the\n\
-                     call-graph flow rules L101 (static lock-order) / L102 (blocking I/O\n\
-                     under an exclusive ranked lock). Exits non-zero iff violations were\n\
+                    "instantdb-lint [--root DIR] [--deny-all] [--ranks]\n\n\
+                     Checks the workspace against the INVARIANTS.md token rules L001-L005\n\
+                     (plus L000: an allow naming any other rule) and prints each violation\n\
+                     as `file:line:col: [Lxxx] message`. Exits non-zero iff violations were\n\
                      found.\n\n\
                        --root DIR     workspace root (default: .)\n\
                        --deny-all     fail on any violation (the default; kept for CI clarity)\n\
-                       --ranks        print the global lock-rank table and exit\n\
-                       --format FMT   `text` (default, problem-matcher friendly) or `json`\n\
-                                      (one object per violation per line)"
+                       --ranks        print the global lock-rank table and exit"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -83,22 +65,7 @@ fn main() -> ExitCode {
     }
 
     for v in &report.violations {
-        match format {
-            Format::Text => {
-                let _ = writeln!(out, "{v}");
-            }
-            Format::Json => {
-                let _ = writeln!(
-                    out,
-                    "{{\"file\":\"{}\",\"line\":{},\"col\":{},\"rule\":\"{}\",\"message\":\"{}\"}}",
-                    json_escape(&v.file),
-                    v.line,
-                    v.col,
-                    v.rule,
-                    json_escape(&v.message)
-                );
-            }
-        }
+        let _ = writeln!(out, "{v}");
     }
     let mut err = std::io::stderr().lock();
     if report.violations.is_empty() {
@@ -118,23 +85,6 @@ fn main() -> ExitCode {
         );
         ExitCode::FAILURE
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn usage(msg: &str) -> ExitCode {

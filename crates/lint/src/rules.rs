@@ -1,10 +1,11 @@
-//! The five invariant rules (L001–L005). Each is a pure function over a
-//! [`SourceFile`]'s token stream; rationale and escape hatches are
-//! documented per rule and in the workspace `INVARIANTS.md`.
+//! The five invariant rules (L001–L005), plus L000 for an allow that
+//! names none of them. Each is a pure function over a [`SourceFile`]'s
+//! tokens and comments; rationale and escape hatches are documented per
+//! rule and in the workspace `INVARIANTS.md`.
 
 use std::fmt;
 
-use crate::source::{RankAnnotation, SourceFile};
+use crate::source::{RankAnnotation, SourceFile, RULES};
 
 /// One rule violation, positioned for clickable terminal output.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,6 +47,7 @@ pub struct FileReport {
 /// Run every applicable rule on one file.
 pub fn check_file(file: &SourceFile) -> FileReport {
     let mut report = FileReport::default();
+    l000_unknown_allows(file, &mut report);
     l001_panic_hygiene(file, &mut report);
     l002_lock_ranks(file, &mut report);
     l003_safety_comments(file, &mut report);
@@ -91,6 +93,24 @@ fn violation(
         col,
         rule,
         message,
+    }
+}
+
+/// L000: every `lint:allow` names a rule in [`RULES`]. An allow for a
+/// rule that does not exist silences nothing. Applies everywhere; there
+/// is no escape hatch.
+fn l000_unknown_allows(file: &SourceFile, report: &mut FileReport) {
+    for (line, col, id) in file.unknown_allows() {
+        report.violations.push(violation(
+            file,
+            line,
+            col,
+            "L000",
+            format!(
+                "`lint:allow({id}, ...)` names no rule; the rules are {}",
+                RULES.join(", ")
+            ),
+        ));
     }
 }
 

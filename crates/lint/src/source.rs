@@ -5,6 +5,11 @@ use std::collections::{HashMap, HashSet};
 
 use crate::lexer::{lex, Lexed, Tok};
 
+/// The rules a `lint:allow` may name.
+pub(crate) const RULES: [&str; 5] = ["L001", "L002", "L003", "L004", "L005"];
+
+const ALLOW: &str = "lint:allow(";
+
 /// Where a file sits in the workspace; decides which rules apply.
 #[derive(Debug, Clone)]
 pub struct FileContext {
@@ -42,7 +47,7 @@ impl FileContext {
 /// A lexed file plus everything the rules need to query about it.
 pub struct SourceFile {
     pub ctx: FileContext,
-    pub lexed: Lexed,
+    lexed: Lexed,
     /// Line ranges (inclusive) covered by `#[test]` / `#[cfg(test)]`
     /// items.
     test_ranges: Vec<(u32, u32)>,
@@ -98,7 +103,7 @@ impl SourceFile {
     /// line itself, plus the contiguous run of comment-only lines directly
     /// above it (a blank line or an intervening code line breaks the
     /// association).
-    pub fn annotation_comments(&self, line: u32) -> Vec<&str> {
+    fn annotation_comments(&self, line: u32) -> Vec<&str> {
         let mut texts: Vec<&str> = Vec::new();
         if let Some(t) = self.comments_by_line.get(&line) {
             texts.push(t);
@@ -114,7 +119,7 @@ impl SourceFile {
         texts
     }
 
-    /// Does an `// lint:allow(RULE, reason)` with a non-empty reason cover
+    /// Does a `lint:allow` naming `rule`, with a non-empty reason, cover
     /// `line`? A trailing allow covers its own line; a standalone allow
     /// comment covers the entire following *statement* through its end
     /// (so one allow suffices for a multi-line call), but only the first
@@ -127,6 +132,26 @@ impl SourceFile {
             || self.allow_spans.iter().any(|(start, end, text)| {
                 (*start..=*end).contains(&line) && comment_allows(text, rule)
             })
+    }
+
+    /// Every `lint:allow` whose rule id is not in [`RULES`], as
+    /// `(line, col, ID)`. Such an allow silences nothing, so a typo or a
+    /// rule that no longer exists would otherwise sit there unnoticed.
+    pub(crate) fn unknown_allows(&self) -> Vec<(u32, u32, String)> {
+        let mut out = Vec::new();
+        for c in &self.lexed.comments {
+            for (n, text) in c.text.lines().enumerate() {
+                for (at, id, _) in allow_args(text) {
+                    if RULES.contains(&id) {
+                        continue;
+                    }
+                    let line_start = if n == 0 { c.start_col } else { 1 };
+                    let col = line_start + text[..at].chars().count() as u32;
+                    out.push((c.start_line + n as u32, col, id.to_string()));
+                }
+            }
+        }
+        out
     }
 
     /// The `lock-rank:` annotation covering `line`, if any.
@@ -156,20 +181,26 @@ pub enum RankAnnotation {
 }
 
 fn comment_allows(comment: &str, rule: &str) -> bool {
-    let mut rest = comment;
-    while let Some(at) = rest.find("lint:allow(") {
-        let args = &rest[at + "lint:allow(".len()..];
-        if let Some(close) = args.find(')') {
-            let mut parts = args[..close].splitn(2, ',');
-            let id = parts.next().unwrap_or("").trim();
-            let reason = parts.next().unwrap_or("").trim();
-            if id == rule && !reason.is_empty() {
-                return true;
-            }
+    allow_args(comment)
+        .into_iter()
+        .any(|(_, id, reason)| id == rule && !reason.is_empty())
+}
+
+/// Each closed `lint:allow` in `comment`: the byte offset of its
+/// `lint:allow(`, the trimmed ID and the trimmed reason.
+fn allow_args(comment: &str) -> Vec<(usize, &str, &str)> {
+    let mut out = Vec::new();
+    let mut from = 0;
+    while let Some(at) = comment[from..].find(ALLOW) {
+        let at = from + at;
+        from = at + ALLOW.len();
+        if let Some(close) = comment[from..].find(')') {
+            let args = &comment[from..from + close];
+            let (id, reason) = args.split_once(',').unwrap_or((args, ""));
+            out.push((at, id.trim(), reason.trim()));
         }
-        rest = &rest[at + "lint:allow(".len()..];
     }
-    false
+    out
 }
 
 fn parse_lock_rank(comment: &str) -> Option<RankAnnotation> {
@@ -250,7 +281,7 @@ fn allow_statement_spans(
             .filter_map(|l| comments_by_line.get(l).map(String::as_str))
             .collect::<Vec<_>>()
             .join(" ");
-        if !text.contains("lint:allow(") {
+        if !text.contains(ALLOW) {
             continue;
         }
         let first_code = run[run.len() - 1] + 1;
@@ -529,6 +560,22 @@ mod tests {
             assert!(f.allows("L001", line), "line {line}");
         }
         assert!(!f.allows("L001", 8));
+    }
+
+    #[test]
+    fn allow_naming_an_unknown_rule_is_a_violation() {
+        let f = file(
+            "fn a() {} // lint:allow(L999, no such rule)\n\
+             fn b() {} // lint:allow(L001, a real rule)\n\
+             /* lint:allow(L005, also real)\n\
+                lint:allow(L102, a deleted rule) */\n",
+        );
+        let found: Vec<_> = crate::rules::check_file(&f)
+            .violations
+            .iter()
+            .map(|v| (v.line, v.col, v.rule))
+            .collect();
+        assert_eq!(found, vec![(1, 14, "L000"), (4, 1, "L000")]);
     }
 
     #[test]

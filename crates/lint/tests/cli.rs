@@ -83,60 +83,6 @@ fn l005_fixture_flags_exactly_the_library_print() {
 }
 
 #[test]
-fn l006_fixture_flags_exactly_the_swallowed_result() {
-    let report = lint_workspace(&fixture("ws-l006")).unwrap();
-    assert_eq!(rules_for("ws-l006"), vec!["L006"]);
-    let v = &report.violations[0];
-    assert_eq!(
-        v.line, 16,
-        "handled/non-Result/allowed/test sites are exempt"
-    );
-    assert!(v.message.contains("`fallible`"), "{}", v.message);
-}
-
-#[test]
-fn l101_fixture_flags_both_inversions_with_witness_paths() {
-    let report = lint_workspace(&fixture("ws-l101")).unwrap();
-    assert_eq!(rules_for("ws-l101"), vec!["L101", "L101"]);
-    let direct = &report.violations[0];
-    assert_eq!(
-        direct.line, 21,
-        "the call into grab_low while rank 20 is held"
-    );
-    assert!(
-        direct
-            .message
-            .contains("`Engine::grab_low` → acquires rank 10"),
-        "witness path names the acquiring callee: {}",
-        direct.message
-    );
-    assert!(direct.message.contains("while rank 20 is held"));
-    let via_closure = &report.violations[1];
-    assert_eq!(
-        via_closure.line, 51,
-        "the closure body runs under with_high's latch; disjoint-path and \
-         correctly-ordered guards are exempt"
-    );
-}
-
-#[test]
-fn l102_fixture_flags_fsync_under_lock_but_not_after_release() {
-    let report = lint_workspace(&fixture("ws-l102")).unwrap();
-    assert_eq!(rules_for("ws-l102"), vec!["L102", "L102"]);
-    assert_eq!(
-        report.violations[0].line, 20,
-        "direct fsync under the lock; drop()- and scope-released guards are exempt"
-    );
-    let transitive = &report.violations[1];
-    assert_eq!(transitive.line, 26, "fsync reached through the helper");
-    assert!(
-        transitive.message.contains("`fsync` → io syscall"),
-        "witness path reaches the leaf: {}",
-        transitive.message
-    );
-}
-
-#[test]
 fn clean_fixture_has_no_violations() {
     let report = lint_workspace(&fixture("ws-clean")).unwrap();
     assert!(
@@ -165,9 +111,6 @@ fn cli_exits_nonzero_on_each_violation_fixture() {
         "ws-l003",
         "ws-l004",
         "ws-l005",
-        "ws-l006",
-        "ws-l101",
-        "ws-l102",
     ] {
         let out = run_cli(name);
         assert_eq!(
@@ -197,29 +140,6 @@ fn cli_output_is_file_line_col_rule_message() {
     let line = stdout.lines().next().expect("one violation line");
     // crates/core/src/lib.rs:5:7: [L001] ...
     assert_eq!(line, format!("crates/core/src/lib.rs:5:7: [L001] .unwrap() in hot-path code: return a typed Error, or justify with `// lint:allow(L001, reason)`"));
-}
-
-#[test]
-fn cli_json_format_emits_one_object_per_violation() {
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_instantdb-lint"))
-        .arg("--root")
-        .arg(fixture("ws-l006"))
-        .arg("--deny-all")
-        .arg("--format=json")
-        .output()
-        .expect("run instantdb-lint");
-    assert_eq!(out.status.code(), Some(1));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let lines: Vec<&str> = stdout.lines().collect();
-    assert_eq!(lines.len(), 1, "one object per violation: {stdout}");
-    assert!(
-        lines[0].starts_with(
-            "{\"file\":\"crates/core/src/lib.rs\",\"line\":16,\"col\":13,\"rule\":\"L006\","
-        ),
-        "stable machine-readable prefix: {}",
-        lines[0]
-    );
-    assert!(lines[0].ends_with("\"}"), "complete object: {}", lines[0]);
 }
 
 fn repo_root() -> PathBuf {

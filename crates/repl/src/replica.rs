@@ -316,7 +316,7 @@ impl ReplicaState {
     /// One lock-step round: land segments until the leader's Progress
     /// barrier, fsync them, replay the stable prefix, ack.
     fn round(&mut self) -> Result<()> {
-        let conn = self.conn.as_mut().expect("round() only runs connected"); // lint:allow(L001, step() establishes the connection first)
+        let conn = self.conn.as_mut().expect("round() only runs connected"); // step() establishes the connection first
         let leader_next = loop {
             let frame = read_seg_frame(&mut conn.stream, self.cfg.max_frame_bytes)?
                 .ok_or_else(|| Error::Corrupt("leader disconnected mid-round".into()))?;

@@ -279,7 +279,7 @@ impl Server {
 impl Drop for Server {
     fn drop(&mut self) {
         if self.acceptor.is_some() {
-            // lint:allow(L006, drop is best-effort; shutdown errors have no caller left to report to)
+            // Best-effort: a shutdown error has no caller left to report to.
             let _ = self.shutdown_inner();
         }
     }
@@ -360,9 +360,9 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
 fn refuse(mut stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(StdDuration::from_secs(1)));
     let _ = stream.set_write_timeout(Some(StdDuration::from_secs(1)));
-    // lint:allow(L006, refusal is best-effort: the socket is being dropped and the peer may already be gone)
+    // Best-effort: the socket is being dropped and the peer may already be
+    // gone.
     let _ = protocol::read_frame(&mut stream, protocol::DEFAULT_MAX_FRAME_BYTES);
-    // lint:allow(L006, refusal is best-effort: the socket is being dropped and the peer may already be gone)
     let _ = protocol::write_frame(
         &mut stream,
         &Frame::error(&Error::ServerBusy("connection limit reached".into())),
@@ -480,7 +480,7 @@ fn send(stream: &mut TcpStream, frame: &Frame, max_frame_bytes: u32) -> bool {
 /// Write a frame to a not-yet-registered connection (handshake errors).
 fn send_raw(stream: &mut TcpStream, frame: &Frame) {
     let _ = stream.set_write_timeout(Some(StdDuration::from_secs(1)));
-    // lint:allow(L006, handshake error reply is best-effort; the connection closes either way)
+    // Best-effort: the connection closes either way.
     let _ = protocol::write_frame(stream, frame);
 }
 
@@ -513,7 +513,8 @@ fn execute(shared: &Shared, session: &mut Session, sql: &str) -> Frame {
                     // accept acknowledged commits that recovery would have no
                     // schema for. Safe under the still-held DDL lock (no
                     // concurrent CREATE can have taken an id).
-                    // lint:allow(L006, undo path already reporting the original error; a detach failure leaves only a harmless orphan entry)
+                    // The original error is reported; a detach failure leaves only a
+                    // harmless orphan entry.
                     let _ = shared.db.catalog().detach_table(&name);
                     Err(e)
                 }

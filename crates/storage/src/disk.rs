@@ -140,14 +140,12 @@ impl DiskManager {
             file.set_len(offset)?;
         }
         file.seek(SeekFrom::Start(offset))?;
-        // lint:allow(L102, the file mutex is rank 800 — the bottom of the order — and exists precisely to serialize this write)
         file.write_all(&bytes[..])?;
         Ok(())
     }
 
     /// Durably sync the file.
     pub fn sync(&self) -> Result<()> {
-        // lint:allow(L102, the file mutex is rank 800 — the bottom of the order — and exists precisely to serialize this fsync)
         self.file.lock().sync_all()?;
         Ok(())
     }

@@ -100,10 +100,11 @@ impl HeapFile {
                 Self::max_record_cap()
             )));
         }
+        // The page-table lock is held across the pool calls below; a fault
+        // may evict and write back one dirty page, bounded by design.
         let mut pages = self.pages.lock();
         // First-fit over existing pages, newest first (most likely space).
         for &pid in pages.iter().rev() {
-            // lint:allow(L102, first-fit holds the page-table lock across the pool call; a fault may evict and write back one dirty page — bounded by design)
             let inserted = self.pool.with_page_mut(pid, |page| {
                 let mut sp = SlottedPage::new(page.payload_mut());
                 if sp.can_insert(cap) {
@@ -117,10 +118,10 @@ impl HeapFile {
             }
         }
         // Allocate a new page.
-        // lint:allow(L102, allocation under the page-table lock may evict and write back one dirty page — bounded by design)
         let pid = self.pool.allocate_page()?;
         pages.push(pid);
-        // lint:allow(L102, the fresh page is initialized under the page-table lock so no scan sees it half-formatted; a fault may write back one dirty page)
+        // The fresh page is initialized under the page-table lock so no scan
+        // sees it half-formatted.
         let slot = self.pool.with_page_mut(pid, |page| {
             page.set_owner(self.owner);
             let mut sp = SlottedPage::init(page.payload_mut());

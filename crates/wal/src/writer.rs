@@ -301,7 +301,8 @@ impl Wal {
             .alloc
             .fetch_add(records.len() as u64, Ordering::Relaxed);
         if !records.is_empty() {
-            // lint:allow(L102, deliberate append-under-Wal-lock: the inner mutex is the log's serialization point and rotation may fsync the outgoing segment)
+            // Appends under the inner mutex, the log's serialization point;
+            // rotation may fsync the outgoing segment.
             inner.append_batch_at(base, records)?;
         }
         Ok(base)
@@ -311,7 +312,7 @@ impl Wal {
     /// (Sealed segments were already fsynced when they rotated out.)
     pub fn sync(&self) -> Result<()> {
         let mut inner = self.inner.lock();
-        // lint:allow(L102, the durability point: fsync must cover exactly the bytes appended under this same lock)
+        // The fsync must cover exactly the bytes appended under this lock.
         inner.flush_and_sync_active()?;
         inner.syncs += 1;
         Ok(())
@@ -398,7 +399,8 @@ impl Wal {
     pub fn iterate(&self) -> Result<Vec<(Lsn, LogRecord)>> {
         let paths = {
             let mut inner = self.inner.lock();
-            // lint:allow(L102, the flush must land buffered bytes before the snapshot of segment paths is taken under the same lock)
+            // The flush lands buffered bytes before the segment paths are
+            // snapshotted under the same lock.
             inner.active.writer.flush()?;
             inner.segment_paths()
         };
@@ -475,7 +477,8 @@ impl Wal {
     pub fn raw_image(&self) -> Result<Vec<u8>> {
         let paths = {
             let mut inner = self.inner.lock();
-            // lint:allow(L102, the flush must land buffered bytes before the snapshot of segment paths is taken under the same lock)
+            // The flush lands buffered bytes before the segment paths are
+            // snapshotted under the same lock.
             inner.active.writer.flush()?;
             inner.segment_paths()
         };
@@ -500,7 +503,8 @@ impl Wal {
     /// count is deliberately not rescanned (real usage reopens the log).
     pub fn torn_tail(&self, n: u64) -> Result<()> {
         let mut inner = self.inner.lock();
-        // lint:allow(L102, crash-simulation hook: the truncation must see every buffered byte, so the flush runs under the log lock)
+        // The truncation must see every buffered byte, so the flush runs
+        // under the log lock.
         inner.active.writer.flush()?;
         let f = OpenOptions::new().write(true).open(&inner.active.path)?;
         let len = f.metadata()?.len();
