@@ -5,24 +5,31 @@
 //!
 //! A stream runs for 14 simulated days with a 6-hour accurate stage. A
 //! snapshot attacker strikes at each of several periods; we report the
-//! fraction of all accurate values it ever observed. Expected shape:
-//! capture ≈ 100% while the attack period ≤ the shortest step (6 h), then
-//! decays ∝ step/period.
+//! fraction of all accurate values it ever observed.
+//!
+//! Checked claim: for every attack period the captured fraction is at most
+//! min(1, step/period) + 0.01, and it is at least 0.95 when the period is
+//! no longer than the 6 h step. Exits 1 naming each failing period.
 //!
 //! Run: `cargo run --release -p instant_bench --bin exp_attack`
 
-use instant_bench::{f, setup, Report};
-use instant_common::{Duration, MockClock, Timestamp};
+use std::process::ExitCode;
+
+use instant_bench::{setup, Claim, Report};
+use instant_common::{Duration, MockClock, Timestamp, Value};
 use instant_core::baseline::Protection;
-use instant_core::db::WalMode;
 use instant_lcp::AttributeLcp;
 use instant_workload::events::{EventStream, EventStreamConfig};
 use instant_workload::location::LocationDomain;
 
 const SIM_DAYS: u64 = 14;
 const ACCURATE_STAGE: Duration = Duration::hours(6);
+/// Slack on the step/period bound: the stream is Poisson, not uniform.
+const BOUND_SLACK: f64 = 0.01;
+/// The least capture an attack at least as frequent as the step must reach.
+const FREQUENT_CAPTURE: f64 = 0.95;
 
-fn main() {
+fn main() -> ExitCode {
     let domain = setup::location_domain();
     let periods = [
         ("1h", Duration::hours(1)),
@@ -45,23 +52,32 @@ fn main() {
             "step/period bound",
         ],
     );
+    let mut claim = Claim::new(
+        "captured fraction <= min(1, step/period) + 0.01 for every period, \
+         and >= 0.95 while the period <= the 6h step",
+    );
     for (label, period) in periods {
         let (captured, universe, snapshots) = run(&domain, period);
         let bound = (ACCURATE_STAGE.as_micros() as f64 / period.as_micros() as f64).min(1.0);
-        r.row_strings(vec![
+        let fraction = captured as f64 / universe as f64;
+        r.row(vec![
             label.to_string(),
             snapshots.to_string(),
             captured.to_string(),
             universe.to_string(),
-            f(captured as f64 / universe as f64, 3),
-            f(bound, 3),
+            format!("{fraction:.3}"),
+            format!("{bound:.3}"),
         ]);
+        claim.check(fraction <= bound + BOUND_SLACK, || {
+            format!("{label}: captured {fraction:.3} > bound {bound:.3} + {BOUND_SLACK}")
+        });
+        claim.check(period > ACCURATE_STAGE || fraction >= FREQUENT_CAPTURE, || {
+            format!("{label}: captured {fraction:.3} < {FREQUENT_CAPTURE} at a period within the step")
+        });
     }
     r.emit("e5_attack_frequency");
-    println!(
-        "Reading: capture fraction tracks min(1, step/period) — attacks slower \
-         than the\nshortest degradation step observe proportionally less accurate data."
-    );
+    println!("{claim}");
+    claim.exit_code()
 }
 
 fn run(domain: &LocationDomain, period: Duration) -> (usize, usize, usize) {
@@ -74,12 +90,7 @@ fn run(domain: &LocationDomain, period: Duration) -> (usize, usize, usize) {
         ])
         .unwrap(),
     );
-    // Logging off keeps the multi-day simulation fsync-free; this
-    // experiment measures store contents only.
-    let db = setup::events_db(&clock, domain, &scheme, |cfg| {
-        cfg.wal_mode = WalMode::Off;
-        cfg.buffer_frames = 8192;
-    });
+    let db = setup::events_db(&clock, domain, &scheme);
     let mut stream = EventStream::new(
         EventStreamConfig {
             events_per_hour: 20.0,
@@ -103,29 +114,18 @@ fn run(domain: &LocationDomain, period: Duration) -> (usize, usize, usize) {
     loop {
         // Interleave events and attacks in timestamp order.
         if next_event.at < next_attack && next_event.at < horizon {
-            clock.set(next_event.at);
-            db.pump_degradation().unwrap();
-            db.insert(
-                "events",
-                &[
-                    next_event.row[0].clone(),
-                    next_event.row[1].clone(),
-                    next_event.row[2].clone(),
-                ],
-            )
-            .unwrap();
+            setup::ingest(&clock, &db, &next_event);
             inserted += 1;
             next_event = stream.next_event();
         } else if next_attack < horizon {
-            clock.set(next_attack);
-            db.pump_degradation().unwrap();
+            setup::advance_to(&clock, &db, next_attack);
             snapshots += 1;
             for (_tid, t) in table.scan().unwrap() {
                 if t.stages[0] == Some(0) {
-                    observed_accurate.insert(match t.row[0] {
-                        instant_common::Value::Int(i) => i,
-                        _ => unreachable!(),
-                    });
+                    let Value::Int(id) = t.row[0] else {
+                        unreachable!("events.id is an INT column")
+                    };
+                    observed_accurate.insert(id);
                 }
             }
             next_attack += period;

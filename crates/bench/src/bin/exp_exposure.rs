@@ -3,16 +3,20 @@
 //! Four stores ingest the same Poisson location stream for 60 simulated
 //! days under different protection schemes; a snapshot attacker strikes at
 //! sampled instants and the residual-information exposure of each store is
-//! recorded. Expected shape: degradation strictly below retention at every
-//! t beyond the first LCP step; static anonymization constant between them;
-//! no-protection = retention until the TTL cliff.
+//! recorded.
+//!
+//! Checked claim: on every sampled day from day 5 on, degradation's
+//! exposure is below retention's; and until retention's 30-day TTL,
+//! no-protection's exposure equals retention's (the TTL is the only thing
+//! that separates them). Exits 1 naming each failing day.
 //!
 //! Run: `cargo run --release -p instant_bench --bin exp_exposure`
 
-use instant_bench::{f, setup, Report};
+use std::process::ExitCode;
+
+use instant_bench::{setup, Claim, Report};
 use instant_common::{Duration, LevelId, MockClock, Timestamp};
 use instant_core::baseline::{Protection, FOREVER};
-use instant_core::db::WalMode;
 use instant_core::metrics::exposure_of_table;
 use instant_lcp::AttributeLcp;
 use instant_workload::events::{EventStream, EventStreamConfig};
@@ -20,12 +24,14 @@ use instant_workload::location::LocationDomain;
 
 const DAYS: u64 = 60;
 const SAMPLE_EVERY_DAYS: u64 = 5;
+const TTL_DAYS: u64 = 30;
 
-fn main() {
+fn main() -> ExitCode {
     let domain = setup::location_domain();
+    // The claim below reads the curves by these positions.
     let schemes = vec![
         Protection::None,
-        Protection::Retention(Duration::days(30)),
+        Protection::Retention(Duration::days(TTL_DAYS)),
         Protection::StaticAnon(LevelId(2), FOREVER),
         Protection::Degradation(
             AttributeLcp::from_pairs(&[
@@ -60,9 +66,9 @@ fn main() {
     for s in 0..samples {
         let mut row = vec![format!("{}", s as u64 * SAMPLE_EVERY_DAYS)];
         for c in &curves {
-            row.push(f(c[s], 1));
+            row.push(format!("{:.1}", c[s]));
         }
-        r.row_strings(row);
+        r.row(row);
     }
     r.emit("e4_exposure_over_time");
 
@@ -72,19 +78,39 @@ fn main() {
         for c in &tuple_curves {
             row.push(c[s].to_string());
         }
-        r2.row_strings(row);
+        r2.row(row);
     }
     r2.emit("e4b_tuples_over_time");
+
+    let [none, retention, _static_anon, degradation] = &curves[..] else {
+        unreachable!("four schemes")
+    };
+    let mut claim = Claim::new(
+        "degradation exposes less than retention on every sampled day >= 5, \
+         and no-protection equals retention until the 30-day TTL",
+    );
+    for s in 0..samples {
+        let day = s as u64 * SAMPLE_EVERY_DAYS;
+        claim.check(day < 5 || degradation[s] < retention[s], || {
+            format!(
+                "day {day}: degradation {:.1} >= retention {:.1}",
+                degradation[s], retention[s]
+            )
+        });
+        claim.check(day >= TTL_DAYS || none[s] == retention[s], || {
+            format!(
+                "day {day}: no-protection {:.1} != retention {:.1} before the TTL",
+                none[s], retention[s]
+            )
+        });
+    }
+    println!("{claim}");
+    claim.exit_code()
 }
 
 fn run_scheme(domain: &LocationDomain, scheme: &Protection) -> (Vec<f64>, Vec<usize>) {
     let clock = MockClock::new();
-    // Logging off keeps the 60-day simulation fsync-free; this
-    // experiment measures store contents only.
-    let db = setup::events_db(&clock, domain, scheme, |cfg| {
-        cfg.wal_mode = WalMode::Off;
-        cfg.buffer_frames = 8192;
-    });
+    let db = setup::events_db(&clock, domain, scheme);
     let mut stream = EventStream::new(
         EventStreamConfig {
             events_per_hour: 30.0,
@@ -99,24 +125,13 @@ fn run_scheme(domain: &LocationDomain, scheme: &Protection) -> (Vec<f64>, Vec<us
     let table = db.catalog().get("events").unwrap();
     let mut next_event = stream.next_event();
     for day in 0..=DAYS {
-        let sample_at = instant_common::Timestamp::ZERO + Duration::days(day);
+        let sample_at = Timestamp::ZERO + Duration::days(day);
         // Ingest everything arriving before this sample point.
         while next_event.at < sample_at {
-            clock.set(next_event.at);
-            db.pump_degradation().unwrap();
-            db.insert(
-                "events",
-                &[
-                    next_event.row[0].clone(),
-                    next_event.row[1].clone(),
-                    next_event.row[2].clone(),
-                ],
-            )
-            .unwrap();
+            setup::ingest(&clock, &db, &next_event);
             next_event = stream.next_event();
         }
-        clock.set(sample_at);
-        db.pump_degradation().unwrap();
+        setup::advance_to(&clock, &db, sample_at);
         if day % SAMPLE_EVERY_DAYS == 0 {
             let rep = exposure_of_table(&table).unwrap();
             exposures.push(rep.total_exposure);

@@ -1,38 +1,44 @@
 //! E12: storage reclamation under steady insert + expunge.
 //!
 //! A short-lifetime LCP drives continuous expunge; we track heap size, live
-//! tuples and vacuum reclaim over simulated days. Expected shape: live
-//! tuples plateau (steady state), heap pages plateau after the first
-//! vacuum-driven reuse cycle — the store does not grow without bound even
-//! though the stream never stops (complete disappearance is enforced).
+//! tuples and vacuum reclaim over simulated days. The store must not grow
+//! without bound although the stream never stops: complete disappearance
+//! frees the space that new tuples reuse.
+//!
+//! Checked claim: heap pages stop growing after the first lifetime — from
+//! the first day past it to the last day the heap gains fewer pages than it
+//! gained on day 1 alone — and vacuum reclaims bytes on every day with an
+//! expunge behind it. Exits 1 naming each failing day.
 //!
 //! Run: `cargo run --release -p instant_bench --bin exp_storage`
 
-use instant_bench::{setup, Report};
-use instant_common::{Duration, MockClock, Timestamp, Value};
+use std::process::ExitCode;
+use std::sync::atomic::Ordering;
+
+use instant_bench::{setup, Claim, Report};
+use instant_common::{Duration, MockClock, Timestamp};
 use instant_core::baseline::Protection;
-use instant_core::db::WalMode;
 use instant_lcp::AttributeLcp;
 use instant_workload::events::{EventStream, EventStreamConfig};
 
 const DAYS: u64 = 20;
 
-fn main() {
+fn main() -> ExitCode {
     let domain = setup::location_domain();
     let clock = MockClock::new();
-    // 3-day total lifetime → steady state ≈ 3 days of stream.
-    let scheme = Protection::Degradation(
-        AttributeLcp::from_pairs(&[
-            (0, Duration::hours(2)),
-            (1, Duration::days(1)),
-            (3, Duration::days(2)),
-        ])
-        .unwrap(),
-    );
-    let db = setup::events_db(&clock, &domain, &scheme, |cfg| {
-        cfg.wal_mode = WalMode::Off;
-        cfg.buffer_frames = 8192;
-    });
+    // ~3-day total lifetime → steady state ≈ 3 days of stream.
+    let lcp = AttributeLcp::from_pairs(&[
+        (0, Duration::hours(2)),
+        (1, Duration::days(1)),
+        (3, Duration::days(2)),
+    ])
+    .unwrap();
+    // The first sampled day past one whole lifetime.
+    let settled = lcp
+        .lifetime()
+        .as_micros()
+        .div_ceil(Duration::days(1).as_micros()) as usize;
+    let db = setup::events_db(&clock, &domain, &Protection::Degradation(lcp));
     let table = db.catalog().get("events").unwrap();
 
     let mut stream = EventStream::new(
@@ -57,38 +63,41 @@ fn main() {
     );
     let mut next = stream.next_event();
     let mut inserted = 0usize;
+    let mut pages = Vec::new();
+    let mut claim = Claim::new(
+        "heap pages stop growing after the first lifetime, \
+         and vacuum reclaims bytes on every day after the first expunge",
+    );
     for day in 0..=DAYS {
         let sample_at = Timestamp::ZERO + Duration::days(day);
         while next.at < sample_at {
-            clock.set(next.at);
-            db.pump_degradation().unwrap();
-            db.insert(
-                "events",
-                &[
-                    next.row[0].clone(),
-                    next.row[1].clone(),
-                    next.row[2].clone(),
-                ],
-            )
-            .unwrap();
+            setup::ingest(&clock, &db, &next);
             inserted += 1;
             next = stream.next_event();
         }
-        clock.set(sample_at);
-        db.pump_degradation().unwrap();
+        setup::advance_to(&clock, &db, sample_at);
         let reclaimed = db.vacuum().unwrap();
-        r.row_strings(vec![
+        let expunged = db.stats().expunges.load(Ordering::Relaxed);
+        pages.push(table.heap().page_count());
+        r.row(vec![
             day.to_string(),
             inserted.to_string(),
             table.live_count().unwrap().to_string(),
-            db.stats()
-                .expunges
-                .load(std::sync::atomic::Ordering::Relaxed)
-                .to_string(),
-            table.heap().page_count().to_string(),
+            expunged.to_string(),
+            pages[day as usize].to_string(),
             reclaimed.to_string(),
         ]);
+        claim.check(expunged == 0 || reclaimed > 0, || {
+            format!("day {day}: {expunged} expunged so far, vacuum reclaimed 0 B")
+        });
     }
     r.emit("e12_storage");
-    let _ = Value::Null;
+
+    let first_day = pages[1] - pages[0];
+    let growth = pages[DAYS as usize].saturating_sub(pages[settled]);
+    claim.check(growth < first_day, || {
+        format!("days {settled}..{DAYS}: heap grew {growth} pages, day 1 alone grew {first_day}")
+    });
+    println!("{claim}");
+    claim.exit_code()
 }

@@ -9,19 +9,26 @@
 //! * `recent-exact` — user-facing: this user's accurate locations (d0);
 //! * `user-history` — user-facing: this user's locations at city level,
 //!   identity preserved (the anonymization baseline by construction cannot
-//!   answer it at city accuracy; retention has expired the history);
+//!   answer it at city accuracy; retention answers it only from the last
+//!   30 days, and at full accuracy);
 //! * `country-stats` — analytics: events per country (d3).
 //!
-//! Reported: answered rows per purpose. Expected shape: degradation answers
-//! the long-lived purposes where retention returns nothing, and the recent
-//! accurate purpose where the static-anonymized store returns nothing.
+//! Reported: answered rows per purpose, each query under a declared
+//! purpose at that accuracy.
+//!
+//! Checked claim: the static-anonymized store answers 0 rows at d0 and at
+//! city (it holds nothing finer than region); degradation answers more
+//! than 0 at both; and degradation's country-level count exceeds
+//! retention's (retention has expired the history degradation keeps
+//! coarse). Exits 1 naming each failing cell.
 //!
 //! Run: `cargo run --release -p instant_bench --bin exp_usability`
 
-use instant_bench::{setup, Report};
-use instant_common::{Duration, LevelId, MockClock, Timestamp, Value};
+use std::process::ExitCode;
+
+use instant_bench::{setup, Claim, Report};
+use instant_common::{Duration, LevelId, MockClock, Timestamp};
 use instant_core::baseline::{Protection, FOREVER};
-use instant_core::db::WalMode;
 use instant_core::query::session::Session;
 use instant_lcp::AttributeLcp;
 use instant_workload::events::{EventStream, EventStreamConfig};
@@ -29,8 +36,9 @@ use instant_workload::location::LocationDomain;
 
 const SIM_DAYS: u64 = 45;
 
-fn main() {
+fn main() -> ExitCode {
     let domain = setup::location_domain();
+    // The claim below reads the rows by these positions.
     let schemes = vec![
         Protection::Retention(Duration::days(30)),
         Protection::StaticAnon(LevelId(2), FOREVER),
@@ -54,32 +62,52 @@ fn main() {
             "live tuples",
         ],
     );
+    let mut answered = Vec::new();
     for scheme in &schemes {
         let (exact, history, stats, live) = run(&domain, scheme);
-        r.row_strings(vec![
+        r.row(vec![
             scheme.label(),
             exact.to_string(),
             history.to_string(),
             stats.to_string(),
             live.to_string(),
         ]);
+        answered.push((exact, history, stats));
     }
     r.emit("e6_usability");
-    println!(
-        "Reading: retention serves all purposes only by keeping everything \
-         accurate (maximum\nexposure) and loses all history past its TTL; \
-         static anonymization cannot answer the\nidentity-linked city-level \
-         purpose at all (its store is region-coarse); degradation\nanswers \
-         each purpose from exactly the accuracy the purpose needs."
+
+    let [retention, static_anon, degradation] = answered[..] else {
+        unreachable!("three schemes")
+    };
+    let mut claim = Claim::new(
+        "static-anon answers 0 rows at d0 and city, degradation > 0 at both, \
+         and degradation's country count exceeds retention's",
     );
+    claim.check(static_anon.0 == 0, || {
+        format!("static-anon answered {} rows at d0", static_anon.0)
+    });
+    claim.check(static_anon.1 == 0, || {
+        format!("static-anon answered {} rows at city", static_anon.1)
+    });
+    claim.check(degradation.0 > 0, || {
+        "degradation answered 0 rows at d0".into()
+    });
+    claim.check(degradation.1 > 0, || {
+        "degradation answered 0 rows at city".into()
+    });
+    claim.check(degradation.2 > retention.2, || {
+        format!(
+            "degradation's country count {} <= retention's {}",
+            degradation.2, retention.2
+        )
+    });
+    println!("{claim}");
+    claim.exit_code()
 }
 
 fn run(domain: &LocationDomain, scheme: &Protection) -> (usize, usize, usize, usize) {
     let clock = MockClock::new();
-    let db = setup::events_db(&clock, domain, scheme, |cfg| {
-        cfg.wal_mode = WalMode::Off;
-        cfg.buffer_frames = 8192;
-    });
+    let db = setup::events_db(&clock, domain, scheme);
     let mut stream = EventStream::new(
         EventStreamConfig {
             events_per_hour: 15.0,
@@ -93,25 +121,16 @@ fn run(domain: &LocationDomain, scheme: &Protection) -> (usize, usize, usize, us
     let horizon = Timestamp::ZERO + Duration::days(SIM_DAYS);
     let mut next = stream.next_event();
     while next.at < horizon {
-        clock.set(next.at);
-        db.pump_degradation().unwrap();
-        db.insert(
-            "events",
-            &[
-                next.row[0].clone(),
-                next.row[1].clone(),
-                next.row[2].clone(),
-            ],
-        )
-        .unwrap();
+        setup::ingest(&clock, &db, &next);
         next = stream.next_event();
     }
-    clock.set(horizon);
-    db.pump_degradation().unwrap();
+    setup::advance_to(&clock, &db, horizon);
 
     let mut session = Session::new(db.clone());
     // Purpose 1: accurate recent fixes of the hottest user.
-    session.clear_purpose();
+    session
+        .execute("DECLARE PURPOSE E SET ACCURACY LEVEL d0 FOR LOCATION")
+        .unwrap();
     let exact = session
         .execute("SELECT id, location FROM events WHERE user = 'user0000'")
         .unwrap()
@@ -139,6 +158,5 @@ fn run(domain: &LocationDomain, scheme: &Protection) -> (usize, usize, usize, us
         .rows
         .len();
     let live = db.catalog().get("events").unwrap().live_count().unwrap();
-    let _ = Value::Null;
     (exact, history, stats, live)
 }

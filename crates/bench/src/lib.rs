@@ -1,14 +1,17 @@
 //! # instant_bench
 //!
-//! The experiment harness: reporting utilities shared by the experiment
-//! binaries (`src/bin/exp_*.rs`). Each binary regenerates one of the
-//! paper's experiments (README, "Running things") and prints its
-//! table/series. Performance is measured by the standalone `benchmark/`
-//! package, not here.
+//! The paper's claims, checked. Each experiment binary
+//! (`src/bin/exp_*.rs`) replays a simulated stream into stores under
+//! different protection schemes, prints its table, then checks the
+//! paper claim behind the table as a predicate over its rows: a
+//! [`Claim`] names every failing row and turns into exit status 1.
+//! Performance is measured by the standalone `benchmark/` package, not
+//! here.
 
-use std::fmt::Display;
+use std::fmt::{self, Display};
 use std::io::Write;
 use std::path::PathBuf;
+use std::process::ExitCode;
 
 pub mod setup;
 
@@ -29,13 +32,7 @@ impl Report {
         }
     }
 
-    pub fn row(&mut self, cells: &[&dyn Display]) {
-        assert_eq!(cells.len(), self.headers.len(), "row arity mismatch");
-        self.rows
-            .push(cells.iter().map(|c| format!("{c}")).collect());
-    }
-
-    pub fn row_strings(&mut self, cells: Vec<String>) {
+    pub fn row(&mut self, cells: Vec<String>) {
         assert_eq!(cells.len(), self.headers.len(), "row arity mismatch");
         self.rows.push(cells);
     }
@@ -90,17 +87,53 @@ impl Report {
     }
 }
 
-/// Format a float with fixed precision for table cells.
-pub fn f(x: f64, digits: usize) -> String {
-    format!("{x:.digits$}")
+/// A paper claim checked row by row. Print it (`Display`) for the
+/// verdict, then return [`Claim::exit_code`] from `main`.
+#[derive(Debug)]
+pub struct Claim {
+    statement: String,
+    failures: Vec<String>,
 }
 
-/// Format a rate (per second).
-pub fn rate(count: usize, secs: f64) -> String {
-    if secs <= 0.0 {
-        "inf".to_string()
-    } else {
-        format!("{:.0}", count as f64 / secs)
+impl Claim {
+    pub fn new(statement: &str) -> Claim {
+        Claim {
+            statement: statement.to_string(),
+            failures: Vec::new(),
+        }
+    }
+
+    /// Record `row` as a counterexample unless `holds`.
+    pub fn check(&mut self, holds: bool, row: impl FnOnce() -> String) {
+        if !holds {
+            self.failures.push(row());
+        }
+    }
+
+    fn holds(&self) -> bool {
+        self.failures.is_empty()
+    }
+
+    /// Success when every row satisfied the claim, 1 otherwise.
+    pub fn exit_code(&self) -> ExitCode {
+        if self.holds() {
+            ExitCode::SUCCESS
+        } else {
+            ExitCode::FAILURE
+        }
+    }
+}
+
+impl Display for Claim {
+    fn fmt(&self, out: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.holds() {
+            return writeln!(out, "claim holds: {}", self.statement);
+        }
+        writeln!(out, "CLAIM FAILS: {}", self.statement)?;
+        for row in &self.failures {
+            writeln!(out, "  counterexample: {row}")?;
+        }
+        Ok(())
     }
 }
 
@@ -111,8 +144,8 @@ mod tests {
     #[test]
     fn report_renders_aligned() {
         let mut r = Report::new("demo", &["scheme", "exposure"]);
-        r.row(&[&"degradation", &0.25]);
-        r.row(&[&"retention", &1.0]);
+        r.row(vec!["degradation".into(), "0.25".into()]);
+        r.row(vec!["retention".into(), "1".into()]);
         let text = r.render();
         assert!(text.contains("== demo =="));
         assert!(text.contains("degradation"));
@@ -126,13 +159,25 @@ mod tests {
     #[should_panic(expected = "arity")]
     fn arity_checked() {
         let mut r = Report::new("x", &["a", "b"]);
-        r.row(&[&1]);
+        r.row(vec!["1".into()]);
     }
 
     #[test]
-    fn float_format() {
-        assert_eq!(f(1.23456, 2), "1.23");
-        assert_eq!(rate(100, 2.0), "50");
-        assert_eq!(rate(1, 0.0), "inf");
+    fn claim_names_each_failing_row() {
+        let mut c = Claim::new("x < 3");
+        for x in 0..5 {
+            c.check(x < 3, || format!("x = {x}"));
+        }
+        assert!(!c.holds());
+        assert_eq!(c.exit_code(), ExitCode::FAILURE);
+        let text = c.to_string();
+        assert!(text.starts_with("CLAIM FAILS: x < 3"));
+        assert!(text.contains("x = 3") && text.contains("x = 4"));
+        assert!(!text.contains("x = 2"));
+
+        let mut ok = Claim::new("x < 9");
+        ok.check(true, || unreachable!("a holding row is never rendered"));
+        assert_eq!(ok.exit_code(), ExitCode::SUCCESS);
+        assert_eq!(ok.to_string(), "claim holds: x < 9\n");
     }
 }

@@ -1,6 +1,7 @@
-//! Shared experiment scaffolding — the setup prologue every `exp_*`
-//! binary used to copy-paste: the synthetic location domain, the
-//! standard protected `events` table, and a tuned engine around it.
+//! Shared experiment scaffolding — the setup prologue of every `exp_*`
+//! binary: the synthetic location domain, the standard protected
+//! `events` table, the engine around it, and the replay of an event
+//! stream into it.
 //!
 //! Keeping this in one place means every experiment runs against the
 //! *same* world (domain shape, selectivity, table layout), so their
@@ -8,10 +9,10 @@
 
 use std::sync::Arc;
 
-use instant_common::MockClock;
+use instant_common::{MockClock, Timestamp};
 use instant_core::baseline::Protection;
-use instant_core::db::{Db, DbConfig};
-use instant_core::schema::TableSchema;
+use instant_core::db::{Db, DbConfig, WalMode};
+use instant_workload::events::Event;
 use instant_workload::location::{LocationDomain, LocationShape};
 
 /// The experiments' shared synthetic location domain: default shape,
@@ -20,42 +21,45 @@ pub fn location_domain() -> LocationDomain {
     LocationDomain::generate(LocationShape::default(), 0.9)
 }
 
-/// The standard `events` table protected by `scheme` (see
-/// [`instant_core::baseline::protected_location_schema`]).
-pub fn events_schema(domain: &LocationDomain, scheme: &Protection) -> TableSchema {
-    instant_core::baseline::protected_location_schema("events", domain.hierarchy(), scheme)
-        .expect("standard events schema is valid")
-}
-
-/// Open an engine on `clock` (config tuned by `tune`) with the standard
-/// `events` table already created. The default tuning favours long
-/// simulations: most experiments switch the WAL off and widen the pool —
-/// do that inside `tune`.
-pub fn events_db(
-    clock: &MockClock,
-    domain: &LocationDomain,
-    scheme: &Protection,
-    tune: impl FnOnce(&mut DbConfig),
-) -> Arc<Db> {
-    let db = open_db(clock, tune);
-    db.create_table(events_schema(domain, scheme))
-        .expect("create events table");
+/// Open an engine on `clock` with the standard `events` table (see
+/// [`instant_core::baseline::protected_location_schema`]) protected by
+/// `scheme`. The experiments measure store contents only, over simulated
+/// weeks: logging is off (no fsync per event) and the pool holds the
+/// whole heap.
+pub fn events_db(clock: &MockClock, domain: &LocationDomain, scheme: &Protection) -> Arc<Db> {
+    let cfg = DbConfig::builder()
+        .wal_mode(WalMode::Off)
+        .buffer_frames(8192)
+        .build()
+        .expect("bench config is valid");
+    let db = Arc::new(Db::open(cfg, clock.shared()).expect("open bench engine"));
+    let schema =
+        instant_core::baseline::protected_location_schema("events", domain.hierarchy(), scheme)
+            .expect("standard events schema is valid");
+    db.create_table(schema).expect("create events table");
     db
 }
 
-/// Open a bare engine on `clock`, config tuned by `tune` (no table).
-pub fn open_db(clock: &MockClock, tune: impl FnOnce(&mut DbConfig)) -> Arc<Db> {
-    let mut cfg = DbConfig::default();
-    tune(&mut cfg);
-    Arc::new(Db::open(cfg, clock.shared()).expect("open bench engine"))
+/// Move the clock to `at` and fire every transition due by then.
+pub fn advance_to(clock: &MockClock, db: &Db, at: Timestamp) {
+    clock.set(at);
+    db.pump_degradation().expect("pump degradation");
+}
+
+/// Replay one stream event as a live engine sees it: time moves to its
+/// arrival, due transitions fire, and its id, user and location are
+/// inserted into `events`.
+pub fn ingest(clock: &MockClock, db: &Db, event: &Event) {
+    advance_to(clock, db, event.at);
+    db.insert("events", &event.row[..3]).expect("insert event");
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use instant_common::{Duration, Value};
-    use instant_core::db::WalMode;
+    use instant_common::Duration;
     use instant_lcp::AttributeLcp;
+    use instant_workload::events::{EventStream, EventStreamConfig};
 
     #[test]
     fn shared_prologue_builds_a_working_world() {
@@ -64,18 +68,16 @@ mod tests {
         let scheme = Protection::Degradation(
             AttributeLcp::from_pairs(&[(0, Duration::hours(1)), (3, Duration::days(30))]).unwrap(),
         );
-        let db = events_db(&clock, &domain, &scheme, |cfg| {
-            cfg.wal_mode = WalMode::Off;
-            cfg.buffer_frames = 2048;
-        });
-        assert!(db.wal().is_none(), "tune closure applied");
-        let mut rng = instant_workload::rng::Rng::new(7);
-        let addr = domain.sample_address(&mut rng).to_string();
-        db.insert(
-            "events",
-            &[Value::Int(1), Value::Str("u1".into()), Value::Str(addr)],
-        )
-        .unwrap();
-        assert_eq!(db.catalog().get("events").unwrap().live_count().unwrap(), 1);
+        let db = events_db(&clock, &domain, &scheme);
+        assert!(db.wal().is_none(), "experiments run unlogged");
+        let mut stream =
+            EventStream::new(EventStreamConfig::default(), &domain, 7, Timestamp::ZERO);
+        let event = stream.next_event();
+        ingest(&clock, &db, &event);
+        assert_eq!(db.now(), event.at, "ingest moves the clock");
+        let table = db.catalog().get("events").unwrap();
+        assert_eq!(table.live_count().unwrap(), 1);
+        advance_to(&clock, &db, event.at + Duration::days(31));
+        assert_eq!(table.live_count().unwrap(), 0, "advance_to pumps");
     }
 }

@@ -1,9 +1,8 @@
 //! Length-prefixed binary codec for values and tuples.
 //!
 //! Used by the heap storage format and the WAL. The format is deliberately
-//! simple and self-describing (1-byte tag per value) so forensic experiments
-//! (`exp_forensic`, `tests/forensic.rs`) can scan raw pages for recoverable
-//! plaintext — the
+//! simple and self-describing (1-byte tag per value) so the forensic tests
+//! (`tests/forensic.rs`) can scan raw pages for recoverable plaintext — the
 //! very attack surface the paper says secure degradation must close.
 
 use crate::error::{Error, Result};

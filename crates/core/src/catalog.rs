@@ -324,7 +324,7 @@ impl Table {
             .and_then(|i| i.range(lo, hi))
     }
 
-    /// Per-level index occupancy for a degradable column (E2/E7 reporting).
+    /// Per-level index occupancy for a degradable column.
     pub fn index_occupancy(&self, cid: ColumnId) -> Option<Vec<usize>> {
         self.deg_indexes.read().get(&cid).map(|i| i.occupancy())
     }

@@ -25,7 +25,7 @@ use instant_wal::group::GroupCommitConfig;
 pub enum WalMode {
     /// No logging (volatile store; fastest, used as a bench baseline).
     Off,
-    /// Classical plaintext WAL — the forensic-leaky baseline of E8.
+    /// Classical plaintext WAL — the forensic-leaky baseline (`tests/forensic.rs`).
     Plain,
     /// Degradation-aware WAL: images sealed under time-windowed keys.
     Sealed,

@@ -14,7 +14,6 @@
 //! * [`scheduler`] — the degradation engine: a due-time priority queue of
 //!   pending transitions, pumped by [`db::Db::pump_degradation`], each batch
 //!   running as a system transaction (2PL, WAL-logged, secure rewrite).
-//!   Lateness statistics feed experiment E7.
 //! * [`daemon`] — background threads on shared scaffolding: the
 //!   degradation pump fires due batches on a tick, and the
 //!   [`Checkpointer`] periodically flushes, truncates the dead log prefix
@@ -31,16 +30,12 @@
 //!   retention (all-or-nothing TTL), static anonymization at ingest.
 //! * [`metrics`] — the exposure metric (residual information summed over
 //!   the store) behind the privacy/security experiments E4–E6.
-//! * [`ext`] — Section IV future-work features: event-triggered
-//!   transitions, predicate-conditioned degradation, per-tuple (user-
-//!   defined) LCPs, and relaxed query semantics.
 
 pub mod baseline;
 pub mod catalog;
 pub mod config;
 pub mod daemon;
 pub mod db;
-pub mod ext;
 pub mod metrics;
 pub mod query;
 pub mod scheduler;

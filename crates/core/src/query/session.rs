@@ -150,7 +150,7 @@ impl Session {
         &self.hierarchies
     }
 
-    /// Switch strict/relaxed semantics (the E13 ablation toggle).
+    /// Switch strict/relaxed semantics (paper Section IV).
     pub fn set_semantics(&mut self, s: QuerySemantics) {
         self.semantics = s;
     }

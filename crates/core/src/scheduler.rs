@@ -5,8 +5,9 @@
 //! transition in the due-time priority queue. [`DegradationScheduler::due_batch`]
 //! pops the transitions whose time has come; the engine executes them as a
 //! system transaction and re-arms the next transition for each attribute.
-//! Lateness (actual − due) is recorded in a log₂ histogram — experiment E7
-//! reports its p50/p99/max against scheduler tick and batch size.
+//! Lateness (actual − due) is recorded in a log₂ histogram: exact count,
+//! mean and max, and bucket-bound quantiles. The benchmark's
+//! `live-degrade` workload reads it as the pump's lag.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

@@ -148,7 +148,7 @@ impl MultiLevelIndex {
     }
 
     /// Number of tuples currently indexed at each level (the level
-    /// occupancy histogram reported by experiment E2/E7).
+    /// occupancy histogram).
     pub fn occupancy(&self) -> Vec<usize> {
         self.levels.iter().map(|l| l.len()).collect()
     }

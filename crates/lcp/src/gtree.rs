@@ -277,7 +277,7 @@ impl Hierarchy for GeneralizationTree {
 
 /// The exact location GT of the paper's Figure 1 (address → city → region →
 /// country), populated with a small France/Netherlands sample matching the
-/// authors' affiliations. Used by unit tests and the model demo (E1).
+/// authors' affiliations. Used by the tests and the quickstart example.
 pub fn location_tree_fig1() -> GeneralizationTree {
     GeneralizationTree::builder("location", &["address", "city", "region", "country"])
         .path(&[

@@ -9,7 +9,7 @@
 //!    Stahlberg et al.'s forensic attacks). Every delete/update can run in
 //!    [`secure::SecurePolicy::Overwrite`] mode, which zeroes the previous
 //!    bytes inside the page before releasing them; the forensic scanner in
-//!    [`secure`] verifies absence of pre-images (experiment E8).
+//!    [`secure`] verifies absence of pre-images.
 //! 2. **Capacity-reserving slots.** A degradable tuple's slot is allocated
 //!    with the *maximum* encoded size the tuple will reach across its whole
 //!    life cycle (computable at insert time from the generalization tree),

@@ -8,7 +8,7 @@
 //! linger) and degradation-grade physical erasure
 //! ([`SecurePolicy::Overwrite`]). The [`ForensicScanner`] plays the
 //! attacker: it greps raw storage images for byte patterns that should have
-//! been destroyed, and is the measurement instrument of experiment E8.
+//! been destroyed, and is the instrument of the forensic tests.
 
 /// How record bytes are treated on delete / in-place update.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -22,7 +22,7 @@
 //! Deleting a slot leaves a tombstone (`cap == 0`); `compact` (vacuum)
 //! squeezes out dead space. In [`SecurePolicy::Overwrite`] mode the record
 //! bytes are zeroed *before* the slot is released, so no pre-image survives
-//! in the page — the forensic guarantee of experiment E8.
+//! in the page — the forensic guarantee.
 
 use instant_common::{Error, Result, SlotId};
 
@@ -211,7 +211,7 @@ impl<'a> SlottedPage<'a> {
         if !policy.overwrites() {
             // Naive mode mimics a classical engine: the tail beyond the new
             // length keeps its stale bytes — exactly the forensic leak the
-            // paper warns about. (Deliberate, for experiment E8.)
+            // paper warns about. (Deliberate: the forensic baseline.)
         } else {
             self.buf[off + data.len()..off + s.cap as usize].fill(0);
         }

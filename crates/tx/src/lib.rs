@@ -16,7 +16,7 @@
 //!   acquires exclusive tuple locks like any writer, so readers never
 //!   observe a half-degraded tuple, and a reader holding a shared lock
 //!   delays the degrader rather than seeing torn state. The resulting
-//!   reader/degrader conflict rate is measured in experiment E10.
+//!   reader/degrader conflict rate is the benchmark's `tx.lock_retries`.
 //! * **Deadlock avoidance is wait-die** (older waits, younger aborts with
 //!   [`instant_common::Error::TxConflict`], which is retryable). Timestamps
 //!   are transaction ids, which increase monotonically.

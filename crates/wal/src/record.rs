@@ -10,7 +10,7 @@
 //!   the heap, and the log never holds one more copy of it to seal,
 //!   shred, ship and scrape.
 //! * Row images ride in a [`Payload`], which is either `Plain` (classical
-//!   WAL mode, used as the baseline in experiment E10/E8) or `Sealed`
+//!   WAL mode, the forensic baseline) or `Sealed`
 //!   (ciphertext + window id + nonce). Once the window key is shredded a
 //!   `Sealed` payload can never be opened again.
 //! * Tag 6 was an older degradation step that carried a row image. It

@@ -16,9 +16,9 @@
 //! heap — so a leader's redo, which starts after that checkpoint, never
 //! needs a shredded key. A degradation step carries no image
 //! ([`LogRecord::Degrade`]): it always replays, as the stage the stored
-//! value moves to, and can never come back unrecoverable. Experiment E11
-//! verifies both halves: committed recent work is recovered, and degraded
-//! states never reappear.
+//! value moves to, and can never come back unrecoverable. The recovery
+//! tests verify both halves: committed recent work is recovered, and
+//! degraded states never reappear.
 
 use std::collections::HashSet;
 

@@ -1,4 +1,6 @@
-//! Forensic integration tests (experiment E8's correctness assertions).
+//! Forensic integration tests: an offline attacker greps the raw heap and
+//! WAL images under each engine configuration (heap policy naive /
+//! overwrite × WAL plain / sealed), before and after checkpoint.
 //!
 //! After degradation has retired a state, no configuration channel of the
 //! degradation-aware engine may still reveal it: not the heap image, not
@@ -117,6 +119,31 @@ fn plain_wal_is_the_only_leak_with_secure_heap() {
     db.checkpoint().unwrap();
     let r = forensic_scan(&db, &scanner).unwrap();
     assert!(r.clean());
+}
+
+#[test]
+fn naive_heap_is_the_only_leak_with_sealed_wal() {
+    // The mirror case: a sealed log is clean even before checkpoint, but
+    // a naive heap keeps the pre-images in its slot tails — and a
+    // checkpoint, which truncates the log, does nothing about the heap.
+    let (clock, db) = build(SecurePolicy::Naive, WalMode::Sealed);
+    clock.advance(Duration::hours(2));
+    db.pump_degradation().unwrap();
+    let scanner = forensic_needles(FRAGMENTS.iter().copied());
+    let images = db.forensic_images().unwrap();
+    let heap_img = images.iter().find(|(n, _)| n == "heap").unwrap();
+    let wal_img = images.iter().find(|(n, _)| n == "wal").unwrap();
+    assert!(
+        !scanner.scan([heap_img.1.as_slice()]).clean(),
+        "naive heap retains the pre-images"
+    );
+    assert!(
+        scanner.scan([wal_img.1.as_slice()]).clean(),
+        "sealed WAL must hold no plaintext pre-image"
+    );
+    db.checkpoint().unwrap();
+    let r = forensic_scan(&db, &scanner).unwrap();
+    assert!(!r.clean(), "checkpoint does not scrub the naive heap");
 }
 
 #[test]

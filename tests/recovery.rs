@@ -1,4 +1,4 @@
-//! Crash-recovery integration tests (experiment E11's correctness half).
+//! Crash-recovery integration tests.
 //!
 //! The invariants under test:
 //!
