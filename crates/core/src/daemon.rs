@@ -5,17 +5,20 @@
 //! application remembers to call [`Db::pump_degradation`]; likewise the
 //! log only stays bounded (and shredded windows only get physically
 //! destroyed) if checkpoints fire on their own. Both daemons share one
-//! scaffolding, [`DaemonCore`]: a thread that runs a step on a fixed
-//! wall-clock tick, accumulates a report, and joins cleanly on stop —
-//! with a final drain step before exiting, so stop-after-advance tests
-//! never race the tick.
+//! scaffolding, [`DaemonCore`]: a thread that runs a step, sleeps for as
+//! long as the step asks, accumulates a report, and joins cleanly on
+//! stop — with a final step that starts after the stop signal, so
+//! stop-after-advance tests never race the sleep.
 //!
-//! * [`DegradationDaemon`] fires due degradation batches; lock conflicts
-//!   with readers/writers are absorbed inside [`Db::pump_one_batch`] (the
-//!   victim transition is re-queued).
-//! * [`Checkpointer`] periodically flushes dirty pages through the sharded
-//!   pool, rotates the WAL so its `Checkpoint` record (routed through the
-//!   group-commit pipeline) starts a fresh segment, shreds key windows
+//! * [`DegradationDaemon`] fires due degradation batches on the
+//!   schedule: after each batch it sleeps until the scheduler's next due
+//!   time, but no less than [`PUMP_FLOOR`] and no more than its `tick`.
+//!   Lock conflicts with readers/writers are absorbed inside
+//!   [`Db::pump_one_batch`] (the victim transition is re-queued).
+//! * [`Checkpointer`] runs on a fixed wall-clock interval. Each
+//!   checkpoint flushes dirty pages through the sharded pool, rotates the
+//!   WAL so its `Checkpoint` record (routed through the group-commit
+//!   pipeline) starts a fresh segment, shreds key windows
 //!   older than the checkpoint, and then physically truncates the dead
 //!   log prefix by **deleting whole segments** — the rotate → checkpoint
 //!   → shred → delete lifecycle that turns "unreadable" into "destroyed".
@@ -38,11 +41,21 @@ use instant_wal::Lsn;
 
 use crate::db::{Db, PumpReport};
 
-/// Shared daemon scaffolding: spawn a pump thread over mutable state `R`,
-/// tick it on a fixed wall-clock interval, and return the final state on
-/// stop. The step always runs once more after the stop signal (drain).
-/// Public so out-of-crate daemons (the replication segment shipper) ride
-/// the same stop/drain/panic-propagation contract.
+/// The least the pump sleeps after a batch, however soon the next
+/// transition falls due. Unless batches come back full (a backlog, which
+/// drains back to back), the pump commits at most 1/`PUMP_FLOOR` batches
+/// a second: each is one more fsync beside the foreground's and one more
+/// Begin/Commit pair in the log a restart replays. On `live-degrade`,
+/// 1 ms ran later ingests and slower restarts than 2 ms, and 5 ms put
+/// the lag p50 near 5 ms.
+pub const PUMP_FLOOR: StdDuration = StdDuration::from_millis(2);
+
+/// Shared daemon scaffolding: spawn a thread over mutable state `R` that
+/// runs `step` and then sleeps for the duration the step returns, and
+/// return the final state on stop. The step always runs once more after
+/// the stop signal is seen (drain). Public so out-of-crate daemons (the
+/// replication segment shipper) ride the same stop/drain/panic-propagation
+/// contract.
 pub struct DaemonCore<R> {
     stop: Arc<AtomicBool>,
     handle: Option<JoinHandle<Result<R>>>,
@@ -51,9 +64,9 @@ pub struct DaemonCore<R> {
 impl<R: Send + 'static> DaemonCore<R> {
     /// Fails only if the OS cannot spawn the thread (resource exhaustion);
     /// the caller surfaces that as a typed error instead of panicking.
-    pub fn spawn<F>(name: &str, tick: StdDuration, init: R, mut step: F) -> Result<DaemonCore<R>>
+    pub fn spawn<F>(name: &str, init: R, mut step: F) -> Result<DaemonCore<R>>
     where
-        F: FnMut(&mut R) -> Result<()> + Send + 'static,
+        F: FnMut(&mut R) -> Result<StdDuration> + Send + 'static,
     {
         let stop = Arc::new(AtomicBool::new(false));
         let flag = stop.clone();
@@ -63,11 +76,15 @@ impl<R: Send + 'static> DaemonCore<R> {
                 .spawn(move || -> Result<R> {
                     let mut state = init;
                     loop {
-                        step(&mut state)?;
-                        if flag.load(Ordering::Acquire) {
+                        // Read before the step, so the last step starts
+                        // after the signal and sees everything done
+                        // before `stop` was called.
+                        let last = flag.load(Ordering::Acquire);
+                        let sleep = step(&mut state)?;
+                        if last {
                             return Ok(state);
                         }
-                        std::thread::park_timeout(tick);
+                        std::thread::park_timeout(sleep);
                     }
                 })?;
         Ok(DaemonCore {
@@ -129,23 +146,31 @@ impl std::fmt::Debug for DegradationDaemon {
 }
 
 impl DegradationDaemon {
-    /// Spawn a pump thread over `db`, firing every `tick` of wall-clock
-    /// time (the *due* times themselves come from the db's own clock, so a
-    /// mock clock still controls which transitions are due). Fails only if
-    /// the OS cannot spawn the thread.
+    /// Spawn a pump thread over `db`. Each wake runs one batch of due
+    /// transitions, and more at once while batches come back full. Then
+    /// the pump sleeps until the next transition is due, but at least
+    /// [`PUMP_FLOOR`] and at most `tick` — the longest sleep, which also
+    /// bounds how late a transition armed during a sleep can run. The due
+    /// times come from the db's own clock, so a mock clock still controls
+    /// which transitions are due, and `tick` keeps a far mock deadline
+    /// from being slept on as wall time. Fails only if the OS cannot
+    /// spawn the thread.
     pub fn spawn(db: Arc<Db>, tick: StdDuration) -> Result<DegradationDaemon> {
-        let core = DaemonCore::spawn(
-            "degradation-daemon",
-            tick,
-            PumpReport::default(),
-            move |total| {
-                let r = db.pump_degradation()?;
-                total.fired += r.fired;
-                total.expunged += r.expunged;
-                total.deferred += r.deferred;
-                Ok(())
-            },
-        )?;
+        let core = DaemonCore::spawn("degradation-daemon", PumpReport::default(), move |total| {
+            loop {
+                let (r, full) = db.pump_batch()?;
+                *total += r;
+                if !full || r.fired == 0 {
+                    break;
+                }
+            }
+            Ok(match db.scheduler().next_due() {
+                None => tick,
+                Some(due) => StdDuration::from_micros(due.since(db.now()).as_micros())
+                    .max(PUMP_FLOOR)
+                    .min(tick),
+            })
+        })?;
         Ok(DegradationDaemon { core })
     }
 
@@ -209,28 +234,23 @@ impl Checkpointer {
         // Sentinel start: the first tick always checkpoints, bounding any
         // log the database inherited from a previous run.
         let mut last_seen: Option<Lsn> = None;
-        let core = DaemonCore::spawn(
-            "checkpointer",
-            every,
-            CheckpointReport::default(),
-            move |report| {
-                // Sample *before* checkpointing and credit only the
-                // checkpoint's own record: a commit racing in after the
-                // gate reopens must leave the fingerprints unequal so the
-                // next tick checkpoints (and eventually truncates) it too,
-                // even if the database then goes quiet.
-                let pre = fingerprint(&db);
-                if last_seen == Some(pre) {
-                    report.skipped_idle += 1;
-                    return Ok(());
-                }
-                db.checkpoint()?;
-                let own_record = u64::from(db.wal().is_some());
-                last_seen = Some(pre + own_record);
-                report.checkpoints += 1;
-                Ok(())
-            },
-        )?;
+        let core = DaemonCore::spawn("checkpointer", CheckpointReport::default(), move |report| {
+            // Sample *before* checkpointing and credit only the
+            // checkpoint's own record: a commit racing in after the
+            // gate reopens must leave the fingerprints unequal so the
+            // next tick checkpoints (and eventually truncates) it too,
+            // even if the database then goes quiet.
+            let pre = fingerprint(&db);
+            if last_seen == Some(pre) {
+                report.skipped_idle += 1;
+                return Ok(every);
+            }
+            db.checkpoint()?;
+            let own_record = u64::from(db.wal().is_some());
+            last_seen = Some(pre + own_record);
+            report.checkpoints += 1;
+            Ok(every)
+        })?;
         Ok(Checkpointer { core })
     }
 
@@ -254,9 +274,10 @@ mod tests {
     use super::*;
     use crate::db::DbConfig;
     use crate::schema::{Column, TableSchema};
-    use instant_common::{DataType, Duration, MockClock, Value};
+    use instant_common::{DataType, Duration, MockClock, SystemClock, Value};
     use instant_lcp::gtree::location_tree_fig1;
     use instant_lcp::hierarchy::Hierarchy;
+    use instant_lcp::policy::parse_lcp;
     use instant_lcp::AttributeLcp;
 
     fn db_with_person(clock: &MockClock) -> Arc<Db> {
@@ -311,13 +332,54 @@ mod tests {
     }
 
     #[test]
-    fn daemon_that_died_on_a_step_error_reports_not_running() {
-        let core = DaemonCore::spawn(
-            "failing-daemon",
-            std::time::Duration::from_millis(1),
-            (),
-            |_| Err(instant_common::Error::Corrupt("step failed".into())),
+    fn daemon_fires_transitions_near_their_due_time_not_on_its_tick() {
+        // No log: an fsync stall must not arm a transition late.
+        let cfg = DbConfig {
+            wal_mode: crate::db::WalMode::Off,
+            ..DbConfig::default()
+        };
+        let db = Arc::new(Db::open(cfg, Arc::new(SystemClock)).unwrap());
+        let gt: Arc<dyn Hierarchy> = Arc::new(location_tree_fig1());
+        let lcp = parse_lcp("d0:300ms -> d1:1h", Some(gt.as_ref())).unwrap();
+        db.create_table(
+            TableSchema::new(
+                "person",
+                vec![
+                    Column::stable("id", DataType::Int),
+                    Column::degradable("location", DataType::Str, gt, lcp).unwrap(),
+                ],
+            )
+            .unwrap(),
         )
+        .unwrap();
+        let tick = std::time::Duration::from_millis(200);
+        let daemon = DegradationDaemon::spawn(db.clone(), tick).unwrap();
+        let rows = 20;
+        for i in 0..rows {
+            db.insert(
+                "person",
+                &[Value::Int(i), Value::Str("4 rue Jussieu".into())],
+            )
+            .unwrap();
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        }
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while db.scheduler().fired() < rows as u64 && std::time::Instant::now() < deadline {
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        daemon.stop().unwrap();
+        let late = db.scheduler().lateness();
+        assert_eq!(late.count(), rows as u64, "every row stepped once");
+        // A fixed 200 ms tick makes the mean about half of it.
+        assert!(late.mean() < Duration::millis(50), "mean {}", late.mean());
+        assert!(late.max() < Duration::millis(200), "max {}", late.max());
+    }
+
+    #[test]
+    fn daemon_that_died_on_a_step_error_reports_not_running() {
+        let core = DaemonCore::spawn("failing-daemon", (), |_| {
+            Err(instant_common::Error::Corrupt("step failed".into()))
+        })
         .unwrap();
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(1);
         while core.is_running() && std::time::Instant::now() < deadline {

@@ -82,6 +82,14 @@ pub struct PumpReport {
     pub deferred: usize,
 }
 
+impl std::ops::AddAssign for PumpReport {
+    fn add_assign(&mut self, r: PumpReport) {
+        self.fired += r.fired;
+        self.expunged += r.expunged;
+        self.deferred += r.deferred;
+    }
+}
+
 /// Carry-over state for [`Db::replay_external_ops`]: a replication
 /// follower applies the shipped log in barrier-bounded slices, and this
 /// struct preserves redo's bookkeeping (tuple-id remapping, the
@@ -309,51 +317,70 @@ impl Db {
     pub fn insert(&self, table_name: &str, row: &[Value]) -> Result<TupleId> {
         let table = self.catalog.get(table_name)?;
         table.schema().validate_insert(row)?;
-        let tx = self.txs.begin();
-        tx.lock(Resource::Table(table.id()), LockMode::IntentionExclusive)?;
-        // Gate held across mutation *and* enqueue: a checkpoint's
-        // flush_all can then never persist this page write before its
-        // log records exist in the pipeline (steal of an unlogged
-        // mutation). The only lock taken inside the gate is on the
-        // freshly allocated tuple id, which nothing else can contend.
-        let (tid, stored, pending) = {
-            let _shared = self.ckpt_gate.read();
-            // The clock is read under the gate: a checkpoint reads its own
-            // `now` under the exclusive side, so the window this image is
-            // sealed into can never already be shredded.
-            let now = self.now();
-            let tid = table.insert_physical(now, row)?;
-            tx.lock(Resource::Tuple(table.id(), tid), LockMode::Exclusive)?;
-            // WAL: the logged image is the *stored* tuple (already
-            // generalized to the first stage level), so a coarse-ingest
-            // table never logs the accurate form at all.
-            let stored = table.get(tid)?;
-            let bytes = encode_stored_raw(stored.insert_ts, &stored.stages, &stored.row);
-            let pending = self.enqueue_records_gated(vec![
-                LogRecord::Begin {
-                    tx: tx.id(),
-                    at: now,
-                },
-                LogRecord::Insert {
-                    tx: tx.id(),
-                    table: table.id(),
-                    tid,
-                    row: self.payload(&bytes, now)?,
-                    at: now,
-                },
-                LogRecord::Commit {
-                    tx: tx.id(),
-                    at: now,
-                },
-            ])?;
-            (tid, stored, pending)
-        };
-        pending.wait()?;
-        tx.commit()?;
-        self.arm_transitions(&table, tid, &stored);
-        self.stats.inserts.fetch_add(1, Ordering::Relaxed);
-        self.enforce_wal_retention();
-        Ok(tid)
+        loop {
+            let tx = self.txs.begin();
+            tx.lock(Resource::Table(table.id()), LockMode::IntentionExclusive)?;
+            // Gate held across mutation *and* enqueue: a checkpoint's
+            // flush_all can then never persist this page write before its
+            // log records exist in the pipeline (steal of an unlogged
+            // mutation).
+            let placed = {
+                let _shared = self.ckpt_gate.read();
+                // The clock is read under the gate: a checkpoint reads its
+                // own `now` under the exclusive side, so the window this
+                // image is sealed into can never already be shredded.
+                let now = self.now();
+                let tid = table.insert_physical(now, row)?;
+                // Tuple ids are recycled, so the fresh slot may still be
+                // locked: a pump batch that just expunged it and awaits
+                // its fsync, or a reader. Waiting here would hold the gate
+                // (and dying would strand an unlogged row), so the
+                // placement is undone and the insert retries outside.
+                let res = Resource::Tuple(table.id(), tid);
+                if self.txs.locks().try_lock(tx.id(), res, LockMode::Exclusive) {
+                    // WAL: the logged image is the *stored* tuple (already
+                    // generalized to the first stage level), so a
+                    // coarse-ingest table never logs the accurate form.
+                    let stored = table.get(tid)?;
+                    let bytes = encode_stored_raw(stored.insert_ts, &stored.stages, &stored.row);
+                    let pending = self.enqueue_records_gated(vec![
+                        LogRecord::Begin {
+                            tx: tx.id(),
+                            at: now,
+                        },
+                        LogRecord::Insert {
+                            tx: tx.id(),
+                            table: table.id(),
+                            tid,
+                            row: self.payload(&bytes, now)?,
+                            at: now,
+                        },
+                        LogRecord::Commit {
+                            tx: tx.id(),
+                            at: now,
+                        },
+                    ])?;
+                    Ok((tid, stored, pending))
+                } else {
+                    table.expunge_physical(tid)?;
+                    Err(res)
+                }
+            };
+            let (tid, stored, pending) = match placed {
+                Ok(placed) => placed,
+                Err(held) => {
+                    tx.abort()?;
+                    self.txs.locks().wait_until_free(held);
+                    continue;
+                }
+            };
+            pending.wait()?;
+            tx.commit()?;
+            self.arm_transitions(&table, tid, &stored);
+            self.stats.inserts.fetch_add(1, Ordering::Relaxed);
+            self.enforce_wal_retention();
+            return Ok(tid);
+        }
     }
 
     /// Arm the next pending transition for every degradable attribute of a
@@ -495,9 +522,7 @@ impl Db {
         let mut total = PumpReport::default();
         loop {
             let r = self.pump_one_batch()?;
-            total.fired += r.fired;
-            total.expunged += r.expunged;
-            total.deferred += r.deferred;
+            total += r;
             if r.fired == 0 {
                 return Ok(total);
             }
@@ -522,11 +547,18 @@ impl Db {
     /// transition and every one not yet applied go back to the scheduler,
     /// the steps already applied still commit, and then the error returns.
     pub fn pump_one_batch(&self) -> Result<PumpReport> {
+        self.pump_batch().map(|(report, _)| report)
+    }
+
+    /// [`Db::pump_one_batch`], also saying whether the batch was full
+    /// (`batch_max` transitions), i.e. more may already be due.
+    pub(crate) fn pump_batch(&self) -> Result<(PumpReport, bool)> {
         let now = self.now();
         let batch = self.sched.due_batch(now, self.cfg.batch_max);
         if batch.is_empty() {
-            return Ok(PumpReport::default());
+            return Ok((PumpReport::default(), false));
         }
+        let full = batch.len() == self.cfg.batch_max;
         let mut report = PumpReport::default();
         let tx = self.txs.begin_system();
         // The batch's log records accumulate here and commit as one unit
@@ -574,7 +606,7 @@ impl Db {
             self.enforce_wal_retention();
         }
         tx.commit()?;
-        failed.map_or(Ok(report), Err)
+        failed.map_or(Ok((report, full)), Err)
     }
 
     fn apply_transition(
@@ -1188,6 +1220,41 @@ mod tests {
             Some(Timestamp::ZERO + Duration::hours(1))
         );
         assert_eq!(db.stats().inserts.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn insert_into_a_slot_an_older_batch_still_holds_waits_and_lands_once() {
+        let clock = MockClock::new();
+        let db = fresh(&clock);
+        let table = db.catalog().get("person").unwrap();
+        let old = db.insert("person", &row(1, "4 rue Jussieu")).unwrap();
+        db.scheduler().clear();
+        // A pump batch, older than the insert below, expunges the tuple
+        // and keeps its lock while it waits on its fsync.
+        let batch = db.txs.begin_system();
+        batch
+            .lock(Resource::Table(table.id()), LockMode::IntentionExclusive)
+            .unwrap();
+        batch
+            .lock(Resource::Tuple(table.id(), old), LockMode::Exclusive)
+            .unwrap();
+        table.expunge_physical(old).unwrap();
+        let committer = std::thread::spawn(move || {
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            batch.commit().unwrap();
+        });
+        clock.advance(Duration::minutes(1));
+        let tid = db.insert("person", &row(2, "Rue de la Paix")).unwrap();
+        committer.join().unwrap();
+        assert_eq!(tid, old, "the freed slot is the one reused");
+        assert_eq!(table.live_count().unwrap(), 1, "no phantom row");
+        assert_eq!(table.get(tid).unwrap().row[0], Value::Int(2));
+        assert_eq!(db.scheduler().len(), 1);
+        assert_eq!(
+            db.scheduler().next_due(),
+            Some(Timestamp::ZERO + Duration::minutes(1) + Duration::hours(1)),
+            "the row's first transition is armed"
+        );
     }
 
     #[test]

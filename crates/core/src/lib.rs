@@ -43,7 +43,7 @@ pub mod schema;
 pub mod tuple;
 
 pub use config::{DbConfig, DbConfigBuilder, WalMode};
-pub use daemon::{CheckpointReport, Checkpointer, DaemonCore, DegradationDaemon};
+pub use daemon::{CheckpointReport, Checkpointer, DaemonCore, DegradationDaemon, PUMP_FLOOR};
 pub use db::{CommitHandle, Db, ReplicaApplyState};
 pub use instant_wal::{GroupCommitConfig, GroupCommitStats};
 pub use query::session::{HierarchyRegistry, Session};

@@ -6,6 +6,10 @@
 //!     [--degrade-every-ms N] [--repl-tick-ms N] [--stdin-control]
 //! ```
 //!
+//! `--degrade-every-ms` is the longest the degradation pump sleeps: it
+//! wakes at the next transition's due time, but no sooner than
+//! `PUMP_FLOOR` after its last batch.
+//!
 //! Runs the normal SQL server on `--addr` and a replication listener on
 //! `--repl-addr`; any number of `instantdb-replica` processes may dial
 //! the latter. `--data` is effectively required for replication to be
@@ -30,6 +34,12 @@ fn usage(err: &str) -> ! {
          [--max-conns N] [--wal-shards N] \
          [--checkpoint-every-ms N] [--degrade-every-ms N] [--no-degrade] \
          [--wal-retention-segments N] [--repl-tick-ms N] [--stdin-control]"
+    );
+    eprintln!(
+        "  --degrade-every-ms N  longest sleep of the degradation pump (default 250): \
+         it wakes at the next transition's due time, but no sooner than {} ms \
+         after its last batch",
+        instant_core::PUMP_FLOOR.as_millis()
     );
     std::process::exit(2);
 }

@@ -253,7 +253,10 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, stop: &AtomicBool) 
         match handshake(shared, stream) {
             Ok(shipper) => {
                 let done = Arc::clone(&shipper.done);
-                match DaemonCore::spawn("segment-shipper", shared.cfg.tick, shipper, |s| s.tick()) {
+                let tick = shared.cfg.tick;
+                match DaemonCore::spawn("segment-shipper", shipper, move |s| {
+                    s.tick().map(|()| tick)
+                }) {
                     Ok(core) => {
                         let mut slots = shared.followers.lock();
                         // Reap daemons whose connection already ended —

@@ -186,9 +186,10 @@ impl Replica {
             conn: None,
             apply: ReplicaApplyState::default(),
         };
-        let core = DaemonCore::spawn("replica-apply", cfg.tick, state, |s| {
+        let tick = cfg.tick;
+        let core = DaemonCore::spawn("replica-apply", state, move |s| {
             s.step();
-            Ok(())
+            Ok(tick)
         })?;
         Ok(Replica {
             core: Some(core),

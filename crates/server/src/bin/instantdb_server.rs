@@ -7,6 +7,10 @@
 //!     [--wal-retention-segments N] [--stdin-control]
 //! ```
 //!
+//! `--degrade-every-ms` is the longest the degradation pump sleeps: it
+//! wakes at the next transition's due time, but no sooner than
+//! `PUMP_FLOOR` after its last batch.
+//!
 //! Without `--data` the engine is ephemeral (temp files, gone on exit).
 //! With it, the server journals DDL and recovers tables + committed WAL
 //! suffix on restart. `--stdin-control` reads lines from stdin and shuts
@@ -29,6 +33,12 @@ fn usage(err: &str) -> ! {
          [--max-frame-bytes N] \
          [--wal-shards N] [--checkpoint-every-ms N] [--degrade-every-ms N] \
          [--wal-retention-segments N] [--slow-query-ms N] [--stdin-control]"
+    );
+    eprintln!(
+        "  --degrade-every-ms N  longest sleep of the degradation pump (default 250): \
+         it wakes at the next transition's due time, but no sooner than {} ms \
+         after its last batch",
+        instant_core::PUMP_FLOOR.as_millis()
     );
     std::process::exit(2);
 }

@@ -55,8 +55,11 @@ pub struct ServerConfig {
     pub max_connections: usize,
     /// Largest accepted frame (`len` field), bytes.
     pub max_frame_bytes: u32,
-    /// Spawn a [`DegradationDaemon`] pumping every interval — the served
-    /// engine enforces timely degradation without any client's help.
+    /// Spawn a [`DegradationDaemon`] — the served engine enforces timely
+    /// degradation without any client's help. The interval is the longest
+    /// the pump sleeps: it wakes at the next transition's due time, but no
+    /// sooner than [`PUMP_FLOOR`](instant_core::PUMP_FLOOR) after its last
+    /// batch.
     pub degrade_every: Option<StdDuration>,
     /// How long a freshly accepted connection gets to complete the
     /// `Hello` exchange before its slot is reclaimed. Without this, a

@@ -87,6 +87,34 @@ struct Tables {
     grants: u64,
 }
 
+impl Tables {
+    /// Grant `mode` on `res` to `tx` when no other holder conflicts
+    /// (re-entrant; an upgrade replaces `tx`'s entry). Returns the
+    /// conflicting holders, empty when granted.
+    fn try_grant(&mut self, tx: TxId, res: Resource, mode: LockMode) -> Vec<TxId> {
+        let entry = self.locks.entry(res).or_default();
+        // Already covered?
+        if let Some((_, held)) = entry.holders.iter().find(|(h, _)| *h == tx) {
+            if held.covers(mode) {
+                return Vec::new();
+            }
+        }
+        let blockers = entry.conflicts_with(tx, mode);
+        if !blockers.is_empty() {
+            self.conflicts += 1;
+            return blockers;
+        }
+        if let Some(slot) = entry.holders.iter_mut().find(|(h, _)| *h == tx) {
+            slot.1 = strongest(slot.1, mode);
+        } else {
+            entry.holders.push((tx, mode));
+            self.held.entry(tx).or_default().push(res);
+        }
+        self.grants += 1;
+        blockers
+    }
+}
+
 /// The lock manager.
 #[derive(Debug)]
 pub struct LockManager {
@@ -114,26 +142,10 @@ impl LockManager {
     pub fn lock(&self, tx: TxId, res: Resource, mode: LockMode) -> Result<()> {
         let mut state = self.state.lock();
         loop {
-            let entry = state.locks.entry(res).or_default();
-            // Already covered?
-            if let Some((_, held)) = entry.holders.iter().find(|(h, _)| *h == tx) {
-                if held.covers(mode) {
-                    return Ok(());
-                }
-            }
-            let blockers = entry.conflicts_with(tx, mode);
+            let blockers = state.try_grant(tx, res, mode);
             if blockers.is_empty() {
-                // Grant (possibly an upgrade: replace our entry).
-                if let Some(slot) = entry.holders.iter_mut().find(|(h, _)| *h == tx) {
-                    slot.1 = strongest(slot.1, mode);
-                } else {
-                    entry.holders.push((tx, mode));
-                    state.held.entry(tx).or_default().push(res);
-                }
-                state.grants += 1;
                 return Ok(());
             }
-            state.conflicts += 1;
             // Wait-die: if any blocker is *older* (smaller id), we die.
             if blockers.iter().any(|b| b.0 < tx.0) {
                 state.aborts += 1;
@@ -142,6 +154,22 @@ impl LockManager {
                 )));
             }
             // All blockers younger: wait for them to finish.
+            self.cv.wait(&mut state);
+        }
+    }
+
+    /// [`LockManager::lock`] without the wait: `false` when another
+    /// holder conflicts, whatever its age. For a caller that must not
+    /// block where it stands.
+    pub fn try_lock(&self, tx: TxId, res: Resource, mode: LockMode) -> bool {
+        self.state.lock().try_grant(tx, res, mode).is_empty()
+    }
+
+    /// Block until no transaction holds `res`. The caller must hold no
+    /// lock: then nothing waits on it, so the wait cannot deadlock.
+    pub fn wait_until_free(&self, res: Resource) {
+        let mut state = self.state.lock();
+        while state.locks.contains_key(&res) {
             self.cv.wait(&mut state);
         }
     }

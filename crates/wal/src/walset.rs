@@ -761,4 +761,34 @@ mod tests {
         assert_eq!(set.base_lsn(), ckpt, "empty shards don't drag the base");
         assert!(set.segment_stats().segments_deleted >= 2);
     }
+
+    #[test]
+    fn truncate_drops_a_dead_segment_whose_successor_opened_with_a_jump() {
+        let set = WalSet::temp_with("trunc-jump", 2, SegmentConfig::default()).unwrap();
+        for tx in 0..10u64 {
+            let k = set.shard_for(Some(TxId(tx)));
+            set.append_batch(k, &[rec(tx, 0)]).unwrap();
+        }
+        set.sync_all().unwrap();
+        set.rotate_all().unwrap();
+        let ckpt = set
+            .append(&LogRecord::Checkpoint {
+                at: Timestamp::ZERO,
+                tables: vec![],
+            })
+            .unwrap();
+        // Shard 1 commits before the truncation runs: its fresh segment
+        // opens with a jump past the checkpoint.
+        let after = set.append_batch(1, &[rec(11, 0)]).unwrap();
+        assert!(after > ckpt);
+        set.sync_all().unwrap();
+        set.truncate_before(ckpt).unwrap();
+        assert_eq!(
+            set.segment_stats().segments_deleted,
+            2,
+            "both shards' pre-checkpoint segments are deleted"
+        );
+        let lsns: Vec<Lsn> = set.iterate().unwrap().iter().map(|(l, _)| *l).collect();
+        assert_eq!(lsns, vec![ckpt, after], "no record below the cut survives");
+    }
 }

@@ -60,6 +60,9 @@ struct ActiveSegment {
 struct SealedSegment {
     seqno: u64,
     first_lsn: Lsn,
+    /// The LSN just past the segment's last record (the log's running
+    /// LSN when it was sealed): every record in it lies below this.
+    end_lsn: Lsn,
     records: u64,
     bytes: u64,
     path: PathBuf,
@@ -104,9 +107,7 @@ impl WalInner {
             // The on-disk header keeps the rotation-time watermark —
             // scans start there and the jump re-bases them — but
             // `base_lsn` must not report an LSN this shard never
-            // retained. (Sound as a truncation end bound for the
-            // previous segment too: a jump from the segment's start
-            // means no record in the gap exists on this shard.)
+            // retained.
             self.active.first_lsn = next;
         }
         self.next_lsn = next;
@@ -155,6 +156,7 @@ impl WalInner {
         self.sealed.push(SealedSegment {
             seqno: old.seqno,
             first_lsn: old.first_lsn,
+            end_lsn: self.next_lsn,
             records: old.records,
             bytes: old.written,
             path: old.path,
@@ -434,21 +436,17 @@ impl Wal {
     pub fn truncate_before(&self, keep_from: Lsn) -> Result<u64> {
         let (dead, dir) = {
             let mut inner = self.inner.lock();
-            // Sealed segment i covers [first_lsn_i, end_i) where end_i is
-            // the next segment's (or the active segment's) first LSN; it
-            // is dead iff end_i <= keep_from. Find the split point, then
-            // splice once — O(sealed), not O(dead × sealed).
-            let mut k = 0;
-            while k < inner.sealed.len() {
-                let end = inner
-                    .sealed
-                    .get(k + 1)
-                    .map_or(inner.active.first_lsn, |next| next.first_lsn);
-                if end > keep_from {
-                    break;
-                }
-                k += 1;
-            }
+            // A sealed segment is dead iff its own end is at or below
+            // the cut. (Not its successor's first LSN: on a sharded log
+            // that moves up to a jump target when the successor opens
+            // with a jump, which would keep a wholly dead segment.) Ends
+            // ascend, so find the split point, then splice once —
+            // O(sealed), not O(dead × sealed).
+            let k = inner
+                .sealed
+                .iter()
+                .take_while(|s| s.end_lsn <= keep_from)
+                .count();
             let dead: Vec<SealedSegment> = inner.sealed.drain(..k).collect();
             for seg in &dead {
                 inner.truncated_bytes += seg.bytes;
@@ -569,6 +567,7 @@ pub(crate) fn scan_dir(dir: &Path) -> Result<DirScan> {
         usable.push(SealedSegment {
             seqno: *seqno,
             first_lsn: s.header.first_lsn,
+            end_lsn: s.next_lsn,
             records: s.records,
             bytes: s.valid_len,
             path: seg_path.clone(),

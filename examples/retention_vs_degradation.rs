@@ -34,7 +34,13 @@ fn main() -> Result<()> {
     );
     for scheme in &schemes {
         let clock = MockClock::new();
-        let db = Arc::new(Db::open(DbConfig::default(), clock.shared())?);
+        // The point is what each store holds, not durability: no log, so
+        // no fsync per event.
+        let cfg = DbConfig {
+            wal_mode: WalMode::Off,
+            ..DbConfig::default()
+        };
+        let db = Arc::new(Db::open(cfg, clock.shared())?);
         db.create_table(protected_location_schema(
             "events",
             domain.hierarchy(),
