@@ -35,10 +35,6 @@ pub enum Error {
     /// The server refused this connection under admission control (its
     /// connection limit is reached). Retry after backoff.
     ServerBusy(String),
-    /// The endpoint serves reads only (a replication follower): the
-    /// statement would mutate state and was refused. Not retryable —
-    /// the same statement must be sent to the leader instead.
-    ReadOnly(String),
     /// Invalid engine/server configuration, rejected before it takes
     /// effect (e.g. `DbConfig::builder().build()` validation).
     Config(String),
@@ -60,7 +56,6 @@ impl fmt::Display for Error {
             Error::Accuracy(m) => write!(f, "accuracy level error: {m}"),
             Error::Capacity(m) => write!(f, "capacity exceeded: {m}"),
             Error::ServerBusy(m) => write!(f, "server busy: {m}"),
-            Error::ReadOnly(m) => write!(f, "read-only endpoint: {m}"),
             Error::Config(m) => write!(f, "invalid configuration: {m}"),
             Error::Unsupported(m) => write!(f, "unsupported: {m}"),
         }
@@ -103,7 +98,6 @@ impl Error {
             Error::Accuracy(_) => "accuracy",
             Error::Capacity(_) => "capacity",
             Error::ServerBusy(_) => "server_busy",
-            Error::ReadOnly(_) => "read_only",
             Error::Config(_) => "config",
             Error::Unsupported(_) => "unsupported",
         }
@@ -128,7 +122,6 @@ impl Error {
             "accuracy" => Error::Accuracy(m),
             "capacity" => Error::Capacity(m),
             "server_busy" => Error::ServerBusy(m),
-            "read_only" => Error::ReadOnly(m),
             "config" => Error::Config(m),
             _ => Error::Unsupported(m),
         }
@@ -182,7 +175,6 @@ mod tests {
             Error::Accuracy("x".into()),
             Error::Capacity("x".into()),
             Error::ServerBusy("x".into()),
-            Error::ReadOnly("x".into()),
             Error::Config("x".into()),
             Error::Unsupported("x".into()),
         ];
@@ -196,18 +188,5 @@ mod tests {
     #[test]
     fn server_busy_is_retryable() {
         assert!(Error::ServerBusy("shed".into()).is_retryable());
-    }
-
-    #[test]
-    fn read_only_is_not_retryable_and_round_trips() {
-        // A follower refusing a mutation is a *routing* error: retrying
-        // the same statement against the same endpoint can never
-        // succeed, so the client must not auto-retry it.
-        let e = Error::ReadOnly("followers refuse INSERT".into());
-        assert!(!e.is_retryable());
-        assert_eq!(e.class(), "read_only");
-        let back = Error::from_class(e.class(), "followers refuse INSERT");
-        assert!(matches!(back, Error::ReadOnly(_)));
-        assert!(back.to_string().contains("read-only endpoint"));
     }
 }

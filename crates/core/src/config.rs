@@ -95,14 +95,6 @@ pub struct DbConfig {
     /// the ring; the served front-end arms its own default when the
     /// engine config leaves this unset (see `ServerConfig`).
     pub slow_query: Option<std::time::Duration>,
-    /// Degraded-replica mode: when `Some(s)`, externally replayed
-    /// operations (`Db::replay_external_ops`, the replication follower's
-    /// apply path) eagerly degrade every degradable column through at
-    /// least `s` transitions before the tuple reaches the heap, and the
-    /// engine enforces the invariant that nothing more precise than
-    /// stage `s` is ever stored. Leaders and plain followers leave this
-    /// `None`.
-    pub replica_degrade_to: Option<u8>,
 }
 
 impl DbConfig {
@@ -124,7 +116,6 @@ impl DbConfig {
             path: None,
             key_seed: 0x1DB0_CAFE,
             slow_query: None,
-            replica_degrade_to: None,
         }
     }
 
@@ -287,14 +278,6 @@ impl DbConfigBuilder {
         self
     }
 
-    /// Degraded-replica mode: every externally replayed tuple is
-    /// eagerly degraded through at least `stage` transitions (see
-    /// [`DbConfig::replica_degrade_to`]).
-    pub fn replica_degrade_to(mut self, stage: u8) -> Self {
-        self.cfg.replica_degrade_to = Some(stage);
-        self
-    }
-
     /// Validate and produce the config.
     ///
     /// [`build`]: DbConfigBuilder::build
@@ -356,13 +339,6 @@ mod tests {
         assert_eq!(cfg.slow_query, Some(std::time::Duration::from_millis(5)));
         assert_eq!(cfg.wal_segment_bytes, 1 << 16);
         assert_eq!(cfg.wal_retention_segments, Some(8));
-    }
-
-    #[test]
-    fn builder_sets_replica_degrade_stage() {
-        let cfg = DbConfig::builder().replica_degrade_to(2).build().unwrap();
-        assert_eq!(cfg.replica_degrade_to, Some(2));
-        assert_eq!(DbConfig::base().replica_degrade_to, None);
     }
 
     #[test]

@@ -53,9 +53,8 @@ pub const PUMP_FLOOR: StdDuration = StdDuration::from_millis(2);
 /// Shared daemon scaffolding: spawn a thread over mutable state `R` that
 /// runs `step` and then sleeps for the duration the step returns, and
 /// return the final state on stop. The step always runs once more after
-/// the stop signal is seen (drain). Public so out-of-crate daemons (the
-/// replication segment shipper) ride the same stop/drain/panic-propagation
-/// contract.
+/// the stop signal is seen (drain). The degradation pump and the
+/// checkpointer both run on it.
 pub struct DaemonCore<R> {
     stop: Arc<AtomicBool>,
     handle: Option<JoinHandle<Result<R>>>,

@@ -90,22 +90,17 @@ impl std::ops::AddAssign for PumpReport {
     }
 }
 
-/// Carry-over state for [`Db::replay_external_ops`]: a replication
-/// follower applies the shipped log in barrier-bounded slices, and this
-/// struct preserves redo's bookkeeping (tuple-id remapping, the
-/// replayed-written set) plus the applied frontier between slices.
+/// Redo's bookkeeping across the committed suffix: where each logged
+/// tuple landed (tuple-id remapping) and which slots redo itself wrote.
 #[derive(Debug, Default)]
-pub struct ReplicaApplyState {
+struct RedoState {
     remap: HashMap<(TableId, TupleId), TupleId>,
     replay_written: HashSet<(TableId, TupleId)>,
     /// Redo placed some tuple at another tid than the log names.
     moved: bool,
-    /// Ops with LSN below this frontier have already been applied and
-    /// are skipped on the next call.
-    pub applied_upto: Lsn,
 }
 
-impl ReplicaApplyState {
+impl RedoState {
     /// Redo stored the tuple the log calls `logged` as a new tuple at `at`.
     fn placed(&mut self, logged: (TableId, TupleId), at: TupleId) {
         self.replay_written.insert((logged.0, at));
@@ -873,8 +868,10 @@ impl Db {
             table.rebuild_indexes()?;
         }
         // 4. Redo the committed suffix.
-        let mut redo = ReplicaApplyState::default();
-        db.replay_external_ops(&plan.ops, &mut redo)?;
+        let mut redo = RedoState::default();
+        for (_, op) in &plan.ops {
+            db.apply_recovery_op(op, &mut redo)?;
+        }
         // 5. Re-arm the scheduler from stored stage bytes.
         db.rearm_all()?;
         // 6. Redo had to put some tuple at another tuple id than the log
@@ -889,101 +886,7 @@ impl Db {
         Ok(db)
     }
 
-    /// Apply redo ops to this **live** database — the replication
-    /// follower's apply path (and the redo step of the leader's own
-    /// recovery). `ops` is an LSN-tagged, LSN-ordered slice
-    /// (`RecoveryPlan::ops`; a follower's comes from an uncut
-    /// `recovery::replay`); `state` carries the tid remap and the
-    /// applied frontier across calls, so a
-    /// follower can feed successive barrier-bounded slices of the same
-    /// logical stream. Ops below `state.applied_upto` are skipped
-    /// (already applied by an earlier call). Returns the number applied.
-    ///
-    /// When [`DbConfig::replica_degrade_to`] is `Some(s)`, every insert
-    /// or update image is coarsened to at least stage `s` before it
-    /// reaches the heap (a fully-degraded result becomes an expunge), and
-    /// the stage floor is re-verified on the final image — a tuple more
-    /// precise than stage `s` fails with [`Error::Policy`] instead of
-    /// being written. A degrade step below the floor is then a no-op.
-    pub fn replay_external_ops(
-        &self,
-        ops: &[(Lsn, Op)],
-        state: &mut ReplicaApplyState,
-    ) -> Result<u64> {
-        let mut applied = 0u64;
-        for (lsn, op) in ops {
-            if *lsn < state.applied_upto {
-                continue;
-            }
-            match self.cfg.replica_degrade_to {
-                Some(stage) => {
-                    let degraded = self.degrade_op_to_stage(op, stage)?;
-                    self.apply_recovery_op(&degraded, state)?;
-                }
-                None => self.apply_recovery_op(op, state)?,
-            }
-            state.applied_upto = lsn + 1;
-            applied += 1;
-        }
-        Ok(applied)
-    }
-
-    /// Rewrite an insert or update `op` so its image sits at or past
-    /// stage `floor` in every degradable column (an image with nothing
-    /// left becomes an [`Op::Expunge`]), then verify the floor holds. Ops
-    /// without an image pass through: a degrade step only ever coarsens,
-    /// and deletes/expunges/unrecoverables only remove precision.
-    fn degrade_op_to_stage(&self, op: &Op, floor: u8) -> Result<Op> {
-        let (Op::Insert { row, at, .. } | Op::Update { row, at, .. }) = op else {
-            return Ok(op.clone());
-        };
-        let table = self.catalog.get_by_id(op.table())?;
-        let mut tuple = decode_stored(row)?;
-        for (slot, cid) in table.schema().degradable_columns().into_iter().enumerate() {
-            let d = table.schema().column(cid).degrader().expect("degradable"); // lint:allow(L001, column from degradable_columns() always has a degrader)
-            tuple.coarsen(slot, cid, d, Some(floor))?;
-        }
-        self.check_replica_stage_floor(&table, &tuple, floor)?;
-        if tuple.fully_degraded() {
-            return Ok(Op::Expunge {
-                table: table.id(),
-                tid: op.tid(),
-                at: *at,
-            });
-        }
-        let mut op = op.clone();
-        if let Op::Insert { row, .. } | Op::Update { row, .. } = &mut op {
-            *row = encode_stored_raw(tuple.insert_ts, &tuple.stages, &tuple.row);
-        }
-        Ok(op)
-    }
-
-    /// The degraded-replica invariant: every degradable value of `tuple`
-    /// is removed or at degradation stage ≥ `floor`. [`Error::Policy`]
-    /// otherwise — the caller must refuse to write the image.
-    fn check_replica_stage_floor(
-        &self,
-        table: &Table,
-        tuple: &StoredTuple,
-        floor: u8,
-    ) -> Result<()> {
-        let schema = table.schema();
-        for (slot, cid) in schema.degradable_columns().iter().enumerate() {
-            if let Some(stage) = tuple.stages.get(slot).copied().flatten() {
-                if stage < floor {
-                    return Err(Error::Policy(format!(
-                        "degraded-replica invariant violated: column '{}' at stage {stage} \
-                         is more precise than the declared floor {floor}",
-                        schema.column(*cid).name
-                    )));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Redo one logged operation — the leader's recovery and the
-    /// follower's apply share this. The rule is **monotone**: a logged
+    /// Redo one logged operation. The rule is **monotone**: a logged
     /// image is never written over the tuple it describes as-is but
     /// merged with what is stored ([`merge_coarser`]), and a logged
     /// degrade step coarsens the stored value only if it sits at a finer
@@ -991,7 +894,7 @@ impl Db {
     /// disk *after* the logged state (a write-back between checkpoint and
     /// crash, or a degradation step flushed before its record) is neither
     /// duplicated nor stepped back to a finer value.
-    fn apply_recovery_op(&self, op: &Op, state: &mut ReplicaApplyState) -> Result<()> {
+    fn apply_recovery_op(&self, op: &Op, state: &mut RedoState) -> Result<()> {
         let table = self.catalog.get_by_id(op.table())?;
         let key = (table.id(), op.tid());
         // Write `image` over the `stored` state of the same tuple.

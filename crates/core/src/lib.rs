@@ -44,7 +44,7 @@ pub mod tuple;
 
 pub use config::{DbConfig, DbConfigBuilder, WalMode};
 pub use daemon::{CheckpointReport, Checkpointer, DaemonCore, DegradationDaemon, PUMP_FLOOR};
-pub use db::{CommitHandle, Db, ReplicaApplyState};
+pub use db::{CommitHandle, Db};
 pub use instant_wal::{GroupCommitConfig, GroupCommitStats};
 pub use query::session::{HierarchyRegistry, Session};
 pub use schema::{Column, ColumnKind, TableSchema};

@@ -242,10 +242,8 @@ pub fn stats_snapshot(db: &Db) -> StatsSnapshot {
     }
 
     // Per-shard segment lanes: the aggregated `wal.segments_deleted`
-    // hides *which* shard a retention hold pinned, so surface each
-    // shard's lifecycle counters alongside the sums. A hold that parks
-    // truncation on one shard shows up as that shard's
-    // `segments_deleted` lane flat-lining while others advance.
+    // hides *which* shard holds the live segments, so surface each
+    // shard's lifecycle counters alongside the sums.
     if let Some(w) = db.wal() {
         for (k, s) in w.segment_stats_per_shard().iter().enumerate() {
             snap.counters

@@ -94,9 +94,6 @@ pub struct Session {
     purposes: HashMap<String, Purpose>,
     active_purpose: Option<String>,
     semantics: QuerySemantics,
-    /// Refuse mutating statements with [`Error::ReadOnly`] — the
-    /// replication-follower serving mode.
-    read_only: bool,
 }
 
 impl Session {
@@ -113,21 +110,7 @@ impl Session {
             purposes: HashMap::new(),
             active_purpose: None,
             semantics: QuerySemantics::Strict,
-            read_only: false,
         }
-    }
-
-    /// Put the session in (or take it out of) read-only mode: mutating
-    /// statements — CREATE TABLE, INSERT, DELETE, CHECKPOINT — fail with
-    /// [`Error::ReadOnly`]; SELECT, DECLARE PURPOSE and SHOW STATS still
-    /// run. A replication follower serves every connection this way.
-    pub fn set_read_only(&mut self, read_only: bool) {
-        self.read_only = read_only;
-    }
-
-    /// Is the session refusing mutations?
-    pub fn is_read_only(&self) -> bool {
-        self.read_only
     }
 
     pub fn db(&self) -> &Arc<Db> {
@@ -236,21 +219,6 @@ impl Session {
 
     /// Execute a parsed statement.
     pub fn run(&mut self, stmt: Statement) -> Result<QueryOutput> {
-        if self.read_only
-            && matches!(
-                stmt,
-                Statement::CreateTable { .. }
-                    | Statement::Insert { .. }
-                    | Statement::Delete { .. }
-                    | Statement::Checkpoint
-            )
-        {
-            return Err(Error::ReadOnly(format!(
-                "{} refused: this endpoint is a replication follower; \
-                 send writes to the leader",
-                stmt.kind()
-            )));
-        }
         match stmt {
             Statement::DeclarePurpose { name, items } => {
                 let pairs: Vec<(String, String)> =
@@ -363,37 +331,6 @@ mod tests {
             .slow_queries
             .iter()
             .all(|q| !q.kind.contains("sensitive")));
-    }
-
-    #[test]
-    fn read_only_session_refuses_mutations_serves_reads() {
-        let mut s = session();
-        s.execute("CREATE TABLE t (id INT, name TEXT)").unwrap();
-        s.execute("INSERT INTO t VALUES (1, 'a')").unwrap();
-        s.set_read_only(true);
-        assert!(s.is_read_only());
-        for sql in [
-            "INSERT INTO t VALUES (2, 'b')",
-            "DELETE FROM t WHERE id = 1",
-            "CREATE TABLE u (id INT)",
-            "CHECKPOINT",
-        ] {
-            let err = s.execute(sql).unwrap_err();
-            assert_eq!(err.class(), "read_only", "{sql}: {err:?}");
-            assert!(!err.is_retryable(), "{sql}");
-        }
-        // Reads and purpose declarations still work.
-        let out = s.execute("SELECT * FROM t").unwrap();
-        assert!(matches!(out, QueryOutput::Rows(r) if r.rows.len() == 1));
-        s.execute("DECLARE PURPOSE STAT SET ACCURACY LEVEL COUNTRY FOR P.LOCATION")
-            .unwrap();
-        assert!(matches!(
-            s.execute("SHOW STATS").unwrap(),
-            QueryOutput::Stats(_)
-        ));
-        // And the mode is reversible (embedded callers flip it for tests).
-        s.set_read_only(false);
-        s.execute("INSERT INTO t VALUES (2, 'b')").unwrap();
     }
 
     #[test]

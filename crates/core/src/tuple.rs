@@ -110,13 +110,13 @@ impl StoredTuple {
         !self.stages.is_empty() && self.stages.iter().all(|s| s.is_none())
     }
 
-    /// The one coarsening step, shared by the pump, redo and degraded
-    /// replicas: move degradable column `cid` (schema slot `slot`, policy
-    /// `d`) to LCP stage `to` — generalize its value to that stage's
-    /// level, or remove it when `to` is `None` or past the last stage.
-    /// Monotone by construction: unless the column is stored at a finer
-    /// stage this is a no-op and returns `None`; otherwise it returns the
-    /// index migration the step implies.
+    /// The one coarsening step, shared by the pump and redo: move
+    /// degradable column `cid` (schema slot `slot`, policy `d`) to LCP
+    /// stage `to` — generalize its value to that stage's level, or remove
+    /// it when `to` is `None` or past the last stage. Monotone by
+    /// construction: unless the column is stored at a finer stage this is
+    /// a no-op and returns `None`; otherwise it returns the index
+    /// migration the step implies.
     pub fn coarsen(
         &mut self,
         slot: usize,

@@ -13,9 +13,6 @@
 //! * [`automaton`] — **attribute LCPs** (Fig. 2): a deterministic finite
 //!   automaton `d0 → d1 → … → dn → ⊥` whose transitions fire after fixed
 //!   retention delays.
-//! * [`tuple`] — **tuple LCPs** (Fig. 3): the product automaton combining
-//!   the LCPs of all degradable attributes of a tuple; it yields the tuple
-//!   states `t_k` and the expunge time.
 //! * [`policy`] — a small text DSL for declaring LCPs
 //!   (`"address:1h -> city:1d -> region:1mo -> country:1mo"`).
 //! * [`degrade`] — the [`degrade::Degrader`]: hierarchy + automaton bound
@@ -28,11 +25,9 @@ pub mod gtree;
 pub mod hierarchy;
 pub mod policy;
 pub mod range;
-pub mod tuple;
 
 pub use automaton::{AttributeLcp, LcpPosition, LcpStage};
 pub use degrade::Degrader;
 pub use gtree::GeneralizationTree;
 pub use hierarchy::Hierarchy;
 pub use range::RangeHierarchy;
-pub use tuple::{TupleEvent, TupleLcp};

@@ -8,16 +8,13 @@
 //!   coarser accuracy level.
 //! * **Monotone life cycle**: the accuracy level in force never becomes
 //!   finer as a value ages; exposure never increases.
-//! * **Tuple product consistency**: the tuple state counts exactly the
-//!   attribute transitions that have fired, and the tuple is expunged iff
-//!   every attribute's life cycle has completed.
 
 use std::sync::Arc;
 
 use instant_common::{Duration, LevelId, Value};
 use instant_lcp::{
     automaton::AttributeLcp, gtree::GeneralizationTree, hierarchy::Hierarchy,
-    range::RangeHierarchy, tuple::TupleLcp, Degrader,
+    range::RangeHierarchy, Degrader,
 };
 use proptest::prelude::*;
 
@@ -148,31 +145,6 @@ proptest! {
             prev = e;
         }
         prop_assert_eq!(d.exposure_at(&v0, Duration::micros(horizon)), 0.0);
-    }
-
-    #[test]
-    fn tuple_state_counts_fired_transitions(
-        l1 in arb_lcp(4), l2 in arb_lcp(4), probe in 0u64..2_000_000
-    ) {
-        let t = TupleLcp::combine(vec![l1, l2]);
-        let age = Duration::secs(probe);
-        let k = t.state_at(age);
-        let fired = t.events().iter().filter(|e| e.at <= age).count();
-        prop_assert_eq!(k, fired);
-        prop_assert!(k < t.num_states());
-    }
-
-    #[test]
-    fn tuple_expunge_is_max_lifetime(l1 in arb_lcp(4), l2 in arb_lcp(4), l3 in arb_lcp(4)) {
-        let lifetimes = [l1.lifetime(), l2.lifetime(), l3.lifetime()];
-        let t = TupleLcp::combine(vec![l1, l2, l3]);
-        prop_assert_eq!(t.expunge_age(), lifetimes.iter().copied().max());
-        // Just before expunge at least one attribute still holds a value.
-        let eps = Duration::micros(1);
-        let before = t.expunge_age().unwrap().saturating_sub(eps);
-        prop_assert!(t.levels_at(before).iter().any(|l| l.is_some()));
-        // At expunge age all are gone.
-        prop_assert!(t.levels_at(t.expunge_age().unwrap()).iter().all(|l| l.is_none()));
     }
 
     #[test]

@@ -104,9 +104,6 @@ pub struct Obs {
     pub checkpoint: LatencyHistogram,
     /// One whole recovery (always recorded — see [`Obs::timed`]).
     pub recovery: LatencyHistogram,
-    /// Replication lag: sealed-segment age at the moment a follower's
-    /// ack covers it (leader-side, recorded by the segment shipper).
-    pub repl_lag: LatencyHistogram,
     /// Purpose name → usage counters. BTreeMap for stable snapshot
     /// order.
     purposes: Mutex<BTreeMap<String, PurposeCounters>>, // lock-rank: 600
@@ -143,7 +140,6 @@ impl Obs {
             query_reply: LatencyHistogram::new(),
             checkpoint: LatencyHistogram::new(),
             recovery: LatencyHistogram::new(),
-            repl_lag: LatencyHistogram::new(),
             purposes: Mutex::ranked(600, BTreeMap::new()),
             slow: Mutex::ranked(610, VecDeque::new()),
             providers: Mutex::ranked(620, Vec::new()),
@@ -284,7 +280,6 @@ impl Obs {
             ("query.reply".to_string(), self.query_reply.snapshot()),
             ("checkpoint".to_string(), self.checkpoint.snapshot()),
             ("recovery".to_string(), self.recovery.snapshot()),
-            ("repl.lag".to_string(), self.repl_lag.snapshot()),
         ];
         for (k, lane) in self.wal_shard_lanes.lock().iter().enumerate() {
             hists.push((format!("wal.drain.shard{k}"), lane.drain.snapshot()));

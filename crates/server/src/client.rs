@@ -86,11 +86,6 @@ impl Client {
         Ok(client)
     }
 
-    /// Is the underlying connection currently established?
-    pub fn is_connected(&self) -> bool {
-        self.stream.is_some()
-    }
-
     /// Execute one SQL statement and return its output. Engine errors
     /// arrive as typed [`Error`] values (the wire preserves the class);
     /// admission-control sheds surface as [`Error::ServerBusy`].

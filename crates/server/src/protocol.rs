@@ -51,15 +51,7 @@ const KIND_PING: u8 = 5;
 const KIND_PONG: u8 = 6;
 const KIND_CLOSE: u8 = 7;
 const KIND_STATS: u8 = 8;
-// 9–13: the SEGS replication sub-protocol (see [`SegFrame`]). A
-// replication link speaks *only* these kinds; a SQL link speaks only
-// 1–8. The kind spaces are disjoint so a frame that strays onto the
-// wrong link fails loudly as "unknown frame kind".
-const KIND_SEG_HELLO: u8 = 9;
-const KIND_SEG_META: u8 = 10;
-const KIND_SEG_SEGMENT: u8 = 11;
-const KIND_SEG_PROGRESS: u8 = 12;
-const KIND_SEG_ACK: u8 = 13;
+// 9–13 are retired (a replication sub-protocol) and must not be reused.
 
 /// One protocol frame.
 #[derive(Debug, Clone, PartialEq)]
@@ -470,233 +462,6 @@ pub fn client_hello(banner: &str) -> Frame {
     }
 }
 
-/// One frame of the SEGS replication sub-protocol: sealed WAL segments
-/// shipped leader → follower over the same length-prefixed framing as
-/// the SQL protocol (kinds 9–13, disjoint from the SQL kinds 1–8).
-///
-/// The exchange is lock-step per tick:
-///
-/// 1. follower opens with [`SegFrame::Hello`] — magic, version, its
-///    shard count and per-shard applied LSN (0s on a fresh directory);
-/// 2. leader answers [`SegFrame::Meta`] — its shard count (the
-///    follower's layout must match or be empty) and per-shard end LSNs;
-/// 3. each tick the leader sends zero or more [`SegFrame::Segment`]s
-///    (whole sealed files the follower hasn't acked), then one
-///    [`SegFrame::Progress`] as the tick barrier (doubling as an idle
-///    heartbeat carrying the leader's live per-shard end LSNs), then
-///    reads exactly one [`SegFrame::Ack`];
-/// 4. the follower's `Ack` carries, per shard, the first LSN it has
-///    **not** yet made durable (fsynced into its own layout) — the
-///    leader's retention hold and lag gauge key off this — plus the
-///    merged LSN below which it has applied ops to its serving engine.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SegFrame {
-    /// Follower → leader handshake: protocol version + the follower's
-    /// shard count and per-shard "first LSN I don't have durable yet".
-    Hello {
-        version: u8,
-        shards: u32,
-        /// Per-shard resume point: the leader re-ships from here.
-        durable: Vec<u64>,
-    },
-    /// Leader → follower handshake answer: authoritative shard count
-    /// (a non-empty follower with a different count must resync from
-    /// scratch) and the leader's current per-shard stream end LSNs.
-    Meta {
-        shards: u32,
-        /// Per-shard `next_lsn` on the leader at handshake time.
-        next_lsns: Vec<u64>,
-        /// The leader's DDL journal (`CREATE TABLE …` statements in
-        /// creation order) — the follower replays these through its own
-        /// catalog so shipped records resolve to matching table ids.
-        /// Snapshotted at handshake: a table created later reaches the
-        /// follower on its next reconnect (the apply loop surfaces the
-        /// unknown table id and the connection is re-dialed).
-        ddl: Vec<String>,
-    },
-    /// One whole sealed segment file, verbatim (WSEG header included).
-    Segment {
-        shard: u32,
-        seqno: u64,
-        /// First LSN inside the file — redundant with the WSEG header,
-        /// kept in the frame so the follower can sanity-check resume
-        /// order without parsing the body first.
-        first_lsn: u64,
-        bytes: Vec<u8>,
-    },
-    /// Tick barrier / heartbeat (leader → follower): the leader's live
-    /// per-shard stream end LSNs. On an idle shard this tells the
-    /// follower its copy is complete up to `next_lsns[k]` even though
-    /// no sealed segment covers the tail.
-    Progress { next_lsns: Vec<u64> },
-    /// Follower → leader, one per tick: per-shard durable frontier
-    /// (first LSN not yet fsynced on the follower) and the merged LSN
-    /// below which ops are applied to the serving engine.
-    Ack { durable: Vec<u64>, applied: u64 },
-}
-
-impl SegFrame {
-    fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64);
-        let put_lsns = |out: &mut Vec<u8>, lsns: &[u64]| {
-            raw::put_u32(out, lsns.len() as u32);
-            for l in lsns {
-                raw::put_u64(out, *l);
-            }
-        };
-        match self {
-            SegFrame::Hello {
-                version,
-                shards,
-                durable,
-            } => {
-                out.push(KIND_SEG_HELLO);
-                out.extend_from_slice(&MAGIC);
-                out.push(*version);
-                raw::put_u32(&mut out, *shards);
-                put_lsns(&mut out, durable);
-            }
-            SegFrame::Meta {
-                shards,
-                next_lsns,
-                ddl,
-            } => {
-                out.push(KIND_SEG_META);
-                raw::put_u32(&mut out, *shards);
-                put_lsns(&mut out, next_lsns);
-                raw::put_u32(&mut out, ddl.len() as u32);
-                for stmt in ddl {
-                    raw::put_bytes(&mut out, stmt.as_bytes());
-                }
-            }
-            SegFrame::Segment {
-                shard,
-                seqno,
-                first_lsn,
-                bytes,
-            } => {
-                out.push(KIND_SEG_SEGMENT);
-                raw::put_u32(&mut out, *shard);
-                raw::put_u64(&mut out, *seqno);
-                raw::put_u64(&mut out, *first_lsn);
-                raw::put_bytes(&mut out, bytes);
-            }
-            SegFrame::Progress { next_lsns } => {
-                out.push(KIND_SEG_PROGRESS);
-                put_lsns(&mut out, next_lsns);
-            }
-            SegFrame::Ack { durable, applied } => {
-                out.push(KIND_SEG_ACK);
-                put_lsns(&mut out, durable);
-                raw::put_u64(&mut out, *applied);
-            }
-        }
-        out
-    }
-
-    fn decode(payload: &[u8]) -> Result<SegFrame> {
-        let (&kind, mut body) = payload
-            .split_first()
-            .ok_or_else(|| Error::Corrupt("empty frame".into()))?;
-        let get_lsns = |buf: &mut &[u8]| -> Result<Vec<u64>> {
-            let n = raw::get_u32(buf)? as usize;
-            let mut out = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                out.push(raw::get_u64(buf)?);
-            }
-            Ok(out)
-        };
-        let frame = match kind {
-            KIND_SEG_HELLO => {
-                let magic: Vec<u8> = take(&mut body, 4)?.to_vec();
-                if magic != MAGIC {
-                    return Err(Error::Corrupt("bad replication handshake magic".into()));
-                }
-                let version = take(&mut body, 1)?[0];
-                let shards = raw::get_u32(&mut body)?;
-                SegFrame::Hello {
-                    version,
-                    shards,
-                    durable: get_lsns(&mut body)?,
-                }
-            }
-            KIND_SEG_META => {
-                let shards = raw::get_u32(&mut body)?;
-                let next_lsns = get_lsns(&mut body)?;
-                let n = raw::get_u32(&mut body)? as usize;
-                let mut ddl = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    ddl.push(get_string(&mut body)?);
-                }
-                SegFrame::Meta {
-                    shards,
-                    next_lsns,
-                    ddl,
-                }
-            }
-            KIND_SEG_SEGMENT => SegFrame::Segment {
-                shard: raw::get_u32(&mut body)?,
-                seqno: raw::get_u64(&mut body)?,
-                first_lsn: raw::get_u64(&mut body)?,
-                bytes: raw::get_bytes(&mut body)?,
-            },
-            KIND_SEG_PROGRESS => SegFrame::Progress {
-                next_lsns: get_lsns(&mut body)?,
-            },
-            KIND_SEG_ACK => SegFrame::Ack {
-                durable: get_lsns(&mut body)?,
-                applied: raw::get_u64(&mut body)?,
-            },
-            other => {
-                return Err(Error::Corrupt(format!(
-                    "unknown replication frame kind {other}"
-                )))
-            }
-        };
-        if !body.is_empty() {
-            return Err(Error::Corrupt(format!(
-                "{} trailing bytes after replication frame",
-                body.len()
-            )));
-        }
-        Ok(frame)
-    }
-}
-
-/// Write one SEGS frame (length prefix + payload) and flush it.
-pub fn write_seg_frame(w: &mut impl Write, frame: &SegFrame) -> Result<()> {
-    write_payload(w, &frame.encode())
-}
-
-/// Read one SEGS frame; `Ok(None)` on a clean disconnect at a frame
-/// boundary. Same framing and size discipline as [`read_frame`].
-pub fn read_seg_frame(r: &mut impl Read, max_frame_bytes: u32) -> Result<Option<SegFrame>> {
-    let Some(len) = read_len(r)? else {
-        return Ok(None);
-    };
-    if len == 0 {
-        return Err(Error::Corrupt("zero-length frame".into()));
-    }
-    if len > max_frame_bytes {
-        return Err(Error::Capacity(format!(
-            "replication frame of {len} bytes exceeds the {max_frame_bytes}-byte limit"
-        )));
-    }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)
-        .map_err(|e| truncated_as_corrupt(e, "replication frame body"))?;
-    SegFrame::decode(&payload).map(Some)
-}
-
-/// The follower's opening SEGS handshake frame.
-pub fn seg_hello(shards: u32, durable: Vec<u64>) -> SegFrame {
-    SegFrame::Hello {
-        version: PROTOCOL_VERSION,
-        shards,
-        durable,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -859,72 +624,6 @@ mod tests {
     }
 
     #[test]
-    fn seg_frames_round_trip() {
-        let frames = vec![
-            seg_hello(4, vec![0, 7, 19, 3]),
-            SegFrame::Meta {
-                shards: 4,
-                next_lsns: vec![10, 11, 12, u64::MAX],
-                ddl: vec![
-                    "CREATE TABLE person (id INT, loc TEXT DEGRADE location_gt)".into(),
-                    "CREATE TABLE audit (id INT)".into(),
-                ],
-            },
-            SegFrame::Meta {
-                shards: 1,
-                next_lsns: vec![0],
-                ddl: Vec::new(),
-            },
-            SegFrame::Segment {
-                shard: 2,
-                seqno: 5,
-                first_lsn: 4096,
-                bytes: b"WSEG-and-then-some-frames".to_vec(),
-            },
-            SegFrame::Segment {
-                shard: 0,
-                seqno: 0,
-                first_lsn: 0,
-                bytes: Vec::new(),
-            },
-            SegFrame::Progress {
-                next_lsns: vec![100, 200],
-            },
-            SegFrame::Ack {
-                durable: vec![90, 180],
-                applied: 170,
-            },
-        ];
-        for f in frames {
-            let mut wire = Vec::new();
-            write_seg_frame(&mut wire, &f).unwrap();
-            let mut cursor = wire.as_slice();
-            let back = read_seg_frame(&mut cursor, DEFAULT_MAX_FRAME_BYTES)
-                .unwrap()
-                .unwrap();
-            assert!(cursor.is_empty(), "frame fully consumed");
-            assert_eq!(back, f, "{f:?}");
-        }
-    }
-
-    #[test]
-    fn seg_and_sql_kind_spaces_are_disjoint() {
-        // A SQL frame read by the replication reader (and vice versa)
-        // must fail as an unknown kind, not silently mis-decode.
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &Frame::Ping).unwrap();
-        let err = read_seg_frame(&mut wire.as_slice(), 1024).unwrap_err();
-        assert!(matches!(err, Error::Corrupt(_)), "{err:?}");
-
-        let mut wire = Vec::new();
-        write_seg_frame(&mut wire, &SegFrame::Progress { next_lsns: vec![1] }).unwrap();
-        let err = read_frame(&mut wire.as_slice(), 1024).unwrap_err();
-        assert!(matches!(err, Error::Corrupt(_)), "{err:?}");
-        // Clean disconnect is still None on the replication reader.
-        assert!(read_seg_frame(&mut (&[] as &[u8]), 1024).unwrap().is_none());
-    }
-
-    #[test]
     fn bad_magic_and_unknown_kind_rejected() {
         let mut payload = vec![1u8]; // Hello kind
         payload.extend_from_slice(b"NOPE");
@@ -935,9 +634,13 @@ mod tests {
         wire.extend_from_slice(&payload);
         assert!(read_frame(&mut wire.as_slice(), 1024).is_err());
 
-        let mut wire = Vec::new();
-        wire.extend_from_slice(&1u32.to_le_bytes());
-        wire.push(0xEE);
-        assert!(read_frame(&mut wire.as_slice(), 1024).is_err());
+        // Unknown kinds, the retired 9..=13 among them, fail as corrupt.
+        for kind in (9..=13).chain([0xEE]) {
+            let mut wire = Vec::new();
+            wire.extend_from_slice(&1u32.to_le_bytes());
+            wire.push(kind);
+            let err = read_frame(&mut wire.as_slice(), 1024).unwrap_err();
+            assert!(matches!(err, Error::Corrupt(_)), "kind {kind}: {err:?}");
+        }
     }
 }

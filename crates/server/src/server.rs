@@ -76,11 +76,6 @@ pub struct ServerConfig {
     /// start only when [`DbConfig::slow_query`] left the engine's own
     /// threshold unset; `None` here keeps whatever the engine has.
     pub slow_query: Option<StdDuration>,
-    /// Serve every connection in read-only mode: mutating statements
-    /// fail with a typed [`ReadOnly`](instant_common::Error::ReadOnly)
-    /// error while SELECT / DECLARE PURPOSE / SHOW STATS run normally.
-    /// This is how a replication follower exposes its engine.
-    pub read_only: bool,
 }
 
 impl Default for ServerConfig {
@@ -93,7 +88,6 @@ impl Default for ServerConfig {
             handshake_timeout: StdDuration::from_secs(10),
             write_timeout: StdDuration::from_secs(30),
             slow_query: Some(StdDuration::from_millis(250)),
-            read_only: false,
         }
     }
 }
@@ -421,7 +415,6 @@ fn reader_loop(mut stream: TcpStream, shared: &Arc<Shared>) {
     let _ = stream.set_read_timeout(None);
     let max_frame_bytes = shared.cfg.max_frame_bytes;
     let mut session = Session::with_registry(shared.db.clone(), shared.hierarchies.clone());
-    session.set_read_only(shared.cfg.read_only);
     loop {
         match protocol::read_frame(&mut stream, max_frame_bytes) {
             Ok(Some(Frame::Query { sql })) => {
@@ -568,7 +561,7 @@ fn journal_ddl(file: &mut std::fs::File, sql: &str) -> Result<()> {
 }
 
 /// The DDL journal path for a data-directory prefix.
-pub fn ddl_path(prefix: &Path) -> PathBuf {
+fn ddl_path(prefix: &Path) -> PathBuf {
     let mut s = prefix.as_os_str().to_os_string();
     s.push(".ddl");
     PathBuf::from(s)

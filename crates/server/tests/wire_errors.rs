@@ -282,42 +282,6 @@ fn handshake_violations_are_refused_typed() {
 }
 
 #[test]
-fn read_only_server_refuses_mutations_with_typed_class() {
-    // A replication follower serves the same wire protocol but with the
-    // session pinned read-only: every mutation must come back as the
-    // typed `read_only` class (non-retryable — the client must redirect
-    // to the leader, not spin), while reads keep working.
-    let server = server_with(ServerConfig {
-        read_only: true,
-        ..ServerConfig::default()
-    });
-    let mut client = Client::connect(server.local_addr().to_string()).unwrap();
-
-    for sql in [
-        "CREATE TABLE kv (k INT INDEXED, v TEXT)",
-        "INSERT INTO kv VALUES (1, 'x')",
-        "DELETE FROM kv WHERE k = 1",
-        "CHECKPOINT",
-    ] {
-        let err = client.query(sql).unwrap_err();
-        assert!(matches!(err, Error::ReadOnly(_)), "{sql:?} → {err:?}");
-        assert_eq!(err.class(), "read_only", "{sql:?}");
-        assert!(!err.is_retryable(), "{sql:?} must not be retried");
-    }
-
-    // Reads and purpose declarations still flow on the same connection.
-    assert!(matches!(
-        client.query("SELECT 1 FROM nope"),
-        Err(Error::NotFound(_) | Error::Parse(_) | Error::Schema(_))
-    ));
-    client.query("SHOW STATS").unwrap();
-    let stats = server.stats();
-    assert!(stats.query_errors >= 4, "{stats:?}");
-    assert_eq!(stats.protocol_errors, 0, "{stats:?}");
-    server.shutdown().unwrap();
-}
-
-#[test]
 fn query_output_rows_unwrap_helper_is_reexported() {
     // Tiny sanity: the client surfaces core's QueryOutput directly, so
     // downstream code can pattern-match it without conversion glue.

@@ -402,11 +402,6 @@ impl BufferPool {
         Ok(())
     }
 
-    /// Write back one page if resident and dirty.
-    pub fn flush_page(&self, id: PageId) -> Result<()> {
-        self.flush_one(id)
-    }
-
     fn flush_one(&self, id: PageId) -> Result<()> {
         let Some(pinned) = self.try_pin_resident(self.shard_of(id), id, false) else {
             return Ok(()); // evicted meanwhile — eviction wrote it back

@@ -15,7 +15,7 @@
 //! * Degradation steps are **logical** ([`record::LogRecord::Degrade`]):
 //!   tuple, column and the LCP stage entered, no value in any form. Redo
 //!   recomputes the coarser value from the stored one, so a step adds no
-//!   ciphertext to shred or ship, and sealing can never fail one.
+//!   ciphertext to shred, and sealing can never fail one.
 //! * The log is **segmented** ([`segment`]): a directory of fixed-capacity
 //!   `wal.<seqno>.seg` files, rotated on capacity and right before each
 //!   checkpoint. Periodic checkpoints flush the store and physically

@@ -8,7 +8,7 @@
 //!   with no value in any form: generalization is a pure function of the
 //!   stored value and the LCP, so redo recomputes the coarser value from
 //!   the heap, and the log never holds one more copy of it to seal,
-//!   shred, ship and scrape.
+//!   shred and scrape.
 //! * Row images ride in a [`Payload`], which is either `Plain` (classical
 //!   WAL mode, the forensic baseline) or `Sealed`
 //!   (ciphertext + window id + nonce). Once the window key is shredded a

@@ -13,7 +13,7 @@
 //! [`Op::Unrecoverable`]: recovery *cannot* resurrect it, by design. The
 //! engine shreds only at a checkpoint, windows older than the checkpoint
 //! itself, whose flush already put every earlier image's effect in the
-//! heap — so a leader's redo, which starts after that checkpoint, never
+//! heap — so redo, which starts after that checkpoint, never
 //! needs a shredded key. A degradation step carries no image
 //! ([`LogRecord::Degrade`]): it always replays, as the stage the stored
 //! value moves to, and can never come back unrecoverable. The recovery
@@ -109,8 +109,7 @@ pub struct RecoveryPlan {
     /// Transactions that began but never committed (their work is ignored).
     pub losers: HashSet<TxId>,
     /// Redo operations (committed transactions only) in LSN order, each
-    /// with the LSN of the record it came from. Replication followers key
-    /// incremental replay off the LSN: "apply every op below the barrier".
+    /// with the LSN of the record it came from.
     pub ops: Vec<(Lsn, Op)>,
     /// Count of records skipped because their tx never committed.
     pub skipped_uncommitted: usize,
@@ -118,8 +117,8 @@ pub struct RecoveryPlan {
     pub unrecoverable: usize,
 }
 
-/// LSN of the last [`LogRecord::Checkpoint`] in the stream: the cut a
-/// leader recovering over its own flushed heap hands to [`replay`].
+/// LSN of the last [`LogRecord::Checkpoint`] in the stream: the cut
+/// recovery over the flushed heap hands to [`replay`].
 pub fn last_checkpoint(records: &[(Lsn, LogRecord)]) -> Option<Lsn> {
     records
         .iter()
@@ -142,11 +141,9 @@ pub fn recover_set(
 
 /// The one replay: redo every committed record after `cut`.
 ///
-/// A leader passes `Some(`[`last_checkpoint`]`)` — its heap is flushed up
+/// Recovery passes `Some(`[`last_checkpoint`]`)` — the heap is flushed up
 /// to that record, whose table directory and `at` come back in the plan.
-/// A replication follower passes `None`: it has no heap image of its own,
-/// so a leader-side `Checkpoint` (which means "the *leader's* heap below
-/// this LSN is flushed") must not truncate its redo.
+/// `None` replays everything; only tests use it.
 pub fn replay(records: &[(Lsn, LogRecord)], cut: Option<Lsn>, ks: &KeyStore) -> RecoveryPlan {
     let mut plan = RecoveryPlan::default();
     // `records` is LSN-ordered; `None < Some(_)`, so no cut keeps it all.
@@ -270,7 +267,7 @@ mod tests {
         }
     }
 
-    /// A leader's recovery: redo cut at the last checkpoint.
+    /// Recovery: redo cut at the last checkpoint.
     fn recover(log: &[(Lsn, LogRecord)], ks: &KeyStore) -> RecoveryPlan {
         replay(log, last_checkpoint(log), ks)
     }
@@ -463,10 +460,10 @@ mod tests {
             insert(2, 1, b"new"),
             commit(2),
         ]);
-        // A leader recovering itself starts after the checkpoint…
+        // Recovery starts after the checkpoint…
         let plan = recover(&log, &ks);
         assert_eq!(plan.ops.len(), 1);
-        // …a follower with no heap of its own redoes everything.
+        // …and no cut redoes everything.
         let full = replay(&log, None, &ks);
         assert_eq!(full.checkpoint_at, None);
         assert_eq!(full.ops.len(), 2);

@@ -29,13 +29,11 @@
 //! (an older image-carrying degradation step): every shard is scanned
 //! before any is trimmed, so a refused log is left byte for byte.
 
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use instant_common::{Error, Result, TxId};
-use parking_lot::Mutex;
 
 use crate::record::{LogRecord, Lsn};
 use crate::segment::{self, SegmentConfig, SegmentStats};
@@ -63,15 +61,6 @@ pub struct WalSet {
     /// batch ranges from it under their own shard lock: unique LSNs
     /// globally, monotone LSNs per shard byte stream.
     alloc: Arc<AtomicU64>,
-    /// Replication retention holds: `hold id → lowest LSN the holder
-    /// still needs`. [`WalSet::truncate_before`] never deletes below the
-    /// minimum of these, so a checkpoint cannot destroy a sealed segment
-    /// a connected follower has not acknowledged yet. Rank 515 sits
-    /// between the group-commit locks (500/505/510) and the shard locks
-    /// (520): the floor is read *before* any shard lock is taken, and
-    /// never held across file I/O.
-    holds: Mutex<HashMap<u64, Lsn>>, // lock-rank: 515
-    next_hold_id: AtomicU64,
     ephemeral: bool,
 }
 
@@ -126,8 +115,6 @@ impl WalSet {
             dir,
             shards: shard_logs,
             alloc,
-            holds: Mutex::ranked(515, HashMap::new()),
-            next_hold_id: AtomicU64::new(1),
             ephemeral: false,
         })
     }
@@ -209,66 +196,13 @@ impl WalSet {
     }
 
     /// Physically drop records below `keep_from` on every shard; returns
-    /// the total frames dropped. The cut is clamped to the replication
-    /// [retention floor](WalSet::retention_floor): a sealed segment no
-    /// connected follower has acknowledged yet survives the checkpoint
-    /// and is deleted by a later one, once acks catch up. The floor is
-    /// snapshotted before the per-shard truncations (rank 515 is never
-    /// held across the shard locks or the unlink I/O); a hold registered
-    /// concurrently with the cut may or may not constrain it, which is
-    /// why followers register their hold *before* reading any segment.
+    /// the total frames dropped.
     pub fn truncate_before(&self, keep_from: Lsn) -> Result<u64> {
-        let cut = match self.retention_floor() {
-            Some(floor) => keep_from.min(floor),
-            None => keep_from,
-        };
         let mut dropped = 0u64;
         for shard in &self.shards {
-            dropped += shard.truncate_before(cut)?;
+            dropped += shard.truncate_before(keep_from)?;
         }
         Ok(dropped)
-    }
-
-    /// Register a replication retention hold: records at or above
-    /// `keep_from` will survive [`WalSet::truncate_before`] until the
-    /// hold is advanced past them or released. Returns the hold's id.
-    pub fn register_retention_hold(&self, keep_from: Lsn) -> u64 {
-        let id = self.next_hold_id.fetch_add(1, Ordering::Relaxed);
-        self.holds.lock().insert(id, keep_from);
-        id
-    }
-
-    /// Advance (or rewind) hold `id` to `keep_from`. Unknown ids no-op —
-    /// a raced release wins.
-    pub fn update_retention_hold(&self, id: u64, keep_from: Lsn) {
-        if let Some(slot) = self.holds.lock().get_mut(&id) {
-            *slot = keep_from;
-        }
-    }
-
-    /// Release hold `id` (follower disconnected); truncation is again
-    /// bounded only by the remaining holds.
-    pub fn release_retention_hold(&self, id: u64) {
-        self.holds.lock().remove(&id);
-    }
-
-    /// The lowest LSN any registered hold still needs, or `None` when no
-    /// holds exist.
-    pub fn retention_floor(&self) -> Option<Lsn> {
-        self.holds.lock().values().min().copied()
-    }
-
-    /// Shard `k`'s sealed, immutable segments as `(seqno, first_lsn,
-    /// len_bytes)` — the shipping manifest a replication sender works
-    /// from (see [`Wal::sealed_segments`]).
-    pub fn sealed_segments(&self, k: usize) -> Vec<(u64, Lsn, u64)> {
-        self.shards[k].sealed_segments()
-    }
-
-    /// First LSN of shard `k`'s active (unsealed) segment: everything
-    /// below it on this shard lives in sealed segments.
-    pub fn sealed_end_lsn(&self, k: usize) -> Lsn {
-        self.shards[k].sealed_end_lsn()
     }
 
     /// Every intact record across all shards, **k-way merged by LSN**
@@ -662,78 +596,6 @@ mod tests {
         assert_eq!(lsns, vec![0, 1, 3], "hole where the torn record was");
         drop(set);
         std::fs::remove_dir_all(&path).unwrap();
-    }
-
-    #[test]
-    fn retention_hold_gates_truncation_until_released() {
-        let set = WalSet::temp_with("holds", 2, SegmentConfig::default()).unwrap();
-        for tx in 0..10u64 {
-            let k = set.shard_for(Some(TxId(tx)));
-            set.append_batch(k, &[rec(tx, 0)]).unwrap();
-        }
-        set.sync_all().unwrap();
-        set.rotate_all().unwrap();
-
-        // A follower still needs everything from LSN 0.
-        let hold = set.register_retention_hold(0);
-        assert_eq!(set.retention_floor(), Some(0));
-        set.truncate_before(10).unwrap();
-        assert_eq!(
-            set.iterate().unwrap().len(),
-            10,
-            "hold at 0 pins every record through a full truncation"
-        );
-
-        // The follower acks through LSN 4: the cut may now advance, but
-        // only that far.
-        set.update_retention_hold(hold, 4);
-        set.truncate_before(10).unwrap();
-        let lsns: Vec<Lsn> = set.iterate().unwrap().iter().map(|(l, _)| *l).collect();
-        assert!(
-            (4..10).all(|l| lsns.contains(&l)),
-            "nothing at or above the floor was dropped: {lsns:?}"
-        );
-
-        // Released: the next truncation honors the caller's cut.
-        set.release_retention_hold(hold);
-        assert_eq!(set.retention_floor(), None);
-        set.truncate_before(10).unwrap();
-        assert!(set.iterate().unwrap().is_empty());
-    }
-
-    #[test]
-    fn retention_floor_is_min_across_holds() {
-        let set = WalSet::temp_with("holds-min", 1, SegmentConfig::default()).unwrap();
-        let a = set.register_retention_hold(7);
-        let b = set.register_retention_hold(3);
-        assert_eq!(set.retention_floor(), Some(3));
-        set.update_retention_hold(b, 9);
-        assert_eq!(set.retention_floor(), Some(7));
-        set.release_retention_hold(a);
-        assert_eq!(set.retention_floor(), Some(9));
-        // Updating a released hold must not resurrect it.
-        set.release_retention_hold(b);
-        set.update_retention_hold(b, 1);
-        assert_eq!(set.retention_floor(), None);
-    }
-
-    #[test]
-    fn sealed_segments_delegate_per_shard() {
-        let cfg = SegmentConfig { segment_bytes: 1 }; // clamps to the 4 KiB floor
-        let set = WalSet::temp_with("sealed-per-shard", 2, cfg).unwrap();
-        for tx in 0..4u64 {
-            let k = set.shard_for(Some(TxId(tx)));
-            set.append_batch(k, &[rec(tx, 0)]).unwrap();
-        }
-        set.sync_all().unwrap();
-        assert!(set.sealed_segments(0).is_empty());
-        set.rotate_all().unwrap();
-        for k in 0..2 {
-            let sealed = set.sealed_segments(k);
-            assert_eq!(sealed.len(), 1, "shard {k}");
-            assert_eq!(sealed[0].0, 0, "first segment seqno");
-            assert!(set.sealed_end_lsn(k) >= sealed[0].1);
-        }
     }
 
     #[test]

@@ -354,29 +354,6 @@ impl Wal {
         }
     }
 
-    /// Enumerate the sealed (rotated, immutable, fsynced) segments in log
-    /// order as `(seqno, first_lsn, len)` — the shipping manifest a
-    /// replication sender works from, without scraping the directory. A
-    /// sealed segment's on-disk file (`wal.<seqno>.seg`) never changes
-    /// again until truncation deletes it, so a reader holding one of
-    /// these entries may stream the file without any lock.
-    pub fn sealed_segments(&self) -> Vec<(u64, Lsn, u64)> {
-        self.inner
-            .lock()
-            .sealed
-            .iter()
-            .map(|s| (s.seqno, s.first_lsn, s.bytes))
-            .collect()
-    }
-
-    /// The LSN boundary up to which sealed segments cover the log: the
-    /// first LSN of the *active* segment. Every record with a smaller
-    /// LSN on this shard lives in a sealed segment; records at or above
-    /// it are still mutable (the active segment can tear).
-    pub fn sealed_end_lsn(&self) -> Lsn {
-        self.inner.lock().active.first_lsn
-    }
-
     /// The LSN just past this log's last record — its *local* stream
     /// position, which trails the allocator's next LSN whenever other
     /// shards of the same set appended more recently.
@@ -1040,61 +1017,6 @@ mod tests {
         wal.rotate().unwrap();
         wal.rotate().unwrap();
         assert_eq!(wal.segment_stats().rotations, 1, "second rotate idles");
-    }
-
-    #[test]
-    fn sealed_segments_enumerates_rotated_segments_only() {
-        let wal = Wal::temp("sealed-enum").unwrap();
-        assert!(wal.sealed_segments().is_empty(), "fresh log has no seals");
-        assert_eq!(wal.sealed_end_lsn(), 0);
-        for i in 0..4 {
-            wal.append(&rec(i)).unwrap();
-        }
-        wal.rotate().unwrap(); // seal [0..4) as segment 0
-        for i in 4..6 {
-            wal.append(&rec(i)).unwrap();
-        }
-        wal.rotate().unwrap(); // seal [4..6) as segment 1
-        wal.append(&rec(6)).unwrap(); // active segment 2 — not listed
-        wal.sync().unwrap();
-        let sealed = wal.sealed_segments();
-        assert_eq!(sealed.len(), 2);
-        assert_eq!((sealed[0].0, sealed[0].1), (0, 0));
-        assert_eq!((sealed[1].0, sealed[1].1), (1, 4));
-        assert!(sealed.iter().all(|(_, _, len)| *len > SEGMENT_HEADER_LEN));
-        assert_eq!(wal.sealed_end_lsn(), 6, "active segment starts at 6");
-        // The listing names real immutable files of exactly that length.
-        for (seqno, _, len) in &sealed {
-            let path = wal.path().join(segment::file_name(*seqno));
-            assert_eq!(std::fs::metadata(&path).unwrap().len(), *len);
-        }
-        // Truncation drops the dead entry from the manifest too.
-        wal.truncate_before(4).unwrap();
-        let sealed = wal.sealed_segments();
-        assert_eq!(sealed.len(), 1);
-        assert_eq!(sealed[0].0, 1, "segment 0 deleted, seqno 1 survives");
-    }
-
-    #[test]
-    fn sealed_segments_survive_reopen_with_seqnos() {
-        let path = scratch("sealed-reopen");
-        {
-            let wal = Wal::open(&path).unwrap();
-            for i in 0..3 {
-                wal.append(&rec(i)).unwrap();
-            }
-            wal.rotate().unwrap();
-            wal.append(&rec(3)).unwrap();
-            wal.sync().unwrap();
-        }
-        {
-            let wal = Wal::open(&path).unwrap();
-            let sealed = wal.sealed_segments();
-            assert_eq!(sealed.len(), 1);
-            assert_eq!((sealed[0].0, sealed[0].1), (0, 0));
-            assert_eq!(wal.sealed_end_lsn(), 3);
-        }
-        std::fs::remove_dir_all(&path).unwrap();
     }
 
     #[test]

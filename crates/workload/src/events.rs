@@ -112,10 +112,6 @@ impl<'d> EventStream<'d> {
         }
         out
     }
-
-    pub fn current_time(&self) -> Timestamp {
-        self.now
-    }
 }
 
 #[cfg(test)]

@@ -20,7 +20,13 @@ use instantdb::workload::location::{LocationDomain, LocationShape};
 
 fn main() -> Result<()> {
     let clock = MockClock::new();
-    let db = Arc::new(Db::open(DbConfig::default(), clock.shared())?);
+    // The point is what the store holds over the week, not durability: no
+    // log, so no fsync per fix.
+    let cfg = DbConfig {
+        wal_mode: WalMode::Off,
+        ..DbConfig::default()
+    };
+    let db = Arc::new(Db::open(cfg, clock.shared())?);
     let mut session = Session::new(db.clone());
 
     let domain = LocationDomain::generate(LocationShape::default(), 0.9);

@@ -45,7 +45,7 @@
 //! | crate | contents |
 //! |---|---|
 //! | [`common`] | values, clock, ids, codec, errors |
-//! | [`lcp`] | generalization trees, LCP automata, tuple LCPs |
+//! | [`lcp`] | generalization trees, LCP automata |
 //! | [`storage`] | pages, buffer pool, heap, secure delete |
 //! | [`wal`] | sealed WAL, key shredding, recovery |
 //! | [`index`] | B+-tree, bitmap, multi-level index |
@@ -81,7 +81,7 @@ pub mod prelude {
     pub use instant_core::schema::{Column, ColumnKind, TableSchema};
     pub use instant_core::{GroupCommitConfig, GroupCommitStats};
     pub use instant_lcp::gtree::{location_tree_fig1, GeneralizationTree};
-    pub use instant_lcp::{AttributeLcp, Degrader, Hierarchy, RangeHierarchy, TupleLcp};
+    pub use instant_lcp::{AttributeLcp, Degrader, Hierarchy, RangeHierarchy};
     pub use instant_server::{
         server_stats, Client, ClientConfig, Server, ServerConfig, ServerStats,
     };
