@@ -8,6 +8,8 @@
 //! Performance is measured by the standalone `benchmark/` package, not
 //! here.
 
+#![warn(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 use std::fmt::{self, Display};
 use std::io::Write;
 use std::path::PathBuf;
@@ -68,9 +70,12 @@ impl Report {
 
     /// Print to stdout and also write a CSV next to the binary's cwd under
     /// `results/<slug>.csv` (best-effort).
+    #[expect(
+        clippy::print_stdout,
+        reason = "the bench harness reports to the operator console by contract"
+    )]
     pub fn emit(&self, slug: &str) {
-        print!("{}", self.render()); // lint:allow(L005, the bench harness reports to the operator console by contract)
-        println!(); // lint:allow(L005, the bench harness reports to the operator console by contract)
+        println!("{}", self.render());
         let _ = self.write_csv(slug);
     }
 

@@ -13,6 +13,8 @@
 //! * [`codec`] — length-prefixed binary encoding used by the storage engine
 //!   and the write-ahead log.
 
+#![warn(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 pub mod clock;
 pub mod codec;
 pub mod error;

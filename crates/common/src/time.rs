@@ -67,7 +67,7 @@ impl Duration {
     /// Integer division of durations (how many `other` fit in `self`).
     /// Not `std::ops::Div`: the quotient is a dimensionless count, not a
     /// `Duration`, and call sites should not need a trait import.
-    #[allow(clippy::should_implement_trait)]
+    #[expect(clippy::should_implement_trait, reason = "a count, not a Duration")]
     pub fn div(self, other: Duration) -> u64 {
         assert!(other.0 > 0, "division by zero duration");
         self.0 / other.0
@@ -76,7 +76,7 @@ impl Duration {
     /// Scale by an integer factor (saturating).
     /// Not `std::ops::Mul`: saturating semantics differ from the trait's
     /// expected exact multiplication, and call sites avoid a trait import.
-    #[allow(clippy::should_implement_trait)]
+    #[expect(clippy::should_implement_trait, reason = "saturating, unlike Mul")]
     pub fn mul(self, k: u64) -> Duration {
         Duration(self.0.saturating_mul(k))
     }

@@ -28,8 +28,8 @@ pub struct Table {
     id: TableId,
     schema: TableSchema,
     heap: HeapFile,
-    deg_indexes: RwLock<HashMap<ColumnId, MultiLevelIndex>>, // lock-rank: 320
-    stable_indexes: RwLock<HashMap<ColumnId, BPlusTree>>,    // lock-rank: 330
+    deg_indexes: RwLock<HashMap<ColumnId, MultiLevelIndex>>,
+    stable_indexes: RwLock<HashMap<ColumnId, BPlusTree>>,
 }
 
 impl std::fmt::Debug for Table {
@@ -92,13 +92,10 @@ impl Table {
     /// (the static-anonymization baseline) generalizes at ingest, so the
     /// accurate form never reaches the page. Returns the tuple id.
     pub fn insert_physical(&self, now: Timestamp, row: &[Value]) -> Result<TupleId> {
-        let deg_cols = self.schema.degradable_columns();
-        let stages: Vec<Option<u8>> = deg_cols.iter().map(|_| Some(0)).collect();
+        let stages: Vec<Option<u8>> = self.schema.degraders().map(|_| Some(0)).collect();
         // Materialize the stored row: degradable values at stage-0 level.
         let mut stored_row = row.to_vec();
-        for cid in &deg_cols {
-            let col = self.schema.column(*cid);
-            let d = col.degrader().expect("degradable"); // lint:allow(L001, column from degradable_columns() always has a degrader)
+        for (cid, d) in self.schema.degraders() {
             let level = d.lcp().stages()[0].level;
             stored_row[cid.0 as usize] = d.hierarchy().generalize(&row[cid.0 as usize], level)?;
         }
@@ -108,10 +105,8 @@ impl Table {
         // Secondary index maintenance.
         {
             let mut deg = self.deg_indexes.write();
-            for cid in &deg_cols {
-                if let Some(idx) = deg.get_mut(cid) {
-                    let col = self.schema.column(*cid);
-                    let d = col.degrader().expect("degradable"); // lint:allow(L001, column from degradable_columns() always has a degrader)
+            for (cid, d) in self.schema.degraders() {
+                if let Some(idx) = deg.get_mut(&cid) {
                     let level = d.lcp().stages()[0].level;
                     idx.insert_at(level, &stored_row[cid.0 as usize], tid)?;
                 }
@@ -177,12 +172,9 @@ impl Table {
         // Drop index entries for current values.
         {
             let mut deg = self.deg_indexes.write();
-            let deg_cols = self.schema.degradable_columns();
-            for (slot, cid) in deg_cols.iter().enumerate() {
-                if let Some(idx) = deg.get_mut(cid) {
+            for (slot, (cid, d)) in self.schema.degraders().enumerate() {
+                if let Some(idx) = deg.get_mut(&cid) {
                     if let Some(stage) = tuple.stages[slot] {
-                        let col = self.schema.column(*cid);
-                        let d = col.degrader().expect("degradable"); // lint:allow(L001, column from degradable_columns() always has a degrader)
                         let level = d.lcp().stages()[stage as usize].level;
                         idx.remove_at(level, &tuple.row[cid.0 as usize], tid)?;
                     }
@@ -221,13 +213,11 @@ impl Table {
 
     /// Register every index entry for `tuple`.
     fn index_tuple(&self, tid: TupleId, tuple: &StoredTuple) -> Result<()> {
-        let deg_cols = self.schema.degradable_columns();
         let mut deg = self.deg_indexes.write();
-        for (slot, cid) in deg_cols.iter().enumerate() {
+        for (slot, (cid, d)) in self.schema.degraders().enumerate() {
             if let (Some(idx), Some(stage)) =
-                (deg.get_mut(cid), tuple.stages.get(slot).copied().flatten())
+                (deg.get_mut(&cid), tuple.stages.get(slot).copied().flatten())
             {
-                let d = self.schema.column(*cid).degrader().expect("degradable"); // lint:allow(L001, column from degradable_columns() always has a degrader)
                 let level = d.lcp().stages()[stage as usize].level;
                 idx.insert_at(level, &tuple.row[cid.0 as usize], tid)?;
             }
@@ -242,13 +232,11 @@ impl Table {
 
     /// Remove every index entry for `tuple`.
     fn unindex_tuple(&self, tid: TupleId, tuple: &StoredTuple) -> Result<()> {
-        let deg_cols = self.schema.degradable_columns();
         let mut deg = self.deg_indexes.write();
-        for (slot, cid) in deg_cols.iter().enumerate() {
+        for (slot, (cid, d)) in self.schema.degraders().enumerate() {
             if let (Some(idx), Some(stage)) =
-                (deg.get_mut(cid), tuple.stages.get(slot).copied().flatten())
+                (deg.get_mut(&cid), tuple.stages.get(slot).copied().flatten())
             {
-                let d = self.schema.column(*cid).degrader().expect("degradable"); // lint:allow(L001, column from degradable_columns() always has a degrader)
                 let level = d.lcp().stages()[stage as usize].level;
                 idx.remove_at(level, &tuple.row[cid.0 as usize], tid)?;
             }
@@ -344,12 +332,10 @@ impl Table {
         for idx in stable.values_mut() {
             *idx = BPlusTree::new();
         }
-        let deg_cols = self.schema.degradable_columns();
         // Scans under both index write guards: no stale entry is visible mid-rebuild.
         for (tid, tuple) in self.scan()? {
-            for (slot, cid) in deg_cols.iter().enumerate() {
-                if let (Some(idx), Some(stage)) = (deg.get_mut(cid), tuple.stages[slot]) {
-                    let d = self.schema.column(*cid).degrader().expect("degradable"); // lint:allow(L001, column from degradable_columns() always has a degrader)
+            for (slot, (cid, d)) in self.schema.degraders().enumerate() {
+                if let (Some(idx), Some(stage)) = (deg.get_mut(&cid), tuple.stages[slot]) {
                     let level = d.lcp().stages()[stage as usize].level;
                     idx.insert_at(level, &tuple.row[cid.0 as usize], tid)?;
                 }
@@ -365,8 +351,8 @@ impl Table {
 /// Name → table registry.
 #[derive(Debug)]
 pub struct Catalog {
-    tables: RwLock<HashMap<String, Arc<Table>>>, // lock-rank: 300
-    by_id: RwLock<HashMap<TableId, Arc<Table>>>, // lock-rank: 310
+    tables: RwLock<HashMap<String, Arc<Table>>>,
+    by_id: RwLock<HashMap<TableId, Arc<Table>>>,
     next_id: std::sync::atomic::AtomicU32,
 }
 

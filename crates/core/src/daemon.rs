@@ -5,7 +5,7 @@
 //! application remembers to call [`Db::pump_degradation`]; likewise the
 //! log only stays bounded (and shredded windows only get physically
 //! destroyed) if checkpoints fire on their own. Both daemons share one
-//! scaffolding, [`DaemonCore`]: a thread that runs a step, sleeps for as
+//! scaffolding, `DaemonCore`: a thread that runs a step, sleeps for as
 //! long as the step asks, accumulates a report, and joins cleanly on
 //! stop — with a final step that starts after the stop signal, so
 //! stop-after-advance tests never race the sleep.
@@ -55,7 +55,7 @@ pub const PUMP_FLOOR: StdDuration = StdDuration::from_millis(2);
 /// return the final state on stop. The step always runs once more after
 /// the stop signal is seen (drain). The degradation pump and the
 /// checkpointer both run on it.
-pub struct DaemonCore<R> {
+pub(crate) struct DaemonCore<R> {
     stop: Arc<AtomicBool>,
     handle: Option<JoinHandle<Result<R>>>,
 }
@@ -63,7 +63,7 @@ pub struct DaemonCore<R> {
 impl<R: Send + 'static> DaemonCore<R> {
     /// Fails only if the OS cannot spawn the thread (resource exhaustion);
     /// the caller surfaces that as a typed error instead of panicking.
-    pub fn spawn<F>(name: &str, init: R, mut step: F) -> Result<DaemonCore<R>>
+    pub(crate) fn spawn<F>(name: &str, init: R, mut step: F) -> Result<DaemonCore<R>>
     where
         F: FnMut(&mut R) -> Result<StdDuration> + Send + 'static,
     {
@@ -94,11 +94,15 @@ impl<R: Send + 'static> DaemonCore<R> {
 
     /// Signal the thread, wait for a final drain step, and return the
     /// accumulated state. A panic on the daemon thread is re-raised here.
-    pub fn stop(mut self) -> Result<R> {
-        match self
+    pub(crate) fn stop(mut self) -> Result<R> {
+        #[expect(
+            clippy::expect_used,
+            reason = "handle is Some until stop() consumes self"
+        )]
+        let joined = self
             .signal_and_join()
-            .expect("stop called once on a live daemon") // lint:allow(L001, handle is Some until stop() consumes self)
-        {
+            .expect("stop called once on a live daemon");
+        match joined {
             Ok(r) => r,
             Err(panic) => std::panic::resume_unwind(panic),
         }
@@ -106,7 +110,7 @@ impl<R: Send + 'static> DaemonCore<R> {
 
     /// Is the daemon thread still alive? `false` once a step error (or
     /// panic) has ended the thread, even before `stop` collects it.
-    pub fn is_running(&self) -> bool {
+    pub(crate) fn is_running(&self) -> bool {
         self.handle.as_ref().is_some_and(|h| !h.is_finished())
     }
 }

@@ -141,13 +141,13 @@ pub struct Db {
     /// these give two invariants (see [`Db::checkpoint`]): truncation
     /// never destroys an unflushed acknowledged commit, and a flush never
     /// persists a user-op page mutation whose records are not enqueued.
-    ckpt_gate: RwLock<()>, // lock-rank: 210
+    ckpt_gate: RwLock<()>,
     /// Serializes whole checkpoints against each other; commits never
     /// touch it. Truncation runs outside the `ckpt_gate` exclusive
     /// section so mutations and enqueues proceed during the rewrite —
     /// though drain *acknowledgments* still serialize against it on the
     /// Wal's own lock (see [`Db::checkpoint`]).
-    ckpt_serial: Mutex<()>, // lock-rank: 200
+    ckpt_serial: Mutex<()>,
 }
 
 /// The sharded log plus its per-shard group-commit pipelines — the one
@@ -381,12 +381,10 @@ impl Db {
     /// Arm the next pending transition for every degradable attribute of a
     /// tuple, from its stored stage bytes.
     fn arm_transitions(&self, table: &Table, tid: TupleId, stored: &StoredTuple) {
-        let deg_cols = table.schema().degradable_columns();
-        for (slot, cid) in deg_cols.iter().enumerate() {
+        for (slot, (_, d)) in table.schema().degraders().enumerate() {
             let Some(stage) = stored.stages.get(slot).copied().flatten() else {
                 continue;
             };
-            let d = table.schema().column(*cid).degrader().expect("degradable"); // lint:allow(L001, column from degradable_columns() always has a degrader)
             if let Some(due) = d.due_time(stored.insert_ts, stage as usize) {
                 self.sched.schedule(PendingTransition {
                     due,
@@ -625,8 +623,12 @@ impl Db {
         if tuple.stages.get(slot).copied().flatten() != Some(pt.from_stage) {
             return Ok(Applied::Skipped); // already advanced / removed
         }
-        let cid = table.schema().degradable_columns()[slot];
-        let d = table.schema().column(cid).degrader().expect("degradable"); // lint:allow(L001, column from degradable_columns() always has a degrader)
+        let Some((cid, d)) = table.schema().degraders().nth(slot) else {
+            return Err(Error::Corrupt(format!(
+                "transition names degradable slot {slot} of table {}",
+                table.id()
+            )));
+        };
         let Some(index_move) = tuple.coarsen(slot, cid, d, Some(pt.from_stage + 1))? else {
             return Ok(Applied::Skipped);
         };
@@ -869,7 +871,7 @@ impl Db {
         }
         // 4. Redo the committed suffix.
         let mut redo = RedoState::default();
-        for (_, op) in &plan.ops {
+        for op in &plan.ops {
             db.apply_recovery_op(op, &mut redo)?;
         }
         // 5. Re-arm the scheduler from stored stage bytes.

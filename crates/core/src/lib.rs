@@ -15,7 +15,8 @@
 //!   pending transitions, pumped by [`db::Db::pump_degradation`], each batch
 //!   running as a system transaction (2PL, WAL-logged, secure rewrite).
 //! * [`daemon`] — background threads on shared scaffolding: the
-//!   degradation pump fires due batches on a tick, and the
+//!   degradation pump sleeps until the next transition is due (clamped
+//!   to [`PUMP_FLOOR`]..=its tick) and fires the due batches, and the
 //!   [`Checkpointer`] periodically flushes, truncates the dead log prefix
 //!   and shreds old key windows — both concurrent with foreground queries
 //!   (the sharded buffer pool keeps page access parallel, the group-commit
@@ -31,6 +32,9 @@
 //! * [`metrics`] — the exposure metric (residual information summed over
 //!   the store) behind the privacy/security experiments E4–E6.
 
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 pub mod baseline;
 pub mod catalog;
 pub mod config;
@@ -43,7 +47,7 @@ pub mod schema;
 pub mod tuple;
 
 pub use config::{DbConfig, DbConfigBuilder, WalMode};
-pub use daemon::{CheckpointReport, Checkpointer, DaemonCore, DegradationDaemon, PUMP_FLOOR};
+pub use daemon::{CheckpointReport, Checkpointer, DegradationDaemon, PUMP_FLOOR};
 pub use db::{CommitHandle, Db};
 pub use instant_wal::{GroupCommitConfig, GroupCommitStats};
 pub use query::session::{HierarchyRegistry, Session};

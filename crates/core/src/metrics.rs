@@ -55,17 +55,9 @@ impl ExposureReport {
 /// Compute the exposure snapshot of `table` at its current contents.
 pub fn exposure_of_table(table: &Table) -> Result<ExposureReport> {
     let schema = table.schema();
-    let deg_cols = schema.degradable_columns();
-    let max_stages = deg_cols
-        .iter()
-        .map(|c| {
-            schema
-                .column(*c)
-                .degrader()
-                .expect("degradable") // lint:allow(L001, column from degradable_columns() always has a degrader)
-                .lcp()
-                .num_stages()
-        })
+    let max_stages = schema
+        .degraders()
+        .map(|(_, d)| d.lcp().num_stages())
         .max()
         .unwrap_or(0);
     let mut report = ExposureReport {
@@ -79,8 +71,7 @@ pub fn exposure_of_table(table: &Table) -> Result<ExposureReport> {
     };
     for (_tid, tuple) in table.scan()? {
         report.tuples += 1;
-        for (slot, cid) in deg_cols.iter().enumerate() {
-            let d = schema.column(*cid).degrader().expect("degradable"); // lint:allow(L001, column from degradable_columns() always has a degrader)
+        for (slot, (cid, d)) in schema.degraders().enumerate() {
             match tuple.stages.get(slot).copied().flatten() {
                 Some(stage) => {
                     let level = d.lcp().stages()[stage as usize].level;

@@ -62,7 +62,11 @@ impl QueryOutput {
     pub fn rows(self) -> QueryResult {
         match self {
             QueryOutput::Rows(r) => r,
-            other => panic!("expected rows, got {other:?}"), // lint:allow(L001, test-convenience accessor, not on the query path)
+            #[expect(
+                clippy::panic,
+                reason = "test-convenience accessor, not on the query path"
+            )]
+            other => panic!("expected rows, got {other:?}"),
         }
     }
 }
@@ -172,9 +176,8 @@ impl AccuracyVector {
 fn resolve_accuracy(session: &Session, table: &Table) -> Result<AccuracyVector> {
     let schema = table.schema();
     let mut levels = Vec::new();
-    for cid in schema.degradable_columns() {
+    for (cid, d) in schema.degraders() {
         let col = schema.column(cid);
-        let d = col.degrader().expect("degradable"); // lint:allow(L001, column from degradable_columns() always has a degrader)
         let default_level = d.lcp().stages()[0].level;
         let requested = session
             .active_purpose()
@@ -410,11 +413,9 @@ fn degraded_view(
     semantics: QuerySemantics,
 ) -> Option<Vec<Value>> {
     let schema = table.schema();
-    let deg_cols = schema.degradable_columns();
     let mut row = tuple.row.clone();
-    for (slot, cid) in deg_cols.iter().enumerate() {
-        let requested = acc.level_of(*cid).expect("accuracy vector covers all"); // lint:allow(L001, accuracy vector is built over every degradable column)
-        let d = schema.column(*cid).degrader().expect("degradable"); // lint:allow(L001, column from degradable_columns() always has a degrader)
+    // `acc` was resolved over this schema's degraders, in the same order.
+    for (slot, ((cid, d), &(_, requested))) in schema.degraders().zip(&acc.levels).enumerate() {
         let stage = tuple.stages.get(slot).copied().flatten();
         let current_level = stage.map(|s| d.lcp().stages()[s as usize].level);
         match current_level {

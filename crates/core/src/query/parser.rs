@@ -267,13 +267,14 @@ impl Parser {
         }
     }
 
+    #[expect(clippy::expect_used, reason = "len() == 1 is checked before the pop")]
     fn conjunction(&mut self) -> Result<Predicate> {
         let mut terms = vec![self.term()?];
         while self.eat_kw("and") {
             terms.push(self.term()?);
         }
         Ok(if terms.len() == 1 {
-            terms.pop().expect("one") // lint:allow(L001, len() == 1 checked in this branch)
+            terms.pop().expect("one")
         } else {
             Predicate::And(terms)
         })

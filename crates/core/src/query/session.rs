@@ -48,7 +48,7 @@ pub struct Purpose {
 /// [`crate::query::exec::schema_for_create`].
 #[derive(Clone)]
 pub struct HierarchyRegistry {
-    inner: Arc<parking_lot::RwLock<HashMap<String, Arc<dyn Hierarchy>>>>, // lock-rank: 370
+    inner: Arc<parking_lot::RwLock<HashMap<String, Arc<dyn Hierarchy>>>>,
 }
 
 impl Default for HierarchyRegistry {

@@ -105,8 +105,8 @@ impl LatenessHistogram {
 /// The due-time priority queue plus lateness accounting.
 #[derive(Debug)]
 pub struct DegradationScheduler {
-    queue: Mutex<BinaryHeap<Reverse<PendingTransition>>>, // lock-rank: 350
-    lateness: Mutex<LatenessHistogram>,                   // lock-rank: 360
+    queue: Mutex<BinaryHeap<Reverse<PendingTransition>>>,
+    lateness: Mutex<LatenessHistogram>,
     fired: std::sync::atomic::AtomicU64,
 }
 
@@ -155,7 +155,11 @@ impl DegradationScheduler {
             if max != 0 && out.len() >= max {
                 break;
             }
-            out.push(q.pop().expect("peeked").0); // lint:allow(L001, peek() returned Some in the loop condition)
+            #[expect(
+                clippy::expect_used,
+                reason = "peek() returned Some in the loop condition"
+            )]
+            out.push(q.pop().expect("peeked").0);
         }
         out
     }

@@ -153,6 +153,15 @@ impl TableSchema {
             .collect()
     }
 
+    /// Degradable columns with their degraders, in schema order: the
+    /// `i`-th pair is the column behind a tuple's stage slot `i`.
+    pub fn degraders(&self) -> impl Iterator<Item = (ColumnId, &Degrader)> + '_ {
+        self.columns
+            .iter()
+            .enumerate()
+            .filter_map(|(i, c)| Some((ColumnId(i as u16), c.degrader()?)))
+    }
+
     /// Validate an insert row: arity, types, and the Section II rule that
     /// degradable values arrive at the most accurate state (`d0` of their
     /// hierarchy) — "insertions of new elements are granted only in the most

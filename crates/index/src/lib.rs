@@ -23,6 +23,8 @@
 //! compares all of them against sequential scans across accuracy levels and
 //! selectivities.
 
+#![warn(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 pub mod bitmap;
 pub mod btree;
 pub mod multilevel;

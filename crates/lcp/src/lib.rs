@@ -19,6 +19,8 @@
 //!   together, computing `value_at(v0, age)` and the **residual-information
 //!   exposure metric** used by the privacy experiments (E4/E5).
 
+#![warn(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 pub mod automaton;
 pub mod degrade;
 pub mod gtree;

@@ -30,13 +30,8 @@ impl Default for LatencyHistogram {
 
 impl LatencyHistogram {
     pub const fn new() -> LatencyHistogram {
-        // Named const purely to seed the array (inline const blocks need
-        // a newer rustc than the workspace MSRV); every slot gets a
-        // fresh atomic, the const itself is never read through.
-        #[allow(clippy::declare_interior_mutable_const)]
-        const ZERO: AtomicU64 = AtomicU64::new(0);
         LatencyHistogram {
-            buckets: [ZERO; BUCKETS],
+            buckets: [const { AtomicU64::new(0) }; BUCKETS],
             sum_micros: AtomicU64::new(0),
             max_micros: AtomicU64::new(0),
         }

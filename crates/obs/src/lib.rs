@@ -28,6 +28,8 @@
 //! * **Dependency-free.** Only `std` and the workspace `parking_lot`
 //!   shim (so the debug lock-rank checker sees every lock here too).
 
+#![warn(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 pub mod hist;
 pub mod registry;
 pub mod span;

@@ -106,17 +106,17 @@ pub struct Obs {
     pub recovery: LatencyHistogram,
     /// Purpose name → usage counters. BTreeMap for stable snapshot
     /// order.
-    purposes: Mutex<BTreeMap<String, PurposeCounters>>, // lock-rank: 600
+    purposes: Mutex<BTreeMap<String, PurposeCounters>>,
     /// The bounded slow-query ring.
-    slow: Mutex<VecDeque<SlowQuery>>, // lock-rank: 610
+    slow: Mutex<VecDeque<SlowQuery>>,
     /// Named counter providers (the server registers one); replaced by
     /// name on re-registration so a restarted front-end over the same
     /// engine never double-reports.
-    providers: Mutex<Vec<(String, ProviderFn)>>, // lock-rank: 620
+    providers: Mutex<Vec<(String, ProviderFn)>>,
     /// Per-shard WAL pipeline lanes, indexed by shard. The mutex guards
     /// only lane *creation* (at pipeline spawn) and snapshot iteration;
     /// recording goes through the `Arc` each pipeline holds, lock-free.
-    wal_shard_lanes: Mutex<Vec<std::sync::Arc<WalShardLane>>>, // lock-rank: 630
+    wal_shard_lanes: Mutex<Vec<std::sync::Arc<WalShardLane>>>,
 }
 
 impl Default for Obs {

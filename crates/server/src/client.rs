@@ -153,7 +153,8 @@ impl Client {
 
     fn try_exchange(&mut self, frame: &Frame) -> Result<Frame> {
         self.ensure_connected()?;
-        let stream = self.stream.as_mut().expect("connected above"); // lint:allow(L001, ensure_connected() just set the stream)
+        #[expect(clippy::expect_used, reason = "ensure_connected() just set the stream")]
+        let stream = self.stream.as_mut().expect("connected above");
         protocol::write_frame(stream, frame)?;
         match protocol::read_frame(stream, self.cfg.max_frame_bytes)? {
             Some(reply) => Ok(reply),

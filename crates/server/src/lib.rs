@@ -30,6 +30,9 @@
 //! Binaries: `instantdb-server` (serve a data directory) and
 //! `instantdb-cli` (drive a server from scripts or a REPL).
 
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 pub mod client;
 pub mod protocol;
 pub mod server;

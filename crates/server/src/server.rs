@@ -107,11 +107,11 @@ struct Shared {
     /// exhaustion.
     refusing: AtomicU64,
     /// Stream clones, for closing each connection's read side at shutdown.
-    conns: Mutex<HashMap<u64, TcpStream>>, // lock-rank: 120
-    readers: Mutex<Vec<JoinHandle<()>>>, // lock-rank: 110
+    conns: Mutex<HashMap<u64, TcpStream>>,
+    readers: Mutex<Vec<JoinHandle<()>>>,
     /// Append-only DDL journal (see [`open_or_recover`]); `None` for an
     /// ephemeral engine.
-    ddl: Option<Mutex<std::fs::File>>, // lock-rank: 100
+    ddl: Option<Mutex<std::fs::File>>,
 }
 
 /// A running InstantDB network front-end over an embedded [`Db`].

@@ -68,8 +68,9 @@ struct Frame {
 
 /// One resident frame: latch-guarded contents plus lock-free metadata.
 struct Slot {
-    // lock-rank: unranked(page latches are ordered by PageId discipline, not rank: with_page
-    // closures may fault sibling pages back through the pool, re-entering shard maps)
+    /// Unranked: page latches are ordered by `PageId` discipline, not rank
+    /// (`with_page` closures may fault sibling pages back through the pool,
+    /// re-entering shard maps).
     latch: RwLock<Frame>,
     /// Active accessors; a frame with `pins > 0` is never evicted.
     pins: AtomicU32,
@@ -78,8 +79,9 @@ struct Slot {
 }
 
 struct Shard {
-    // lock-rank: unranked(shard maps sit below every ranked lock but are re-entered when a
-    // page closure faults another page in; held only for map lookups, never across I/O)
+    /// Unranked: shard maps sit below every ranked lock but are re-entered
+    /// when a page closure faults another page in; held only for map
+    /// lookups, never across I/O.
     frames: Mutex<HashMap<PageId, Arc<Slot>>>,
 }
 
@@ -134,6 +136,10 @@ impl BufferPool {
     pub fn with_shards(disk: Arc<DiskManager>, capacity: usize, shards: usize) -> BufferPool {
         assert!(capacity > 0, "buffer pool needs at least one frame");
         let n = shards.max(1).next_power_of_two();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "shard maps are unranked, see Shard::frames"
+        )]
         let shards = (0..n)
             .map(|_| Shard {
                 frames: Mutex::new(HashMap::new()),
@@ -181,6 +187,10 @@ impl BufferPool {
         self.reserve_frame()?;
         let id = self.disk.allocate();
         self.misses.fetch_add(1, Ordering::Relaxed);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "page latches are unranked, see Slot::latch"
+        )]
         let slot = Arc::new(Slot {
             latch: RwLock::new(Frame {
                 page: Page::new(id),
@@ -250,6 +260,10 @@ impl BufferPool {
         }
         // Committed to faulting the page in: this is the one miss.
         self.misses.fetch_add(1, Ordering::Relaxed);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "page latches are unranked, see Slot::latch"
+        )]
         let slot = Arc::new(Slot {
             latch: RwLock::new(Frame {
                 page: Page::new(id),
@@ -381,7 +395,11 @@ impl BufferPool {
                     self.disk.write_page(&frame.page)?;
                 }
             }
-            frames.remove(&pid).expect("checked resident"); // lint:allow(L001, residency checked above under the same shard lock)
+            #[expect(
+                clippy::expect_used,
+                reason = "residency checked above under the same shard lock"
+            )]
+            frames.remove(&pid).expect("checked resident");
             self.resident.fetch_sub(1, Ordering::Release);
             self.evictions.fetch_add(1, Ordering::Relaxed);
             return Ok(());

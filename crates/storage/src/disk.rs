@@ -20,7 +20,7 @@ use crate::page::{Page, PAGE_SIZE};
 /// File-backed page store.
 #[derive(Debug)]
 pub struct DiskManager {
-    file: Mutex<File>, // lock-rank: 800
+    file: Mutex<File>,
     path: PathBuf,
     next_page: AtomicU32,
     reads: AtomicU64,
@@ -75,9 +75,13 @@ impl DiskManager {
     /// A throwaway store in the system temp directory, removed on drop.
     pub fn temp(tag: &str) -> Result<DiskManager> {
         use std::time::{SystemTime, UNIX_EPOCH};
+        #[expect(
+            clippy::unwrap_used,
+            reason = "a system clock before the Unix epoch is unsupported"
+        )]
         let nanos = SystemTime::now()
             .duration_since(UNIX_EPOCH)
-            .unwrap() // lint:allow(L001, a system clock before the Unix epoch is unsupported)
+            .unwrap()
             .as_nanos();
         let pid = std::process::id();
         let path = std::env::temp_dir().join(format!("instantdb-{tag}-{pid}-{nanos}.idb"));
@@ -114,10 +118,9 @@ impl DiskManager {
             return Ok(Page::new(id));
         }
         file.seek(SeekFrom::Start(offset))?;
-        let mut buf = vec![0u8; PAGE_SIZE].into_boxed_slice();
-        file.read_exact(&mut buf)?;
-        let arr: Box<[u8; PAGE_SIZE]> = buf.try_into().expect("exact size"); // lint:allow(L001, boxed slice has exactly PAGE_SIZE bytes)
-                                                                             // An all-zero region means the page was allocated but never flushed.
+        let mut arr = Box::new([0u8; PAGE_SIZE]);
+        file.read_exact(&mut arr[..])?;
+        // An all-zero region means the page was allocated but never flushed.
         if arr.iter().all(|&b| b == 0) {
             return Ok(Page::new(id));
         }

@@ -32,7 +32,7 @@ pub struct HeapFile {
     /// The table this heap stores: stamped into every page it formats.
     owner: TableId,
     /// Pages owned by this heap, in allocation order.
-    pages: Mutex<Vec<PageId>>, // lock-rank: 340
+    pages: Mutex<Vec<PageId>>,
     policy: SecurePolicy,
 }
 
@@ -223,16 +223,20 @@ impl HeapFile {
 }
 
 /// Decode the slotted directory from an immutable payload to read one slot.
+#[expect(
+    clippy::unwrap_used,
+    reason = "fixed-width slices of a checked-length payload"
+)]
 fn read_slot_bytes(payload: &[u8], tid: TupleId) -> Result<Vec<u8>> {
     // Mirror of SlottedPage::read for the immutable path.
-    let nslots = u16::from_le_bytes(payload[0..2].try_into().unwrap()); // lint:allow(L001, fixed-width slice of a checked-length payload)
+    let nslots = u16::from_le_bytes(payload[0..2].try_into().unwrap());
     if tid.slot.0 >= nslots {
         return Err(Error::NotFound(format!("slot {} out of range", tid.slot)));
     }
     let p = payload.len() - (tid.slot.0 as usize + 1) * 6;
-    let offset = u16::from_le_bytes(payload[p..p + 2].try_into().unwrap()) as usize; // lint:allow(L001, fixed-width slice of a checked-length payload)
-    let cap = u16::from_le_bytes(payload[p + 2..p + 4].try_into().unwrap()) as usize; // lint:allow(L001, fixed-width slice of a checked-length payload)
-    let len = u16::from_le_bytes(payload[p + 4..p + 6].try_into().unwrap()) as usize; // lint:allow(L001, fixed-width slice of a checked-length payload)
+    let offset = u16::from_le_bytes(payload[p..p + 2].try_into().unwrap()) as usize;
+    let cap = u16::from_le_bytes(payload[p + 2..p + 4].try_into().unwrap()) as usize;
+    let len = u16::from_le_bytes(payload[p + 4..p + 6].try_into().unwrap()) as usize;
     if cap == 0 {
         return Err(Error::NotFound(format!("tuple {tid} deleted")));
     }

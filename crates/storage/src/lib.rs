@@ -20,6 +20,9 @@
 //! latches and pin-gated eviction, write-back) → [`heap::HeapFile`]
 //! (slotted-page record store with a free-space map and vacuum).
 
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 pub mod buffer;
 pub mod disk;
 pub mod heap;

@@ -53,7 +53,7 @@ impl Page {
     /// A zeroed page initialized with header for `id`.
     pub fn new(id: PageId) -> Page {
         let mut p = Page {
-            bytes: vec![0u8; PAGE_SIZE].into_boxed_slice().try_into().unwrap(), // lint:allow(L001, vec is allocated with exactly PAGE_SIZE bytes)
+            bytes: Box::new([0u8; PAGE_SIZE]),
         };
         p.bytes[0..4].copy_from_slice(&MAGIC);
         p.bytes[4..8].copy_from_slice(&id.0.to_le_bytes());
@@ -72,7 +72,8 @@ impl Page {
                 p.id()
             )));
         }
-        let stored = u64::from_le_bytes(p.bytes[16..24].try_into().unwrap()); // lint:allow(L001, fixed-width header slice)
+        #[expect(clippy::unwrap_used, reason = "fixed-width header slice")]
+        let stored = u64::from_le_bytes(p.bytes[16..24].try_into().unwrap());
         let actual = fnv1a(&p.bytes[PAGE_HEADER_SIZE..]);
         if stored != actual {
             return Err(Error::Corrupt(format!(
@@ -90,13 +91,15 @@ impl Page {
         out
     }
 
+    #[expect(clippy::unwrap_used, reason = "fixed-width header slice")]
     pub fn id(&self) -> PageId {
-        PageId(u32::from_le_bytes(self.bytes[4..8].try_into().unwrap())) // lint:allow(L001, fixed-width header slice)
+        PageId(u32::from_le_bytes(self.bytes[4..8].try_into().unwrap()))
     }
 
     /// The table whose heap formatted this page; `TableId(0)` = none.
+    #[expect(clippy::unwrap_used, reason = "fixed-width header slice")]
     pub fn owner(&self) -> TableId {
-        TableId(u32::from_le_bytes(self.bytes[8..12].try_into().unwrap())) // lint:allow(L001, fixed-width header slice)
+        TableId(u32::from_le_bytes(self.bytes[8..12].try_into().unwrap()))
     }
 
     pub fn set_owner(&mut self, owner: TableId) {

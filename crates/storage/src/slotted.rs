@@ -64,20 +64,23 @@ impl<'a> SlottedPage<'a> {
         p
     }
 
+    #[expect(clippy::unwrap_used, reason = "fixed-width header slice")]
     fn nslots(&self) -> u16 {
-        u16::from_le_bytes(self.buf[0..2].try_into().unwrap()) // lint:allow(L001, fixed-width header slice)
+        u16::from_le_bytes(self.buf[0..2].try_into().unwrap())
     }
     fn set_nslots(&mut self, v: u16) {
         self.buf[0..2].copy_from_slice(&v.to_le_bytes());
     }
+    #[expect(clippy::unwrap_used, reason = "fixed-width header slice")]
     fn free_start(&self) -> u16 {
-        u16::from_le_bytes(self.buf[2..4].try_into().unwrap()) // lint:allow(L001, fixed-width header slice)
+        u16::from_le_bytes(self.buf[2..4].try_into().unwrap())
     }
     fn set_free_start(&mut self, v: u16) {
         self.buf[2..4].copy_from_slice(&v.to_le_bytes());
     }
+    #[expect(clippy::unwrap_used, reason = "fixed-width header slice")]
     fn free_end(&self) -> u16 {
-        u16::from_le_bytes(self.buf[4..6].try_into().unwrap()) // lint:allow(L001, fixed-width header slice)
+        u16::from_le_bytes(self.buf[4..6].try_into().unwrap())
     }
     fn set_free_end(&mut self, v: u16) {
         self.buf[4..6].copy_from_slice(&v.to_le_bytes());
@@ -87,15 +90,16 @@ impl<'a> SlottedPage<'a> {
         self.buf.len() - (slot.0 as usize + 1) * SLOT_BYTES
     }
 
+    #[expect(clippy::unwrap_used, reason = "fixed-width directory slices")]
     fn read_slot(&self, slot: SlotId) -> Result<Slot> {
         if slot.0 >= self.nslots() {
             return Err(Error::NotFound(format!("slot {slot} out of range")));
         }
         let p = self.slot_pos(slot);
         Ok(Slot {
-            offset: u16::from_le_bytes(self.buf[p..p + 2].try_into().unwrap()), // lint:allow(L001, fixed-width directory slice)
-            cap: u16::from_le_bytes(self.buf[p + 2..p + 4].try_into().unwrap()), // lint:allow(L001, fixed-width directory slice)
-            len: u16::from_le_bytes(self.buf[p + 4..p + 6].try_into().unwrap()), // lint:allow(L001, fixed-width directory slice)
+            offset: u16::from_le_bytes(self.buf[p..p + 2].try_into().unwrap()),
+            cap: u16::from_le_bytes(self.buf[p + 2..p + 4].try_into().unwrap()),
+            len: u16::from_le_bytes(self.buf[p + 4..p + 6].try_into().unwrap()),
         })
     }
 
@@ -283,7 +287,8 @@ impl<'a> SlottedPage<'a> {
         // Collect live records (id, cap, bytes).
         let mut live: Vec<(SlotId, Slot, Vec<u8>)> = Vec::new();
         for i in 0..n {
-            let s = self.read_slot(SlotId(i)).expect("in range"); // lint:allow(L001, i < nslots() by the loop bound)
+            #[expect(clippy::expect_used, reason = "i < nslots() by the loop bound")]
+            let s = self.read_slot(SlotId(i)).expect("in range");
             if s.cap > 0 {
                 let off = s.offset as usize;
                 // Copy only the live length: any stale tail bytes inside the

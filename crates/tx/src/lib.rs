@@ -26,6 +26,8 @@
 //! tuple's remaining lifetime (its steps are system-transactional and
 //! redo-logged — see `instant-wal`).
 
+#![warn(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 pub mod locks;
 pub mod manager;
 

@@ -118,7 +118,7 @@ impl Tables {
 /// The lock manager.
 #[derive(Debug)]
 pub struct LockManager {
-    state: Mutex<Tables>, // lock-rank: 410
+    state: Mutex<Tables>,
     cv: Condvar,
 }
 

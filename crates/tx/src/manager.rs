@@ -35,7 +35,7 @@ enum TxState {
 pub struct TxHandle {
     id: TxId,
     kind: TxKind,
-    state: Mutex<TxState>, // lock-rank: 400
+    state: Mutex<TxState>,
     locks: Arc<LockManager>,
 }
 

@@ -26,16 +26,18 @@ fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) 
     state[b] = (state[b] ^ state[c]).rotate_left(7);
 }
 
+#[expect(
+    clippy::unwrap_used,
+    reason = "fixed 4-byte chunks of a 32-byte key and a 12-byte nonce"
+)]
 fn chacha20_block(key: &Key, counter: u32, nonce: &[u8; 12]) -> [u8; 64] {
     let mut state = [0u32; 16];
     state[0..4].copy_from_slice(&SIGMA);
     for i in 0..8 {
-        // lint:allow(L001, fixed 4-byte chunks of a 32-byte key)
         state[4 + i] = u32::from_le_bytes(key[i * 4..i * 4 + 4].try_into().unwrap());
     }
     state[12] = counter;
     for i in 0..3 {
-        // lint:allow(L001, fixed 4-byte chunks of a 12-byte nonce)
         state[13 + i] = u32::from_le_bytes(nonce[i * 4..i * 4 + 4].try_into().unwrap());
     }
     let mut working = state;

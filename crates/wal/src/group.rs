@@ -139,7 +139,7 @@ impl TicketState {
 
 /// One committer's rendezvous with the writer thread.
 struct Ticket {
-    state: Mutex<TicketState>, // lock-rank: 510
+    state: Mutex<TicketState>,
     cv: Condvar,
     /// When the committer submitted — the start of its ack latency.
     submitted: Instant,
@@ -233,13 +233,13 @@ struct EpochQueue {
 }
 
 struct Shared {
-    queue: Mutex<Queue>, // lock-rank: 500
+    queue: Mutex<Queue>,
     /// Signals the writer that work arrived or stop was requested.
     work: Condvar,
     /// Sealed epochs in flight between the writer and the fsyncer. The
     /// fsync itself always runs *outside* this lock, so a committer's
     /// submit never queues behind disk I/O.
-    epochs: Mutex<EpochQueue>, // lock-rank: 505
+    epochs: Mutex<EpochQueue>,
     /// Signals the fsyncer that an epoch was sealed or the writer left.
     epoch_ready: Condvar,
     stats: StatsCells,

@@ -48,7 +48,7 @@ struct Inner {
 pub struct KeyStore {
     window_len: Duration,
     seed: u64,
-    inner: RwLock<Inner>, // lock-rank: 530
+    inner: RwLock<Inner>,
 }
 
 impl KeyStore {

@@ -46,6 +46,9 @@
 //! production cryptography**: the build has no crate registry, so no
 //! vetted cipher crate can be linked; a deployment would swap one in.
 
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 pub mod cipher;
 pub mod group;
 pub mod keystore;

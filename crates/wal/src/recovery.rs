@@ -108,9 +108,8 @@ pub struct RecoveryPlan {
     pub committed: HashSet<TxId>,
     /// Transactions that began but never committed (their work is ignored).
     pub losers: HashSet<TxId>,
-    /// Redo operations (committed transactions only) in LSN order, each
-    /// with the LSN of the record it came from.
-    pub ops: Vec<(Lsn, Op)>,
+    /// Redo operations (committed transactions only) in LSN order.
+    pub ops: Vec<Op>,
     /// Count of records skipped because their tx never committed.
     pub skipped_uncommitted: usize,
     /// Count of sealed row images that could not be opened (shredded keys).
@@ -173,7 +172,7 @@ pub fn replay(records: &[(Lsn, LogRecord)], cut: Option<Lsn>, ks: &KeyStore) -> 
     }
 
     // Pass 2 (redo): one op per committed data record, in order.
-    for (lsn, rec) in suffix {
+    for (_, rec) in suffix {
         let (tx, table, tid, at) = match rec {
             LogRecord::Insert {
                 tx, table, tid, at, ..
@@ -226,7 +225,7 @@ pub fn replay(records: &[(Lsn, LogRecord)], cut: Option<Lsn>, ks: &KeyStore) -> 
             plan.unrecoverable += 1;
             Op::Unrecoverable { table, tid, at }
         });
-        plan.ops.push((*lsn, op));
+        plan.ops.push(op);
     }
     plan
 }
@@ -291,7 +290,7 @@ mod tests {
         ]);
         let plan = recover(&log, &ks);
         assert_eq!(plan.ops.len(), 1);
-        assert!(matches!(&plan.ops[0].1, Op::Insert { row, .. } if row == b"a"));
+        assert!(matches!(&plan.ops[0], Op::Insert { row, .. } if row == b"a"));
         assert_eq!(plan.skipped_uncommitted, 1);
         assert!(plan.committed.contains(&TxId(1)));
         assert!(plan.losers.contains(&TxId(2)));
@@ -333,7 +332,7 @@ mod tests {
         assert_eq!(plan.checkpoint_at, Some(Timestamp::micros(7)));
         assert_eq!(plan.tables, vec![(TableId(1), "person".to_string())]);
         assert_eq!(plan.ops.len(), 1);
-        assert!(matches!(&plan.ops[0].1, Op::Insert { row, .. } if row == b"new"));
+        assert!(matches!(&plan.ops[0], Op::Insert { row, .. } if row == b"new"));
     }
 
     #[test]
@@ -367,12 +366,12 @@ mod tests {
         ]);
         // Before shredding: recoverable.
         let plan = recover(&log, &ks);
-        assert!(matches!(&plan.ops[0].1, Op::Insert { row, .. } if row == b"accurate-address"));
+        assert!(matches!(&plan.ops[0], Op::Insert { row, .. } if row == b"accurate-address"));
         // Shred, replay again: unrecoverable, no plaintext anywhere.
         ks.shred_before(now + Duration::hours(5));
         let plan2 = recover(&log, &ks);
         assert_eq!(plan2.unrecoverable, 1);
-        assert!(matches!(&plan2.ops[0].1, Op::Unrecoverable { .. }));
+        assert!(matches!(&plan2.ops[0], Op::Unrecoverable { .. }));
     }
 
     #[test]
@@ -400,14 +399,14 @@ mod tests {
         let plan = recover(&log, &ks);
         assert_eq!(plan.ops.len(), 2);
         assert!(matches!(
-            &plan.ops[0].1,
+            &plan.ops[0],
             Op::Degrade {
                 insert_ts: Timestamp(5),
                 to_stage: Some(2),
                 ..
             }
         ));
-        assert!(matches!(&plan.ops[1].1, Op::Expunge { .. }));
+        assert!(matches!(&plan.ops[1], Op::Expunge { .. }));
     }
 
     #[test]
@@ -426,23 +425,7 @@ mod tests {
         ks.shred_before(Timestamp::ZERO + Duration::hours(5));
         let plan = recover(&log, &ks);
         assert_eq!(plan.unrecoverable, 0);
-        assert!(matches!(&plan.ops[0].1, Op::Degrade { to_stage: None, .. }));
-    }
-
-    #[test]
-    fn ops_carry_their_record_lsn() {
-        let ks = ks();
-        let log = seq(vec![
-            begin(1),
-            insert(1, 0, b"a"),
-            insert(1, 1, b"b"),
-            commit(1),
-            begin(2),
-            insert(2, 2, b"loser"),
-        ]);
-        let plan = recover(&log, &ks);
-        let lsns: Vec<Lsn> = plan.ops.iter().map(|(lsn, _)| *lsn).collect();
-        assert_eq!(lsns, vec![1, 2], "data-record LSNs, in order");
+        assert!(matches!(&plan.ops[0], Op::Degrade { to_stage: None, .. }));
     }
 
     #[test]
@@ -467,9 +450,8 @@ mod tests {
         let full = replay(&log, None, &ks);
         assert_eq!(full.checkpoint_at, None);
         assert_eq!(full.ops.len(), 2);
-        assert_eq!((full.ops[0].0, full.ops[1].0), (1, 5));
-        assert!(matches!(&full.ops[0].1, Op::Insert { row, .. } if row == b"old"));
-        assert!(matches!(&full.ops[1].1, Op::Insert { row, .. } if row == b"new"));
+        assert!(matches!(&full.ops[0], Op::Insert { row, .. } if row == b"old"));
+        assert!(matches!(&full.ops[1], Op::Insert { row, .. } if row == b"new"));
     }
 
     #[test]
@@ -499,6 +481,6 @@ mod tests {
         wal.torn_tail(5).unwrap();
         let plan = recover(&wal.iterate().unwrap(), &ks);
         assert_eq!(plan.ops.len(), 1, "only tx1 survives");
-        assert!(matches!(&plan.ops[0].1, Op::Insert { row, .. } if row == b"safe"));
+        assert!(matches!(&plan.ops[0], Op::Insert { row, .. } if row == b"safe"));
     }
 }

@@ -93,13 +93,17 @@ impl SegmentHeader {
     }
 
     /// `None` when the bytes are not a complete, well-formed header.
+    #[expect(
+        clippy::unwrap_used,
+        reason = "fixed-width slices behind the length check"
+    )]
     pub fn decode(bytes: &[u8]) -> Option<SegmentHeader> {
         if bytes.len() < SEGMENT_HEADER_LEN as usize || &bytes[0..4] != SEGMENT_MAGIC {
             return None;
         }
         Some(SegmentHeader {
-            seqno: u64::from_le_bytes(bytes[4..12].try_into().unwrap()), // lint:allow(L001, fixed-width slice behind the length check)
-            first_lsn: u64::from_le_bytes(bytes[12..20].try_into().unwrap()), // lint:allow(L001, fixed-width slice behind the length check)
+            seqno: u64::from_le_bytes(bytes[4..12].try_into().unwrap()),
+            first_lsn: u64::from_le_bytes(bytes[12..20].try_into().unwrap()),
         })
     }
 }
@@ -189,8 +193,10 @@ impl FrameScanner {
         }
         let mut head = [0u8; FRAME_HEADER_LEN as usize];
         self.reader.read_exact(&mut head)?;
-        let len = u32::from_le_bytes(head[0..4].try_into().unwrap()) as u64; // lint:allow(L001, fixed-width frame-header slice)
-        let sum = u64::from_le_bytes(head[4..12].try_into().unwrap()); // lint:allow(L001, fixed-width frame-header slice)
+        #[expect(clippy::unwrap_used, reason = "fixed-width frame-header slice")]
+        let len = u32::from_le_bytes(head[0..4].try_into().unwrap()) as u64;
+        #[expect(clippy::unwrap_used, reason = "fixed-width frame-header slice")]
+        let sum = u64::from_le_bytes(head[4..12].try_into().unwrap());
         if self.pos + FRAME_HEADER_LEN + len > self.file_len {
             return Ok(None); // torn tail
         }

@@ -230,7 +230,7 @@ fn reopen_active(
 /// An append-only, segmented write-ahead log.
 pub struct Wal {
     dir: PathBuf,
-    inner: Mutex<WalInner>, // lock-rank: 520
+    inner: Mutex<WalInner>,
     /// Where batch LSNs come from: this log's own counter, or the one a
     /// [`crate::walset::WalSet`] shares across its shards. Always drawn
     /// from *under the `inner` lock*, which is the whole ordering story:

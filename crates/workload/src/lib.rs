@@ -23,6 +23,8 @@
 //!   degradation should have destroyed (Section III, citing Stahlberg et
 //!   al.).
 
+#![warn(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 pub mod attacker;
 pub mod events;
 pub mod location;

@@ -39,6 +39,12 @@
 //! In release builds the rank field, the thread-local stack, and every
 //! check compile away; `ranked(r, v)` is exactly `new(v)`.
 
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the shim implements the ranked locks on top of std::sync, and its own tests use unranked ones"
+)]
+
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::time::Duration;
@@ -129,7 +135,10 @@ impl<T> Mutex<T> {
     /// A mutex participating in lock-order checking under `rank`.
     /// Blocking acquisitions panic in debug builds unless `rank` is
     /// strictly greater than every rank the thread already holds.
-    #[cfg_attr(not(debug_assertions), allow(unused_variables))]
+    #[cfg_attr(
+        not(debug_assertions),
+        allow(unused_variables, reason = "release builds do not store the rank")
+    )]
     pub const fn ranked(rank: u32, value: T) -> Self {
         Mutex {
             #[cfg(debug_assertions)]
@@ -186,12 +195,6 @@ impl<T: ?Sized> Mutex<T> {
 
     pub fn get_mut(&mut self) -> &mut T {
         self.inner.get_mut().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<T: Default> Default for Mutex<T> {
-    fn default() -> Self {
-        Mutex::new(T::default())
     }
 }
 
@@ -253,7 +256,10 @@ impl<T> RwLock<T> {
     /// [`Mutex::ranked`]. Read and write acquisitions check alike (two
     /// same-thread reads of one ranked lock also panic — that pattern
     /// deadlocks under a writer-priority implementation).
-    #[cfg_attr(not(debug_assertions), allow(unused_variables))]
+    #[cfg_attr(
+        not(debug_assertions),
+        allow(unused_variables, reason = "release builds do not store the rank")
+    )]
     pub const fn ranked(rank: u32, value: T) -> Self {
         RwLock {
             #[cfg(debug_assertions)]
@@ -344,12 +350,6 @@ impl<T: ?Sized> RwLock<T> {
 
     pub fn get_mut(&mut self) -> &mut T {
         self.inner.get_mut().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<T: Default> Default for RwLock<T> {
-    fn default() -> Self {
-        RwLock::new(T::default())
     }
 }
 

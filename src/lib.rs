@@ -54,6 +54,8 @@
 //! | [`server`] | TCP front-end: wire protocol, a thread per connection, admission control |
 //! | [`workload`] | generators and attacker models |
 
+#![warn(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 pub use instant_common as common;
 pub use instant_core as core;
 pub use instant_index as index;

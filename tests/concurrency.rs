@@ -4,10 +4,11 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::{JoinHandle, ThreadId};
 
 use instantdb::prelude::*;
+use parking_lot::Mutex;
 
 fn person_schema() -> TableSchema {
     let gt: Arc<dyn Hierarchy> = Arc::new(location_tree_fig1());
@@ -364,6 +365,10 @@ struct CheckpointOnFirstRead {
 }
 
 impl CheckpointOnFirstRead {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the engine reads the clock under its own locks, so the clock's locks stay unranked"
+    )]
     fn new() -> Arc<CheckpointOnFirstRead> {
         Arc::new(CheckpointOnFirstRead {
             clock: MockClock::new(),
@@ -374,12 +379,12 @@ impl CheckpointOnFirstRead {
 
     /// Race a checkpoint into the calling thread's next clock reading.
     fn arm(&self, db: &Arc<Db>) {
-        *self.armed.lock().unwrap() = Some((std::thread::current().id(), db.clone()));
+        *self.armed.lock() = Some((std::thread::current().id(), db.clone()));
     }
 
     /// Wait for the raced checkpoint to finish.
     fn join(&self) {
-        let handle = self.checkpointer.lock().unwrap().take();
+        let handle = self.checkpointer.lock().take();
         handle.expect("the armed reading happened").join().unwrap();
     }
 }
@@ -388,7 +393,7 @@ impl Clock for CheckpointOnFirstRead {
     fn now(&self) -> Timestamp {
         let now = self.clock.now();
         let fire = {
-            let mut armed = self.armed.lock().unwrap();
+            let mut armed = self.armed.lock();
             match armed.as_ref() {
                 Some((thread, _)) if *thread == std::thread::current().id() => armed.take(),
                 _ => None,
@@ -403,7 +408,7 @@ impl Clock for CheckpointOnFirstRead {
                 let _ = done.send(());
             });
             let _ = finished.recv_timeout(std::time::Duration::from_millis(500));
-            *self.checkpointer.lock().unwrap() = Some(handle);
+            *self.checkpointer.lock() = Some(handle);
         }
         now
     }
