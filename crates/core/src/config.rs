@@ -60,8 +60,8 @@ pub struct DbConfig {
     /// Max transitions per degradation batch (0 = unbounded).
     pub batch_max: usize,
     /// Group-commit pipeline tuning: every commit rides a per-shard
-    /// log-writer/fsync thread pair that batches concurrent committers
-    /// behind one fsync per durability epoch. (No logging at all is
+    /// log-writer thread that batches concurrent committers behind one
+    /// fsync per drain. (No logging at all is
     /// [`WalMode::Off`], not a pipeline setting.)
     pub group_commit: GroupCommitConfig,
     /// Background checkpoint interval for
@@ -92,8 +92,8 @@ pub struct DbConfig {
     /// Slow-query threshold: statements slower than this land in the
     /// observability plane's bounded slow-query ring (statement kind,
     /// declared purpose, elapsed — never the SQL text). `None` disables
-    /// the ring; the served front-end arms its own default when the
-    /// engine config leaves this unset (see `ServerConfig`).
+    /// the ring; a served engine runs with the server's
+    /// `DEFAULT_SLOW_QUERY` when this is unset.
     pub slow_query: Option<std::time::Duration>,
 }
 
@@ -200,7 +200,7 @@ pub struct DbConfigBuilder {
 }
 
 impl DbConfigBuilder {
-    /// WAL shard count. `n == 0` is rejected at [`build`]
+    /// WAL shard count. `n == 0` is rejected at [`build`](DbConfigBuilder::build)
     /// (auto-selection is the *default*, expressed by not calling this).
     pub fn wal_shards(mut self, n: usize) -> Self {
         self.cfg.wal_shards = n;
@@ -225,14 +225,14 @@ impl DbConfigBuilder {
         self
     }
 
-    /// WAL segment capacity in bytes. `0` is rejected at [`build`].
+    /// WAL segment capacity in bytes. `0` is rejected at [`build`](DbConfigBuilder::build).
     pub fn wal_segment_bytes(mut self, bytes: u64) -> Self {
         self.cfg.wal_segment_bytes = bytes;
         self
     }
 
     /// Live-segment cap (summed across shards). `Some(0)` is rejected
-    /// at [`build`].
+    /// at [`build`](DbConfigBuilder::build).
     pub fn wal_retention_segments(mut self, cap: u64) -> Self {
         self.cfg.wal_retention_segments = Some(cap);
         self

@@ -153,8 +153,8 @@ pub struct Db {
 /// The sharded log plus its per-shard group-commit pipelines — the one
 /// way a record batch becomes durable.
 struct Durability {
-    // Declared before `wal` so every pipeline's writer/fsync thread pair
-    // is joined (and its last fsync completed) before the log drops.
+    // Declared before `wal` so every pipeline's writer thread is joined
+    // (and its last fsync completed) before the log drops.
     group: GroupCommitSet,
     wal: WalSet,
 }
@@ -268,16 +268,14 @@ impl Db {
     }
 
     /// Hand a record batch to the durability path and return a
-    /// [`CommitHandle`] — the single commit entry point. Callers pick
-    /// how to redeem it: [`CommitHandle::wait`] blocks to durability,
-    /// [`CommitHandle::try_poll`] checks without blocking (the async
-    /// server path).
+    /// [`CommitHandle`] — the commit entry point for callers not holding
+    /// the checkpoint gate. [`CommitHandle::wait`] blocks to durability.
     ///
     /// Routing: one batch lands on one WAL shard (keyed by the batch's
     /// transaction id), so a transaction's records stay contiguous in
     /// its shard's byte stream while unrelated transactions drain and
     /// fsync on other shards in parallel.
-    pub fn enqueue_records(&self, records: Vec<LogRecord>) -> Result<CommitHandle> {
+    fn enqueue_records(&self, records: Vec<LogRecord>) -> Result<CommitHandle> {
         let _shared = self.ckpt_gate.read();
         self.enqueue_records_gated(records)
     }
@@ -1026,12 +1024,11 @@ enum Applied {
     Skipped,
 }
 
-/// A commit handed to the durability path but not yet awaited — what
-/// [`Db::enqueue_records`] returns. Blocking callers redeem it with
-/// [`CommitHandle::wait`]; the async server path polls
-/// [`CommitHandle::try_poll`] between other work and externalizes the
-/// commit only once its durability epoch has fsynced. Holds no ticket
-/// when logging is off or the batch was empty.
+/// A commit handed to the durability path but not yet awaited. The
+/// engine redeems it with [`CommitHandle::wait`]. [`CommitHandle::try_poll`] checks
+/// without blocking; nothing in the engine calls it today, and it stays
+/// for a caller that overlaps other work with an in-flight commit.
+/// Holds no ticket when logging is off or the batch was empty.
 #[derive(Debug)]
 pub struct CommitHandle(Option<CommitTicket>);
 
@@ -1042,7 +1039,7 @@ impl CommitHandle {
         self.0.map(CommitTicket::wait).transpose()
     }
 
-    /// Non-blocking durability check: `None` while the covering epoch is
+    /// Non-blocking durability check: `None` while the covering drain is
     /// still in flight, `Some(Ok(..))` once durable, `Some(Err(..))` if
     /// the drain failed. Does not consume the handle — poll until
     /// resolved, then discard (or [`CommitHandle::wait`] to finish

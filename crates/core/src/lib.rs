@@ -5,7 +5,7 @@
 //! attributes according to Life Cycle Policies (ICDE 2008, Section II),
 //! built on the substrates of the sibling crates:
 //!
-//! * [`schema`] / [`tuple`](crate::tuple) — tables mix *stable* and *degradable* columns;
+//! * [`schema`] / [`mod@tuple`] — tables mix *stable* and *degradable* columns;
 //!   stored tuples carry their insert time and the current accuracy level
 //!   of every degradable attribute.
 //! * [`catalog`] — catalog and physical tables: a heap file (capacity-

@@ -19,8 +19,7 @@ use crate::query::ast::Statement;
 use crate::query::exec::{self, QueryOutput};
 use crate::query::parser;
 
-/// Strict vs relaxed σ/π semantics (Section IV future work — see
-/// [`crate::ext`]).
+/// Strict vs relaxed σ/π semantics (Section IV future work).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QuerySemantics {
     /// Paper default: only tuples whose state can *compute* the requested

@@ -55,7 +55,7 @@ impl Degrader {
         self.lcp.level_at(age)
     }
 
-    /// Exposure of a value stored at `level`: residual information in [0,1].
+    /// Exposure of a value stored at `level`: residual information in \[0,1\].
     /// `None` level (removed) scores 0.
     pub fn exposure(&self, v: &Value, level: Option<LevelId>) -> f64 {
         match level {

@@ -61,9 +61,9 @@ type ProviderFn = Box<dyn Fn() -> Vec<(String, u64)> + Send + Sync>;
 /// lock-free; snapshots surface them as `wal.drain.shard<k>` /
 /// `wal.fsync.shard<k>`.
 pub struct WalShardLane {
-    /// One whole drain epoch on this shard (append → fsync → ack).
+    /// One whole drain on this shard (append → fsync → ack).
     pub drain: LatencyHistogram,
-    /// The fsyncs issued by this shard's fsyncer thread.
+    /// The fsyncs issued by this shard's log-writer thread, one per drain.
     pub fsync: LatencyHistogram,
 }
 

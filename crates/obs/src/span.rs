@@ -7,7 +7,7 @@
 //! an unwinding thread leaves the stack exactly as it found it.
 //!
 //! Spans are gated by [`Obs`](crate::Obs)'s atomic flag. When disabled,
-//! [`SpanGuard::disabled`] holds nothing: no clock read, no thread-local
+//! `SpanGuard::disabled` holds nothing: no clock read, no thread-local
 //! access, nothing to drop — the entire mechanism costs one relaxed
 //! atomic load at the call site.
 

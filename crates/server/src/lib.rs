@@ -39,7 +39,7 @@ pub mod server;
 pub mod stats;
 
 pub use client::{Client, ClientConfig};
-pub use server::{open_or_recover, Server, ServerConfig};
+pub use server::{open_or_recover, Server, ServerConfig, DEFAULT_SLOW_QUERY};
 pub use stats::ServerStats;
 
 /// Snapshot a running server's counters — the serving-layer counterpart

@@ -72,11 +72,11 @@ pub struct ServerConfig {
     /// parking its connection thread forever; a slow-but-draining reader
     /// gets a fresh allowance per partial write and is unaffected.
     pub write_timeout: StdDuration,
-    /// Slow-query threshold for the engine's slow-query log. Applied at
-    /// start only when [`DbConfig::slow_query`] left the engine's own
-    /// threshold unset; `None` here keeps whatever the engine has.
-    pub slow_query: Option<StdDuration>,
 }
+
+/// Slow-query threshold a served engine runs with when
+/// [`DbConfig::slow_query`] left it unset.
+pub const DEFAULT_SLOW_QUERY: StdDuration = StdDuration::from_millis(250);
 
 impl Default for ServerConfig {
     fn default() -> Self {
@@ -87,7 +87,6 @@ impl Default for ServerConfig {
             degrade_every: None,
             handshake_timeout: StdDuration::from_secs(10),
             write_timeout: StdDuration::from_secs(30),
-            slow_query: Some(StdDuration::from_millis(250)),
         }
     }
 }
@@ -173,9 +172,10 @@ impl Server {
         shared.db.obs().set_spans_enabled(true);
         // Arm the slow-query log unless the engine config already chose.
         if shared.db.config().slow_query.is_none() {
-            if let Some(threshold) = shared.cfg.slow_query {
-                shared.db.obs().set_slow_query_threshold(Some(threshold));
-            }
+            shared
+                .db
+                .obs()
+                .set_slow_query_threshold(Some(DEFAULT_SLOW_QUERY));
         }
         // Fold the network counters into the engine's stats snapshot so
         // `SHOW STATS` is the whole story (engine + serving layer).

@@ -91,10 +91,12 @@ fn wire_round_trip_and_session_state() {
 fn show_stats_over_live_tcp_returns_full_snapshot() {
     // A 1ns threshold (clamped to 1us by the engine) makes every wire
     // query "slow", so the slow-query log is exercised end to end too.
-    let server = ephemeral_server(ServerConfig {
-        slow_query: Some(Duration::from_nanos(1)),
-        ..ServerConfig::default()
-    });
+    let cfg = DbConfig::builder()
+        .slow_query(Duration::from_nanos(1))
+        .build()
+        .unwrap();
+    let db = Arc::new(Db::open(cfg, MockClock::new().shared()).unwrap());
+    let server = Server::start(db, registry(), ServerConfig::default()).unwrap();
     let addr = server.local_addr().to_string();
     let mut client = Client::connect(&addr).unwrap();
 

@@ -1,32 +1,29 @@
 //! Group-commit pipeline: one fsync per drain, not per committer — one
-//! pipeline per WAL shard, with epoch-acknowledged fsyncs.
+//! pipeline, and one thread, per WAL shard.
 //!
 //! Committers enqueue their record batch plus a commit ticket and block;
-//! a dedicated log-writer thread drains every waiting batch and appends
-//! all records. Appended drains are sealed into **epochs** and handed to
-//! a second per-pipeline thread, the fsyncer, which issues **one**
-//! [`Wal::sync`] covering every epoch pending at that moment, then
-//! completes the covered tickets. A committer is only acknowledged
+//! the pipeline's log-writer thread drains every waiting batch, appends
+//! all records, issues **one** [`Wal::sync`] covering the whole drain,
+//! then completes the drain's tickets. A committer is only acknowledged
 //! *after* the fsync that covers its records, so the classical WAL
 //! durability contract is unchanged — the pipeline just lets N
-//! concurrent committers share one fsync instead of paying N, and lets
-//! the writer keep appending epoch *n+1* while the fsyncer waits on
-//! epoch *n*'s disk flush.
+//! concurrent committers share one fsync instead of paying N.
 //!
-//! Batching is natural twice over: while the writer appends drain *n*,
-//! the committers arriving meanwhile pile up and become drain *n+1*;
-//! and while the fsyncer flushes epoch *m*, the epochs sealed meanwhile
-//! fold into one covering fsync. An optional
-//! [`GroupCommitConfig::max_delay`] makes the writer linger once per
-//! drain to deepen the batch further (throughput over latency).
+//! Batching is natural: while the writer appends and fsyncs drain *n*,
+//! the committers arriving meanwhile pile up and become drain *n+1*. An
+//! optional [`GroupCommitConfig::max_delay`] makes the writer linger
+//! once per drain to deepen the batch further (throughput over latency).
+//! The fsync runs in the writer thread itself: [`Wal::sync`] holds the
+//! log lock that the next [`Wal::append_batch`] takes, so a separate
+//! fsync thread could not overlap the next drain's appends with it.
 //!
-//! Failure semantics: if any append fails, every ticket in that drain is
-//! failed with the same broadcast error and the pipeline poisons itself;
-//! if an epoch fsync fails, every ticket in every epoch that fsync would
-//! have covered is failed the same way. No committer in a failed drain
-//! or epoch is ever acknowledged. (As with any WAL, a *failed* commit
-//! may still surface after recovery if its bytes reached the disk; an
-//! *acknowledged* commit is always durable.)
+//! Failure semantics: if any append or the drain's fsync fails, every
+//! ticket in that drain is failed with the same broadcast error and the
+//! pipeline poisons itself: everything still queued is failed and later
+//! submits error. No committer in a failed drain is ever acknowledged.
+//! (As with any WAL, a *failed* commit may still surface after recovery
+//! if its bytes reached the disk; an *acknowledged* commit is always
+//! durable.)
 //!
 //! The pipeline also serializes appends against checkpoint truncation:
 //! because every record reaches the log through the single writer thread,
@@ -35,7 +32,7 @@
 //!
 //! Segmented-log interplay: a drain's batch may straddle a segment
 //! rotation. That is safe — rotation fsyncs the outgoing segment before
-//! switching, so the epoch's single [`Wal::sync`] (which covers the
+//! switching, so the drain's single [`Wal::sync`] (which covers the
 //! active segment) still makes every appended record durable before any
 //! ticket completes. And because truncation deletes whole dead segments
 //! without touching the Wal append lock for the unlink I/O, a drain's
@@ -86,14 +83,13 @@ impl Default for GroupCommitConfig {
 pub struct GroupCommitStats {
     /// Tickets acknowledged (commit calls that succeeded).
     pub commits: u64,
-    /// Durability epochs completed — one fsync each.
+    /// Drains made durable — one fsync each.
     pub batches: u64,
     /// Log records appended through the pipeline.
     pub records: u64,
     /// Largest number of committers covered by a single fsync.
     pub max_batch: u64,
-    /// Drains or epochs whose tickets were failed by an I/O error
-    /// broadcast.
+    /// Drains whose tickets were failed by an I/O error broadcast.
     pub failed_batches: u64,
 }
 
@@ -183,17 +179,17 @@ impl Ticket {
 pub struct CommitTicket(Arc<Ticket>);
 
 impl CommitTicket {
-    /// Block until the epoch covering this commit has fsynced; returns
+    /// Block until the fsync covering this commit has run; returns
     /// the LSN of the batch's first record.
     pub fn wait(self) -> Result<Lsn> {
         self.0.wait()
     }
 
-    /// Non-blocking durability check: `None` while the covering epoch
+    /// Non-blocking durability check: `None` while the covering drain
     /// is still in flight, `Some(Ok(first_lsn))` once it is durable,
-    /// `Some(Err(..))` if its drain or fsync failed. The async-epoch
-    /// server path polls this between wire turns instead of parking a
-    /// thread per in-flight commit.
+    /// `Some(Err(..))` if its drain or fsync failed. Nothing in the
+    /// engine polls yet; it lets a caller overlap other work with an
+    /// in-flight commit instead of parking a thread on it.
     pub fn try_poll(&self) -> Option<Result<Lsn>> {
         self.0.poll()
     }
@@ -210,41 +206,13 @@ struct Queue {
     stopping: bool,
 }
 
-/// One appended-but-not-yet-durable drain, sealed by the writer and
-/// awaiting its covering fsync.
-struct Epoch {
-    /// Each committer's ticket with the first LSN of its batch.
-    entries: Vec<(Arc<Ticket>, Lsn)>,
-    /// Records appended for this epoch.
-    records: u64,
-    /// When the writer picked the drain up — the start of the epoch's
-    /// drain latency.
-    drain_started: Instant,
-}
-
-struct EpochQueue {
-    pending: Vec<Epoch>,
-    /// The writer thread exited; the fsyncer flushes what is queued and
-    /// follows.
-    writer_done: bool,
-    /// The fsyncer died on an fsync error; the writer fails further
-    /// drains instead of queueing them into the void.
-    fsync_dead: bool,
-}
-
 struct Shared {
     queue: Mutex<Queue>,
     /// Signals the writer that work arrived or stop was requested.
     work: Condvar,
-    /// Sealed epochs in flight between the writer and the fsyncer. The
-    /// fsync itself always runs *outside* this lock, so a committer's
-    /// submit never queues behind disk I/O.
-    epochs: Mutex<EpochQueue>,
-    /// Signals the fsyncer that an epoch was sealed or the writer left.
-    epoch_ready: Condvar,
     stats: StatsCells,
     /// Latency sinks (drain/fsync/ack histograms); recording is
-    /// lock-free, so both threads feed them mid-epoch at no risk.
+    /// lock-free, so the writer feeds them mid-drain at no risk.
     obs: Arc<Obs>,
     /// This pipeline's per-shard drain/fsync lane, recorded alongside
     /// the global histograms.
@@ -252,14 +220,13 @@ struct Shared {
 }
 
 /// Handle to the commit pipeline. Dropping (or [`GroupCommit::stop`])
-/// drains every enqueued batch, flushes every sealed epoch, then joins
-/// both threads — a clean shutdown never strands an acknowledged or
+/// drains, fsyncs and acknowledges every enqueued batch, then joins the
+/// writer thread — a clean shutdown never strands an acknowledged or
 /// enqueued committer.
 pub struct GroupCommit {
     wal: Arc<Wal>,
     shared: Arc<Shared>,
     writer: Option<JoinHandle<()>>,
-    fsyncer: Option<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for GroupCommit {
@@ -271,13 +238,12 @@ impl std::fmt::Debug for GroupCommit {
 }
 
 impl GroupCommit {
-    /// Spawn the log-writer and fsyncer threads over `wal`, serving
-    /// shard `shard` of its set (0 for a lone log). Drain/fsync/ack
-    /// latencies land in `obs`'s global histograms plus the
-    /// `wal.drain.shard<k>` / `wal.fsync.shard<k>` lane. Fails only if
-    /// the OS cannot spawn a thread — without them the pipeline could
-    /// never acknowledge a commit, so that must surface as an error at
-    /// startup, not a panic.
+    /// Spawn the log-writer thread over `wal`, serving shard `shard` of
+    /// its set (0 for a lone log). Drain/fsync/ack latencies land in
+    /// `obs`'s global histograms plus the `wal.drain.shard<k>` /
+    /// `wal.fsync.shard<k>` lane. Fails only if the OS cannot spawn the
+    /// thread — without it the pipeline could never acknowledge a
+    /// commit, so that must surface as an error at startup, not a panic.
     pub fn spawn(
         wal: Arc<Wal>,
         shard: usize,
@@ -294,15 +260,6 @@ impl GroupCommit {
                 },
             ),
             work: Condvar::new(),
-            epochs: Mutex::ranked(
-                505,
-                EpochQueue {
-                    pending: Vec::new(),
-                    writer_done: false,
-                    fsync_dead: false,
-                },
-            ),
-            epoch_ready: Condvar::new(),
             stats: StatsCells::default(),
             obs,
             lane,
@@ -312,34 +269,16 @@ impl GroupCommit {
         let writer = std::thread::Builder::new()
             .name(format!("wal-group-commit-{shard}"))
             .spawn(move || writer_loop(thread_wal, thread_shared, cfg))?;
-        let thread_wal = wal.clone();
-        let thread_shared = shared.clone();
-        let fsyncer = std::thread::Builder::new()
-            .name(format!("wal-group-fsync-{shard}"))
-            .spawn(move || fsync_loop(thread_wal, thread_shared));
-        let fsyncer = match fsyncer {
-            Ok(handle) => handle,
-            Err(e) => {
-                // Half a pipeline acknowledges nothing: stop the writer
-                // (its exit guard fails anything already queued) before
-                // surfacing the spawn error.
-                shared.queue.lock().stopping = true;
-                shared.work.notify_all();
-                let _ = writer.join();
-                return Err(e.into());
-            }
-        };
         Ok(GroupCommit {
             wal,
             shared,
             writer: Some(writer),
-            fsyncer: Some(fsyncer),
         })
     }
 
     /// Durably commit `records` as one atomic batch: blocks until the
-    /// epoch covering them has fsynced, then returns the LSN of the
-    /// batch's first record.
+    /// fsync covering them has run, then returns the LSN of the batch's
+    /// first record.
     pub fn commit(&self, records: Vec<LogRecord>) -> Result<Lsn> {
         self.submit(records)?.wait()
     }
@@ -380,7 +319,7 @@ impl GroupCommit {
         }
     }
 
-    /// Drain outstanding batches, stop both threads, and return the
+    /// Drain outstanding batches, stop the writer thread, and return the
     /// final counters. Subsequent [`GroupCommit::commit`] calls error.
     pub fn stop(mut self) -> GroupCommitStats {
         self.shutdown();
@@ -393,13 +332,9 @@ impl GroupCommit {
         };
         self.shared.queue.lock().stopping = true;
         self.shared.work.notify_all();
-        // The writer drains the queue, seals the last epochs, and its
-        // exit guard flags `writer_done`; the fsyncer flushes whatever
-        // is sealed and follows. Join in that order.
+        // The writer drains, fsyncs and acknowledges what is queued,
+        // then exits.
         let _ = writer.join();
-        if let Some(fsyncer) = self.fsyncer.take() {
-            let _ = fsyncer.join();
-        }
     }
 }
 
@@ -409,6 +344,9 @@ impl Drop for GroupCommit {
     }
 }
 
+/// The pipeline's one thread: drain the queue, append every batch, issue
+/// **one** [`Wal::sync`] covering the drain, then acknowledge its
+/// tickets and account the drain.
 fn writer_loop(wal: Arc<Wal>, shared: Arc<Shared>, cfg: GroupCommitConfig) {
     let _poison = PoisonOnExit(shared.clone());
     let max_batch = cfg.max_batch.max(1);
@@ -444,169 +382,66 @@ fn writer_loop(wal: Arc<Wal>, shared: Arc<Shared>, cfg: GroupCommitConfig) {
         };
 
         let drain_started = Instant::now();
-        let mut entries = Vec::with_capacity(drain.len());
-        let mut appended = 0u64;
-        let mut failure: Option<String> = None;
-        for (records, ticket) in &drain {
-            match wal.append_batch(records) {
-                Ok(first) => {
-                    entries.push((ticket.clone(), first));
-                    appended += records.len() as u64;
-                }
-                Err(e) => {
-                    failure = Some(e.to_string());
-                    break;
-                }
-            }
-        }
-
-        match failure {
-            None => {
-                let sealed = {
-                    let mut eq = shared.epochs.lock();
-                    if eq.fsync_dead {
-                        false
-                    } else {
-                        eq.pending.push(Epoch {
-                            entries,
-                            records: appended,
-                            drain_started,
-                        });
-                        true
-                    }
-                };
-                if sealed {
-                    shared.epoch_ready.notify_all();
-                } else {
-                    // The fsyncer died under us: nothing will ever flush
-                    // this drain, so fail it and exit — the poison guard
-                    // fails whatever is still queued behind it.
-                    let msg: Arc<str> =
-                        "group-commit fsyncer thread exited before this epoch".into();
-                    for (_, ticket) in &drain {
-                        ticket.fail(msg.clone());
-                    }
-                    return;
-                }
-            }
-            Some(msg) => {
+        let durable = drain
+            .iter()
+            .map(|(records, _)| wal.append_batch(records))
+            .collect::<Result<Vec<Lsn>>>()
+            .and_then(|firsts| {
+                let fsync_started = Instant::now();
+                wal.sync()?;
+                let fsync_elapsed = fsync_started.elapsed();
+                shared.obs.wal_fsync.record_duration(fsync_elapsed);
+                shared.lane.fsync.record_duration(fsync_elapsed);
+                Ok(firsts)
+            });
+        let firsts = match durable {
+            Ok(firsts) => firsts,
+            Err(e) => {
                 // Error broadcast: every ticket in the failed drain gets
-                // the same cause; none is acknowledged. Then poison the
-                // pipeline and exit: a failed append leaves the log tail
-                // (and kernel dirty-page state) indeterminate, so
-                // acknowledging anything appended after it could violate
-                // acknowledged-implies-durable. Epochs sealed *before*
-                // the failure were fully appended and may still be
-                // flushed and acknowledged by the fsyncer. The poison
-                // guard fails whatever is still queued.
-                let msg: Arc<str> = format!("group-commit drain failed: {msg}").into();
+                // the same cause; none is acknowledged. Then exit: a
+                // failed append or fsync leaves the log tail (and kernel
+                // dirty-page state) indeterminate, so acknowledging
+                // anything appended after it could violate
+                // acknowledged-implies-durable. Refuse new submits before
+                // the broadcast, so a committer that sees its failure
+                // also sees the pipeline stopped; the poison guard fails
+                // whatever is still queued.
+                shared.queue.lock().stopping = true;
+                let msg: Arc<str> = format!("group-commit drain failed: {e}").into();
                 shared.stats.failed_batches.fetch_add(1, Ordering::Relaxed);
                 for (_, ticket) in &drain {
                     ticket.fail(msg.clone());
                 }
                 return;
             }
-        }
-    }
-}
-
-/// The fsyncer half of the pipeline: pops every epoch sealed since its
-/// last flush, issues **one** [`Wal::sync`] covering all of them —
-/// outside the epoch lock, so committers never queue behind disk I/O —
-/// then acknowledges the covered tickets and accounts the epoch.
-fn fsync_loop(wal: Arc<Wal>, shared: Arc<Shared>) {
-    loop {
-        let epochs: Vec<Epoch> = {
-            let mut eq = shared.epochs.lock();
-            loop {
-                if !eq.pending.is_empty() {
-                    break;
-                }
-                if eq.writer_done {
-                    return;
-                }
-                shared.epoch_ready.wait(&mut eq);
-            }
-            std::mem::take(&mut eq.pending)
         };
 
-        let fsync_started = Instant::now();
-        match wal.sync() {
-            Ok(()) => {
-                let fsync_elapsed = fsync_started.elapsed();
-                shared.obs.wal_fsync.record_duration(fsync_elapsed);
-                shared.lane.fsync.record_duration(fsync_elapsed);
-                let commits: u64 = epochs.iter().map(|e| e.entries.len() as u64).sum();
-                let records: u64 = epochs.iter().map(|e| e.records).sum();
-                let s = &shared.stats;
-                s.commits.fetch_add(commits, Ordering::Relaxed);
-                s.batches.fetch_add(1, Ordering::Relaxed);
-                s.records.fetch_add(records, Ordering::Relaxed);
-                s.max_batch.fetch_max(commits, Ordering::Relaxed);
-                let earliest = epochs.iter().map(|e| e.drain_started).min();
-                for epoch in &epochs {
-                    for (ticket, lsn) in &epoch.entries {
-                        // Ack latency is stamped by the completer: the
-                        // committer's wake-up adds only its condvar
-                        // signal.
-                        shared
-                            .obs
-                            .commit_ack
-                            .record_duration(ticket.submitted.elapsed());
-                        ticket.complete(*lsn);
-                    }
-                }
-                if let Some(start) = earliest {
-                    let drain_elapsed = start.elapsed();
-                    shared.obs.wal_drain.record_duration(drain_elapsed);
-                    shared.lane.drain.record_duration(drain_elapsed);
-                }
-            }
-            Err(e) => {
-                // A failed fsync leaves the kernel dirty-page state
-                // indeterminate: nothing appended but unflushed can ever
-                // be acknowledged again. Fail everything this fsync
-                // would have covered, everything sealed behind it, and
-                // everything still queued at the writer; mark the
-                // pipeline stopped so future submits error out.
-                shared.stats.failed_batches.fetch_add(1, Ordering::Relaxed);
-                let msg: Arc<str> = format!("group-commit epoch fsync failed: {e}").into();
-                for epoch in &epochs {
-                    for (ticket, _) in &epoch.entries {
-                        ticket.fail(msg.clone());
-                    }
-                }
-                let sealed: Vec<Epoch> = {
-                    let mut eq = shared.epochs.lock();
-                    eq.fsync_dead = true;
-                    std::mem::take(&mut eq.pending)
-                };
-                for epoch in &sealed {
-                    for (ticket, _) in &epoch.entries {
-                        ticket.fail(msg.clone());
-                    }
-                }
-                let queued: Vec<(Vec<LogRecord>, Arc<Ticket>)> = {
-                    let mut q = shared.queue.lock();
-                    q.stopping = true;
-                    q.pending.drain(..).collect()
-                };
-                shared.work.notify_all();
-                for (_, ticket) in &queued {
-                    ticket.fail(msg.clone());
-                }
-                return;
-            }
+        let commits = drain.len() as u64;
+        let s = &shared.stats;
+        s.commits.fetch_add(commits, Ordering::Relaxed);
+        s.batches.fetch_add(1, Ordering::Relaxed);
+        let records: u64 = drain.iter().map(|(records, _)| records.len() as u64).sum();
+        s.records.fetch_add(records, Ordering::Relaxed);
+        s.max_batch.fetch_max(commits, Ordering::Relaxed);
+        for ((_, ticket), first) in drain.iter().zip(firsts) {
+            // Ack latency is stamped by the completer: the committer's
+            // wake-up adds only its condvar signal.
+            shared
+                .obs
+                .commit_ack
+                .record_duration(ticket.submitted.elapsed());
+            ticket.complete(first);
         }
+        let drain_elapsed = drain_started.elapsed();
+        shared.obs.wal_drain.record_duration(drain_elapsed);
+        shared.lane.drain.record_duration(drain_elapsed);
     }
 }
 
 /// Runs when the writer thread exits — normally, after a drain failure,
 /// or by panic. Marks the pipeline stopped (future submits error out
-/// instead of enqueueing into the void), fails every ticket still
-/// queued so no committer is stranded in [`CommitTicket::wait`], and
-/// flags `writer_done` so the fsyncer flushes its last epochs and
-/// exits.
+/// instead of enqueueing into the void) and fails every ticket still
+/// queued so no committer is stranded in [`CommitTicket::wait`].
 struct PoisonOnExit(Arc<Shared>);
 
 impl Drop for PoisonOnExit {
@@ -622,8 +457,6 @@ impl Drop for PoisonOnExit {
                 ticket.fail(msg.clone());
             }
         }
-        self.0.epochs.lock().writer_done = true;
-        self.0.epoch_ready.notify_all();
     }
 }
 
@@ -745,7 +578,7 @@ mod tests {
         assert_eq!(stats.commits, 2);
         assert_eq!(stats.records, 6);
         assert_eq!(wal.iterate().unwrap().len(), 6);
-        // Both epochs synced before acknowledging.
+        // Both drains synced before acknowledging.
         let (_, syncs) = wal.counters();
         assert_eq!(syncs, stats.batches);
     }
@@ -811,10 +644,10 @@ mod tests {
         let drain = obs.wal_drain.snapshot();
         let fsync = obs.wal_fsync.snapshot();
         let ack = obs.commit_ack.snapshot();
-        assert_eq!(drain.count, stats.batches, "one drain sample per epoch");
-        assert_eq!(fsync.count, stats.batches, "one fsync sample per epoch");
+        assert_eq!(drain.count, stats.batches, "one drain sample per fsync");
+        assert_eq!(fsync.count, stats.batches, "one fsync sample per drain");
         assert_eq!(ack.count, stats.commits, "one ack sample per commit");
-        // A drain contains its fsync, an ack spans at least its epoch's
+        // A drain contains its fsync, an ack spans at least its drain's
         // append+fsync work — the p100s must order accordingly.
         assert!(drain.max_micros >= fsync.max_micros);
         assert!(ack.sum_micros >= fsync.sum_micros / stats.batches.max(1));
@@ -850,7 +683,7 @@ mod tests {
         let wal = Arc::new(Wal::temp("gc7").unwrap());
         let gc = spawn_lone(wal, GroupCommitConfig::default());
         let ticket = gc.submit(batch(0)).unwrap();
-        // Poll until the epoch lands; a pipeline that never completes
+        // Poll until the drain lands; a pipeline that never completes
         // would hang this loop, not pass it.
         let lsn = loop {
             match ticket.try_poll() {
@@ -926,7 +759,7 @@ mod tests {
             "aggregate sums every pipeline, not shard 0 only"
         );
         drop(gcs);
-        // Both shards' obs lanes saw their epochs.
+        // Both shards' obs lanes saw their drains.
         let snap = obs.snapshot();
         assert_eq!(
             snap.hist("wal.fsync.shard0").map(|h| h.count),

@@ -15,7 +15,7 @@
 //!
 //! Recovery reads every shard independently (each trims its own torn
 //! tail) and **k-way merges by LSN** into one globally ordered stream —
-//! [`crate::recovery::replay`] consumes it unchanged. An epoch torn on
+//! [`crate::recovery::replay`] consumes it unchanged. A burst torn on
 //! one shard but durable on another is handled for free: the torn
 //! shard's unacknowledged suffix simply leaves holes in the merged LSN
 //! sequence, and commit analysis never sees a Commit record for a torn

@@ -4,8 +4,8 @@
 //! (`wal.<seqno>.seg`, see [`crate::segment`]) — one shard of a
 //! [`crate::walset::WalSet`], or a set of one when opened on its own.
 //! Appends go to the single *active* (highest-numbered) segment,
-//! buffered; `sync()` flushes and fsyncs it (the group-commit fsyncer
-//! calls it once per durability epoch). LSNs come from an allocator
+//! buffered; `sync()` flushes and fsyncs it (the group-commit writer
+//! calls it once per drain). LSNs come from an allocator
 //! handle — the `Wal`'s own by default, the set's when a `WalSet` opened
 //! it — drawn under the log lock, so the byte stream is LSN-monotone and
 //! LSNs other shards took show up as [`LogRecord::LsnJump`] markers.

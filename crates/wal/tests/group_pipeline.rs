@@ -6,7 +6,9 @@
 //!   commit;
 //! * concurrent committers share fsyncs (batch counter < commit counter)
 //!   without losing a single record;
-//! * recovery replays every acknowledged transaction and no torn one.
+//! * recovery replays every acknowledged transaction and no torn one;
+//! * a drain whose append fails is never acknowledged, and the pipeline
+//!   refuses every later commit.
 
 use std::sync::Arc;
 use std::time::Duration as StdDuration;
@@ -16,7 +18,7 @@ use instant_wal::group::{GroupCommit, GroupCommitConfig};
 use instant_wal::record::{LogRecord, Payload};
 use instant_wal::recovery;
 use instant_wal::writer::log_size;
-use instant_wal::{KeyStore, Wal};
+use instant_wal::{KeyStore, SegmentConfig, Wal};
 
 fn batch(tx: u64) -> Vec<LogRecord> {
     let at = Timestamp::micros(tx);
@@ -160,4 +162,40 @@ fn pipeline_commits_then_truncate_round_trip() {
     for tx in 10..13 {
         assert!(plan.committed.contains(&TxId(tx)));
     }
+}
+
+#[test]
+fn failed_append_fails_its_drain_and_poisons_the_pipeline() {
+    // Minimal segments rotate every few batches; once the log directory
+    // is gone, the next rotation cannot create its segment file.
+    let wal = Arc::new(Wal::temp_with("gp-fail", SegmentConfig { segment_bytes: 1 }).unwrap());
+    let gc = pipeline(&wal, GroupCommitConfig::default());
+    gc.commit(batch(0)).unwrap();
+    let mut acknowledged = 1u64;
+    std::fs::remove_dir_all(wal.path()).unwrap();
+
+    let failure = loop {
+        assert!(
+            acknowledged < 10_000,
+            "no rotation failed after the log directory was removed"
+        );
+        match gc.commit(batch(acknowledged)) {
+            Ok(_) => acknowledged += 1,
+            Err(e) => break e,
+        }
+    };
+    assert!(
+        failure.to_string().contains("group-commit drain failed"),
+        "the failing commit carries the drain's error: {failure}"
+    );
+    assert!(
+        gc.submit(batch(u64::MAX)).is_err(),
+        "a poisoned pipeline refuses later submits"
+    );
+    let stats = gc.stats();
+    assert_eq!(stats.failed_batches, 1);
+    assert_eq!(
+        stats.commits, acknowledged,
+        "only commits acknowledged before the failure count"
+    );
 }

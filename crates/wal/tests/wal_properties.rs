@@ -226,7 +226,7 @@ proptest! {
 
     /// The parallel-backbone crash contract: a mid-burst kill with K
     /// shards loses no acknowledged commit under the LSN merge — even
-    /// when a phantom epoch after the acknowledged prefix reached the
+    /// when a phantom burst after the acknowledged prefix reached the
     /// shards unevenly (durable on some, torn mid-frame on another).
     #[test]
     fn sharded_mid_burst_kill_recovers_every_acknowledged_record(
@@ -256,7 +256,7 @@ proptest! {
                     acknowledged.push((first + i as u64, r.clone()));
                 }
             }
-            // Every acknowledged epoch is durable once the pipelines stop.
+            // Every acknowledged batch is durable once the pipelines stop.
             gcs.stop();
             let synced: Vec<u64> = (0..set.shard_count())
                 .map(|k| {
@@ -264,7 +264,7 @@ proptest! {
                     log_size(set.shard(k)).unwrap()
                 })
                 .collect();
-            // The phantom epoch the kill interrupts: unacknowledged
+            // The phantom burst the kill interrupts: unacknowledged
             // appends that reach the shards unevenly.
             for r in &junk {
                 set.append(r).unwrap();
