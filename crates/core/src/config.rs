@@ -7,7 +7,7 @@
 //!   through named methods and **validated at build time** (zero WAL
 //!   shards, zero segment bytes and their friends are rejected before a
 //!   `Db` ever opens half-configured).
-//! * [`DbConfig::default`] — production defaults with the four
+//! * [`DbConfig::default`] — production defaults with the three
 //!   `INSTANTDB_TEST_*` knobs applied (debug builds only), so every test
 //!   constructed from defaults participates in the CI matrix. This is the
 //!   one place in the workspace that reads those variables.
@@ -39,12 +39,9 @@ pub enum WalMode {
 /// `DbConfig { field, ..DbConfig::default() }`.
 #[derive(Debug, Clone)]
 pub struct DbConfig {
-    /// Buffer pool frames.
+    /// Buffer pool frames. The pool's shard count follows from it: the
+    /// largest power of two ≤ min(16, frames).
     pub buffer_frames: usize,
-    /// Buffer pool shards (rounded up to a power of two; 0 = automatic).
-    /// More shards reduce contention between degradation batches and
-    /// concurrent queries touching different pages.
-    pub pool_shards: usize,
     /// Heap deletion policy (secure overwrite vs classical naive).
     pub secure: SecurePolicy,
     pub wal_mode: WalMode,
@@ -73,22 +70,8 @@ pub struct DbConfig {
     /// checkpointer frees whole dead segments, never rewriting retained
     /// data.
     pub wal_segment_bytes: u64,
-    /// Cap on live WAL segments, **summed across shards**: when a commit
-    /// observes more than this many segment files on disk it forces an
-    /// early checkpoint (which truncates every wholly-dead segment), so
-    /// the log's footprint stays bounded even if the periodic
-    /// [`Checkpointer`](crate::daemon::Checkpointer) is off or slow.
-    /// Each shard always keeps one active segment, so with K shards the
-    /// reachable floor is K — size the cap accordingly. Enforced *after*
-    /// the commit is acknowledged — admission never stalls behind the
-    /// checkpoint of a competing committer (the check is skipped while
-    /// another checkpoint is already running). `None` (default) leaves
-    /// retention to explicit/background checkpoints.
-    pub wal_retention_segments: Option<u64>,
     /// Data directory prefix; `None` = ephemeral temp files.
     pub path: Option<PathBuf>,
-    /// Key-derivation seed.
-    pub key_seed: u64,
     /// Slow-query threshold: statements slower than this land in the
     /// observability plane's bounded slow-query ring (statement kind,
     /// declared purpose, elapsed — never the SQL text). `None` disables
@@ -103,7 +86,6 @@ impl DbConfig {
     pub fn base() -> DbConfig {
         DbConfig {
             buffer_frames: 1024,
-            pool_shards: 0,
             secure: SecurePolicy::Overwrite,
             wal_mode: WalMode::Sealed,
             wal_shards: 0,
@@ -112,9 +94,7 @@ impl DbConfig {
             group_commit: GroupCommitConfig::default(),
             checkpoint_every: None,
             wal_segment_bytes: instant_wal::segment::DEFAULT_SEGMENT_BYTES,
-            wal_retention_segments: None,
             path: None,
-            key_seed: 0x1DB0_CAFE,
             slow_query: None,
         }
     }
@@ -151,8 +131,6 @@ impl Default for DbConfig {
     /// those paths stay exercised:
     ///
     /// * `INSTANTDB_TEST_WAL_SHARDS=<n>` — pin the WAL shard count;
-    /// * `INSTANTDB_TEST_POOL_SHARDS=<n>` — pin the buffer-pool shard
-    ///   count;
     /// * `INSTANTDB_TEST_CHECKPOINT_EVERY_MS=<n>` — arm background
     ///   checkpointing wherever a config is spawned from defaults;
     /// * `INSTANTDB_TEST_WAL_SEGMENT_BYTES=<n>` — WAL segment capacity.
@@ -172,9 +150,6 @@ impl Default for DbConfig {
             if let Some(n) = knob("INSTANTDB_TEST_WAL_SHARDS") {
                 cfg.wal_shards = n;
             }
-            if let Some(n) = knob("INSTANTDB_TEST_POOL_SHARDS") {
-                cfg.pool_shards = n;
-            }
             cfg.checkpoint_every =
                 knob("INSTANTDB_TEST_CHECKPOINT_EVERY_MS").map(std::time::Duration::from_millis);
             if let Some(n) = knob("INSTANTDB_TEST_WAL_SEGMENT_BYTES") {
@@ -188,8 +163,8 @@ impl Default for DbConfig {
 /// Validating builder for [`DbConfig`]. Obtained from
 /// [`DbConfig::builder`]; finished with [`DbConfigBuilder::build`],
 /// which rejects configurations the engine would misbehave under
-/// (zero WAL shards, zero-byte segments, a zero-length key window,
-/// a zero retention cap) instead of letting them reach `Db::open`.
+/// (zero WAL shards, zero-byte segments, a zero-length key window)
+/// instead of letting them reach `Db::open`.
 #[derive(Debug, Clone)]
 pub struct DbConfigBuilder {
     cfg: DbConfig,
@@ -231,13 +206,6 @@ impl DbConfigBuilder {
         self
     }
 
-    /// Live-segment cap (summed across shards). `Some(0)` is rejected
-    /// at [`build`](DbConfigBuilder::build).
-    pub fn wal_retention_segments(mut self, cap: u64) -> Self {
-        self.cfg.wal_retention_segments = Some(cap);
-        self
-    }
-
     pub fn checkpoint_every(mut self, every: std::time::Duration) -> Self {
         self.cfg.checkpoint_every = Some(every);
         self
@@ -245,11 +213,6 @@ impl DbConfigBuilder {
 
     pub fn buffer_frames(mut self, frames: usize) -> Self {
         self.cfg.buffer_frames = frames;
-        self
-    }
-
-    pub fn pool_shards(mut self, shards: usize) -> Self {
-        self.cfg.pool_shards = shards;
         self
     }
 
@@ -268,19 +231,14 @@ impl DbConfigBuilder {
         self
     }
 
-    pub fn key_seed(mut self, seed: u64) -> Self {
-        self.cfg.key_seed = seed;
-        self
-    }
-
     pub fn path(mut self, p: impl Into<PathBuf>) -> Self {
         self.cfg.path = Some(p.into());
         self
     }
 
-    /// Validate and produce the config.
-    ///
-    /// [`build`]: DbConfigBuilder::build
+    /// Validate and produce the config: an explicit zero WAL shard
+    /// count, zero segment bytes and (in [`WalMode::Sealed`]) a zero key
+    /// window are rejected with [`Error::Config`].
     pub fn build(self) -> Result<DbConfig> {
         let cfg = self.cfg;
         if self.wal_shards_explicit && cfg.wal_shards == 0 {
@@ -295,13 +253,6 @@ impl DbConfigBuilder {
                 "wal_segment_bytes(0) is invalid: segments need capacity for \
                  at least one record (the segment layer clamps small values \
                  to its minimum, but zero is always a bug)"
-                    .into(),
-            ));
-        }
-        if cfg.wal_retention_segments == Some(0) {
-            return Err(Error::Config(
-                "wal_retention_segments(0) is invalid: each WAL shard always \
-                 keeps one live segment"
                     .into(),
             ));
         }
@@ -330,7 +281,6 @@ mod tests {
             })
             .slow_query(std::time::Duration::from_millis(5))
             .wal_segment_bytes(1 << 16)
-            .wal_retention_segments(8)
             .build()
             .unwrap();
         assert_eq!(cfg.wal_shards, 4);
@@ -338,7 +288,6 @@ mod tests {
         assert_eq!(cfg.group_commit.max_batch, 7);
         assert_eq!(cfg.slow_query, Some(std::time::Duration::from_millis(5)));
         assert_eq!(cfg.wal_segment_bytes, 1 << 16);
-        assert_eq!(cfg.wal_retention_segments, Some(8));
     }
 
     #[test]
@@ -357,11 +306,6 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(matches!(err, Error::Config(_)), "{err:?}");
-        let err = DbConfig::builder()
-            .wal_retention_segments(0)
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, Error::Config(_)), "{err:?}");
     }
 
     #[test]
@@ -377,7 +321,6 @@ mod tests {
         // `base()` must be deterministic even in debug builds where the
         // overlay knobs are live.
         let cfg = DbConfig::base();
-        assert_eq!(cfg.pool_shards, 0);
         assert_eq!(cfg.checkpoint_every, None);
         assert_eq!(
             cfg.wal_segment_bytes,

@@ -55,6 +55,9 @@ use crate::tuple::{decode_stored, encode_stored_raw, StoredTuple, STAGE_REMOVED}
 // db::…` imports) compiling.
 pub use crate::config::{DbConfig, DbConfigBuilder, WalMode};
 
+/// Seed of the key store's window-key derivation.
+const KEY_SEED: u64 = 0x1DB0_CAFE;
+
 /// Engine statistics (monotonic counters).
 #[derive(Debug, Default)]
 pub struct DbStats {
@@ -65,10 +68,6 @@ pub struct DbStats {
     pub user_deletes: AtomicU64,
     pub degrader_lock_retries: AtomicU64,
     pub checkpoints: AtomicU64,
-    /// Checkpoints forced by [`DbConfig::wal_retention_segments`] that
-    /// failed; the triggering commit was already durable and is not
-    /// failed retroactively.
-    pub forced_checkpoint_failures: AtomicU64,
 }
 
 /// Result of one degradation pump.
@@ -172,11 +171,7 @@ impl Db {
             Some(p) => Arc::new(DiskManager::open(with_ext(p, "idb"))?),
             None => Arc::new(DiskManager::temp("db")?),
         };
-        let pool = Arc::new(if cfg.pool_shards == 0 {
-            BufferPool::new(disk, cfg.buffer_frames)
-        } else {
-            BufferPool::with_shards(disk, cfg.buffer_frames, cfg.pool_shards)
-        });
+        let pool = Arc::new(BufferPool::new(disk, cfg.buffer_frames));
         let seg_cfg = instant_wal::segment::SegmentConfig {
             segment_bytes: cfg.wal_segment_bytes,
         };
@@ -197,7 +192,7 @@ impl Db {
                 Some(Durability { group, wal })
             }
         };
-        let keys = KeyStore::new(cfg.key_window, cfg.key_seed);
+        let keys = KeyStore::new(cfg.key_window, KEY_SEED);
         Ok(Db {
             cfg,
             clock,
@@ -371,7 +366,6 @@ impl Db {
             tx.commit()?;
             self.arm_transitions(&table, tid, &stored);
             self.stats.inserts.fetch_add(1, Ordering::Relaxed);
-            self.enforce_wal_retention();
             return Ok(tid);
         }
     }
@@ -431,7 +425,6 @@ impl Db {
         pending.wait()?;
         tx.commit()?;
         self.stats.user_deletes.fetch_add(1, Ordering::Relaxed);
-        self.enforce_wal_retention();
         Ok(())
     }
 
@@ -493,7 +486,6 @@ impl Db {
         pending.wait()?;
         tx.commit()?;
         self.stats.updates.fetch_add(1, Ordering::Relaxed);
-        self.enforce_wal_retention();
         Ok(())
     }
 
@@ -594,7 +586,6 @@ impl Db {
                 at: now,
             });
             self.enqueue_records(recs)?.wait()?;
-            self.enforce_wal_retention();
         }
         tx.commit()?;
         failed.map_or(Ok((report, full)), Err)
@@ -690,26 +681,8 @@ impl Db {
     /// ops mutate pages only while holding the shared side, this flush
     /// can never persist a half-done unlogged user operation.
     pub fn checkpoint(&self) -> Result<()> {
-        let _serial = self.ckpt_serial.lock();
         // ckpt_serial serializes whole checkpoints, flush and fsync included.
-        self.checkpoint_serial_held()
-    }
-
-    /// Checkpoint iff no other checkpoint is in flight; returns whether
-    /// one ran. The retention enforcement below uses this so committers
-    /// observing an over-cap log don't pile up behind one checkpoint.
-    fn try_checkpoint(&self) -> Result<bool> {
-        match self.ckpt_serial.try_lock() {
-            Some(_serial) => {
-                self.checkpoint_serial_held()?;
-                Ok(true)
-            }
-            None => Ok(false),
-        }
-    }
-
-    /// [`Db::checkpoint`] body; caller holds `ckpt_serial`.
-    fn checkpoint_serial_held(&self) -> Result<()> {
+        let _serial = self.ckpt_serial.lock();
         let _t = self.obs.timed(Stage::Checkpoint);
         let ckpt_lsn = {
             let _excl = self.ckpt_gate.write();
@@ -770,30 +743,6 @@ impl Db {
         }
         self.stats.checkpoints.fetch_add(1, Ordering::Relaxed);
         Ok(())
-    }
-
-    /// Enforce [`DbConfig::wal_retention_segments`]: if the live segment
-    /// count exceeds the cap, force an early checkpoint (unless one is
-    /// already running — its truncation will bring the count back down).
-    /// Called at the end of every committed user/system operation, after
-    /// the commit is acknowledged, so the cap holds under a write burst
-    /// without any background daemon armed.
-    ///
-    /// Deliberately infallible from the caller's view: the operation this
-    /// rides on is already committed and acknowledged, so a failing
-    /// forced checkpoint must not convert that success into an error (a
-    /// caller retrying the "failed" insert would apply it twice). The
-    /// failure is counted in [`DbStats::forced_checkpoint_failures`] and
-    /// will resurface on the next explicit/background checkpoint.
-    fn enforce_wal_retention(&self) {
-        let (Some(cap), Some(wal)) = (self.cfg.wal_retention_segments, self.wal()) else {
-            return;
-        };
-        if wal.segment_stats().segments > cap.max(1) && self.try_checkpoint().is_err() {
-            self.stats
-                .forced_checkpoint_failures
-                .fetch_add(1, Ordering::Relaxed);
-        }
     }
 
     /// Reopen a crashed database: name the tables from the last
@@ -1549,65 +1498,6 @@ mod tests {
         assert_eq!(r1.fired, 3);
         let total = db.pump_degradation().unwrap();
         assert_eq!(total.fired, 7);
-    }
-
-    #[test]
-    fn wal_retention_cap_holds_under_write_burst() {
-        let clock = MockClock::new();
-        let cap = 3u64;
-        let db = Db::open(
-            DbConfig {
-                // Minimum-size segments rotate constantly; without the
-                // retention cap a 400-insert burst accumulates dozens of
-                // live segment files (verified by the control run below).
-                // One WAL shard: the cap counts segments summed across
-                // shards and every shard keeps one active segment, so
-                // the `cap + 1` overshoot bound is a single-shard
-                // property.
-                wal_shards: 1,
-                wal_segment_bytes: 1,
-                wal_retention_segments: Some(cap),
-                ..DbConfig::default()
-            },
-            clock.shared(),
-        )
-        .unwrap();
-        db.create_table(schema()).unwrap();
-        for i in 0..400 {
-            db.insert("person", &row(i, "4 rue Jussieu")).unwrap();
-            // One insert appends 3 small records and can rotate at most
-            // once, so right after enforcement the cap can be overshot by
-            // at most the segment the records landed in.
-            let segs = db.wal().unwrap().segment_stats().segments;
-            assert!(segs <= cap + 1, "live segments {segs} exceed cap {cap}");
-        }
-        let forced = db.stats().checkpoints.load(Ordering::Relaxed);
-        assert!(
-            forced >= 2,
-            "the cap must have forced early checkpoints, got {forced}"
-        );
-
-        // Control: the identical burst without the cap really does grow the
-        // segment population past it (i.e. the assertion above has teeth).
-        let db2 = Db::open(
-            DbConfig {
-                wal_shards: 1,
-                wal_segment_bytes: 1,
-                wal_retention_segments: None,
-                ..DbConfig::default()
-            },
-            clock.shared(),
-        )
-        .unwrap();
-        db2.create_table(schema()).unwrap();
-        for i in 0..400 {
-            db2.insert("person", &row(i, "4 rue Jussieu")).unwrap();
-        }
-        assert!(
-            db2.wal().unwrap().segment_stats().segments > cap + 1,
-            "control run without the cap should exceed it"
-        );
-        assert_eq!(db2.stats().checkpoints.load(Ordering::Relaxed), 0);
     }
 
     #[test]

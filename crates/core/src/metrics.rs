@@ -207,10 +207,6 @@ pub fn stats_snapshot(db: &Db) -> StatsSnapshot {
             "db.degrader_lock_retries",
             d.degrader_lock_retries.load(Relaxed),
         ),
-        (
-            "db.forced_checkpoint_failures",
-            d.forced_checkpoint_failures.load(Relaxed),
-        ),
     ] {
         snap.counters.push((name.to_string(), v));
     }

@@ -21,7 +21,7 @@
 //!   after engine work completes (see INVARIANTS.md).
 //! * **Zero cost when disabled.** Tracing spans ([`Obs::span`]) are
 //!   gated by one atomic flag; when it is off the returned guard holds
-//!   nothing — no clock read, no thread-local touch. The always-on
+//!   nothing — no clock read. The always-on
 //!   histograms (commit ack, WAL drain/fsync, query total) cost a
 //!   `Instant` pair and a few atomics per *drain* or *query*, which is
 //!   noise next to an fsync.
@@ -36,4 +36,4 @@ pub mod span;
 
 pub use hist::{HistogramSnapshot, LatencyHistogram};
 pub use registry::{Obs, PurposeCounters, SlowQuery, StatsSnapshot, WalShardLane};
-pub use span::{span_depth, span_stack, SpanGuard, Stage};
+pub use span::{SpanGuard, Stage};

@@ -181,10 +181,10 @@ impl Obs {
     }
 
     /// Enter a tracing span for `stage`. When spans are disabled this
-    /// returns an inert guard: no clock read, no thread-local push.
+    /// returns an inert guard: no clock read.
     pub fn span(&self, stage: Stage) -> SpanGuard<'_> {
         if self.spans_enabled() {
-            SpanGuard::enter(stage.name(), self.stage_hist(stage))
+            SpanGuard::enter(self.stage_hist(stage))
         } else {
             SpanGuard::disabled()
         }
@@ -192,14 +192,9 @@ impl Obs {
 
     /// Enter a span that *always* records into `stage`'s histogram —
     /// for cold stages (checkpoint, recovery) whose duration matters
-    /// even in embedded engines that never enable spans. The
-    /// thread-local name stack is maintained only while spans are on.
+    /// even in embedded engines that never enable spans.
     pub fn timed(&self, stage: Stage) -> SpanGuard<'_> {
-        if self.spans_enabled() {
-            SpanGuard::enter(stage.name(), self.stage_hist(stage))
-        } else {
-            SpanGuard::enter_untracked(self.stage_hist(stage))
-        }
+        SpanGuard::enter(self.stage_hist(stage))
     }
 
     /// Slow-query threshold in microseconds (0 = ring disabled).

@@ -4,8 +4,12 @@
 //! instantdb-server --addr 127.0.0.1:5433 --data /var/lib/idb/main \
 //!     [--max-conns N] [--max-frame-bytes N]
 //!     [--wal-shards N] [--checkpoint-every-ms N] [--degrade-every-ms N]
-//!     [--wal-retention-segments N] [--stdin-control]
+//!     [--slow-query-ms N] [--stdin-control]
 //! ```
+//!
+//! The checkpointer runs every `--checkpoint-every-ms` (default 1000):
+//! each checkpoint shreds the key windows and deletes the log segments
+//! that predate it, so it is what bounds the log while the server runs.
 //!
 //! `--degrade-every-ms` is the longest the degradation pump sleeps: it
 //! wakes at the next transition's due time, but no sooner than
@@ -32,7 +36,11 @@ fn usage(err: &str) -> ! {
         "usage: instantdb-server [--addr A] [--data PATH] [--max-conns N] \
          [--max-frame-bytes N] \
          [--wal-shards N] [--checkpoint-every-ms N] [--degrade-every-ms N] \
-         [--wal-retention-segments N] [--slow-query-ms N] [--stdin-control]"
+         [--slow-query-ms N] [--stdin-control]"
+    );
+    eprintln!(
+        "  --checkpoint-every-ms N  checkpoint interval (default 1000): each checkpoint \
+         shreds old key windows and deletes dead log segments"
     );
     eprintln!(
         "  --degrade-every-ms N  longest sleep of the degradation pump (default 250): \
@@ -49,9 +57,8 @@ struct Args {
     max_conns: usize,
     max_frame_bytes: u32,
     wal_shards: Option<usize>,
-    checkpoint_every_ms: Option<u64>,
+    checkpoint_every_ms: u64,
     degrade_every_ms: Option<u64>,
-    wal_retention_segments: Option<u64>,
     slow_query_ms: Option<u64>,
     stdin_control: bool,
 }
@@ -63,9 +70,8 @@ fn parse_args() -> Args {
         max_conns: 64,
         max_frame_bytes: instant_server::protocol::DEFAULT_MAX_FRAME_BYTES,
         wal_shards: None,
-        checkpoint_every_ms: None,
+        checkpoint_every_ms: 1000,
         degrade_every_ms: Some(250),
-        wal_retention_segments: None,
         slow_query_ms: None,
         stdin_control: false,
     };
@@ -84,22 +90,14 @@ fn parse_args() -> Args {
             }
             "--wal-shards" => args.wal_shards = Some(parse(&value("--wal-shards"), "--wal-shards")),
             "--checkpoint-every-ms" => {
-                args.checkpoint_every_ms = Some(parse(
-                    &value("--checkpoint-every-ms"),
-                    "--checkpoint-every-ms",
-                ))
+                args.checkpoint_every_ms =
+                    parse(&value("--checkpoint-every-ms"), "--checkpoint-every-ms")
             }
             "--degrade-every-ms" => {
                 args.degrade_every_ms =
                     Some(parse(&value("--degrade-every-ms"), "--degrade-every-ms"))
             }
             "--no-degrade" => args.degrade_every_ms = None,
-            "--wal-retention-segments" => {
-                args.wal_retention_segments = Some(parse(
-                    &value("--wal-retention-segments"),
-                    "--wal-retention-segments",
-                ))
-            }
             "--slow-query-ms" => {
                 args.slow_query_ms = Some(parse(&value("--slow-query-ms"), "--slow-query-ms"))
             }
@@ -125,18 +123,13 @@ fn main() {
     // Assemble the engine config through the validating builder: a bad
     // combination (e.g. `--wal-shards 0`) is rejected here with a usage
     // error instead of reaching `Db::open` half-configured.
-    let mut builder = DbConfig::builder();
+    let mut builder = DbConfig::builder()
+        .checkpoint_every(std::time::Duration::from_millis(args.checkpoint_every_ms));
     if let Some(p) = args.data.clone() {
         builder = builder.path(p);
     }
     if let Some(n) = args.wal_shards {
         builder = builder.wal_shards(n);
-    }
-    if let Some(ms) = args.checkpoint_every_ms {
-        builder = builder.checkpoint_every(std::time::Duration::from_millis(ms));
-    }
-    if let Some(cap) = args.wal_retention_segments {
-        builder = builder.wal_retention_segments(cap);
     }
     if let Some(ms) = args.slow_query_ms {
         builder = builder.slow_query(std::time::Duration::from_millis(ms));

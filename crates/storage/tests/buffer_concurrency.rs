@@ -7,7 +7,7 @@
 //! Run with `--release` for meaningful stress (the CI release lane does).
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use instant_common::PageId;
 use instant_storage::{BufferPool, DiskManager, PAGE_SIZE};
@@ -30,6 +30,13 @@ fn read_counter(payload: &[u8]) -> (u64, u64) {
 
 #[test]
 fn concurrent_readers_writers_under_eviction_pressure() {
+    // One shard serializes every pin on a single map; eight spread them.
+    for shards in [1, 8] {
+        readers_writers_under_eviction_pressure(shards);
+    }
+}
+
+fn readers_writers_under_eviction_pressure(shards: usize) {
     const PAGES: usize = 96;
     const FRAMES: usize = 24; // 4x over-subscribed: constant eviction
     const WRITERS: usize = 4;
@@ -37,7 +44,7 @@ fn concurrent_readers_writers_under_eviction_pressure() {
     const ROUNDS: u64 = if cfg!(debug_assertions) { 60 } else { 400 };
 
     let disk = Arc::new(DiskManager::temp("buf-stress").unwrap());
-    let bp = Arc::new(BufferPool::with_shards(disk, FRAMES, 8));
+    let bp = Arc::new(BufferPool::with_shards(disk, FRAMES, shards));
     let pages: Vec<PageId> = (0..PAGES).map(|_| bp.allocate_page().unwrap()).collect();
     for &id in &pages {
         bp.with_page_mut(id, |p| write_counter(p.payload_mut(), 0))
@@ -45,6 +52,9 @@ fn concurrent_readers_writers_under_eviction_pressure() {
     }
 
     let stop = Arc::new(AtomicBool::new(false));
+    // Writers start only once every reader has made its first read, so
+    // the readers cannot all miss the writers' run.
+    let start = Arc::new(Barrier::new(READERS + WRITERS));
     let mut handles = Vec::new();
 
     // Writers: disjoint page ranges, each page incremented ROUNDS times.
@@ -52,7 +62,9 @@ fn concurrent_readers_writers_under_eviction_pressure() {
     for w in 0..WRITERS {
         let bp = bp.clone();
         let mine: Vec<PageId> = pages[w * per_writer..(w + 1) * per_writer].to_vec();
+        let start = start.clone();
         handles.push(std::thread::spawn(move || {
+            start.wait();
             for round in 1..=ROUNDS {
                 for &id in &mine {
                     bp.with_page_mut(id, |p| {
@@ -74,10 +86,10 @@ fn concurrent_readers_writers_under_eviction_pressure() {
         let bp = bp.clone();
         let pages = pages.clone();
         let stop = stop.clone();
+        let start = start.clone();
         reader_handles.push(std::thread::spawn(move || {
             let mut x = 0x9E37_79B9u64 + r as u64; // per-thread LCG
-            let mut reads = 0usize;
-            while !stop.load(Ordering::Relaxed) {
+            let mut read_one = || {
                 x = x
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(1442695040888963407);
@@ -85,6 +97,12 @@ fn concurrent_readers_writers_under_eviction_pressure() {
                 let (a, b) = bp.with_page(id, |p| read_counter(p.payload())).unwrap();
                 assert_eq!(a, b, "torn read on {id}");
                 assert!(a <= ROUNDS, "counter beyond writer progress on {id}");
+            };
+            read_one();
+            start.wait();
+            let mut reads = 1usize;
+            while !stop.load(Ordering::Relaxed) {
+                read_one();
                 reads += 1;
             }
             reads

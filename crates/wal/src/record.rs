@@ -13,9 +13,10 @@
 //!   WAL mode, the forensic baseline) or `Sealed`
 //!   (ciphertext + window id + nonce). Once the window key is shredded a
 //!   `Sealed` payload can never be opened again.
-//! * Tag 6 was an older degradation step that carried a row image. It
-//!   decodes to [`Error::Unsupported`] — not to a corrupt frame, which
-//!   open would trim the log at — so such a log is refused whole.
+//! * Tag 6 was an older degradation step that carried a row image, and
+//!   tag 3 an abort record no version of the engine wrote. Both decode
+//!   to [`Error::Unsupported`] — not to a corrupt frame, which open
+//!   would trim the log at — so such a log is refused whole.
 //! * Every record is framed by the writer with a length + FNV checksum so
 //!   torn tails are detected and recovery stops cleanly.
 
@@ -89,8 +90,6 @@ pub enum LogRecord {
     Begin { tx: TxId, at: Timestamp },
     /// Transaction commit — the durability point.
     Commit { tx: TxId, at: Timestamp },
-    /// Transaction abort.
-    Abort { tx: TxId, at: Timestamp },
     /// Tuple insertion (always at the most accurate state, per Section II).
     Insert {
         tx: TxId,
@@ -164,7 +163,6 @@ impl LogRecord {
         match self {
             LogRecord::Begin { tx, .. }
             | LogRecord::Commit { tx, .. }
-            | LogRecord::Abort { tx, .. }
             | LogRecord::Insert { tx, .. }
             | LogRecord::Update { tx, .. }
             | LogRecord::Degrade { tx, .. }
@@ -178,7 +176,6 @@ impl LogRecord {
         match self {
             LogRecord::Begin { at, .. }
             | LogRecord::Commit { at, .. }
-            | LogRecord::Abort { at, .. }
             | LogRecord::Insert { at, .. }
             | LogRecord::Update { at, .. }
             | LogRecord::Degrade { at, .. }
@@ -201,11 +198,6 @@ impl LogRecord {
             }
             LogRecord::Commit { tx, at } => {
                 out.push(2);
-                raw::put_u64(&mut out, tx.0);
-                raw::put_u64(&mut out, at.0);
-            }
-            LogRecord::Abort { tx, at } => {
-                out.push(3);
                 raw::put_u64(&mut out, tx.0);
                 raw::put_u64(&mut out, at.0);
             }
@@ -299,10 +291,13 @@ impl LogRecord {
                 tx: TxId(raw::get_u64(buf)?),
                 at: Timestamp(raw::get_u64(buf)?),
             },
-            3 => LogRecord::Abort {
-                tx: TxId(raw::get_u64(buf)?),
-                at: Timestamp(raw::get_u64(buf)?),
-            },
+            3 => {
+                return Err(Error::Unsupported(
+                    "log record tag 3: a transaction abort, which this version never \
+                     writes and cannot replay"
+                        .into(),
+                ))
+            }
             4 | 5 => {
                 let tx = TxId(raw::get_u64(buf)?);
                 let table = TableId(raw::get_u32(buf)?);
@@ -433,7 +428,6 @@ mod tests {
         vec![
             LogRecord::Begin { tx: TxId(1), at: t },
             LogRecord::Commit { tx: TxId(1), at: t },
-            LogRecord::Abort { tx: TxId(2), at: t },
             LogRecord::Insert {
                 tx: TxId(3),
                 table: TableId(7),
@@ -530,8 +524,11 @@ mod tests {
 
     #[test]
     fn degrade_step_is_small_and_holds_no_value() {
-        let step = &samples()[5];
-        assert!(matches!(step, LogRecord::Degrade { .. }));
+        let samples = samples();
+        let step = samples
+            .iter()
+            .find(|r| matches!(r, LogRecord::Degrade { .. }))
+            .unwrap();
         // tag + tx + table + tid + insert_ts + column + stage + at.
         assert_eq!(step.encode().len(), 1 + 8 + 4 + 8 + 8 + 2 + 1 + 8);
     }
@@ -550,6 +547,16 @@ mod tests {
         old.push(0);
         raw::put_bytes(&mut old, b"Paris");
         let err = LogRecord::decode(&old).unwrap_err();
+        assert!(matches!(err, Error::Unsupported(_)), "{err:?}");
+    }
+
+    #[test]
+    fn abort_tag_is_unsupported_not_corrupt() {
+        // Tag 3, then tx and at.
+        let mut abort = vec![3];
+        raw::put_u64(&mut abort, 2);
+        raw::put_u64(&mut abort, 99);
+        let err = LogRecord::decode(&abort).unwrap_err();
         assert!(matches!(err, Error::Unsupported(_)), "{err:?}");
     }
 

@@ -160,10 +160,6 @@ pub fn replay(records: &[(Lsn, LogRecord)], cut: Option<Lsn>, ks: &KeyStore) -> 
                 plan.committed.insert(*tx);
                 plan.losers.remove(tx);
             }
-            LogRecord::Abort { tx, .. } => {
-                plan.losers.insert(*tx);
-                plan.committed.remove(tx);
-            }
             LogRecord::Begin { tx, .. } if !plan.committed.contains(tx) => {
                 plan.losers.insert(*tx);
             }
@@ -294,22 +290,6 @@ mod tests {
         assert_eq!(plan.skipped_uncommitted, 1);
         assert!(plan.committed.contains(&TxId(1)));
         assert!(plan.losers.contains(&TxId(2)));
-    }
-
-    #[test]
-    fn aborted_tx_is_loser() {
-        let ks = ks();
-        let log = seq(vec![
-            begin(1),
-            insert(1, 0, b"x"),
-            LogRecord::Abort {
-                tx: TxId(1),
-                at: Timestamp::ZERO,
-            },
-        ]);
-        let plan = recover(&log, &ks);
-        assert!(plan.ops.is_empty());
-        assert!(plan.losers.contains(&TxId(1)));
     }
 
     #[test]

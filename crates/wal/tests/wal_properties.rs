@@ -27,10 +27,6 @@ fn arb_record() -> impl Strategy<Value = LogRecord> {
             tx: TxId(tx),
             at: Timestamp(at)
         }),
-        (0u64..100, t.clone()).prop_map(|(tx, at)| LogRecord::Abort {
-            tx: TxId(tx),
-            at: Timestamp(at)
-        }),
         (0u64..100, 0u32..10, 0u64..1000, arb_payload(), t.clone()).prop_map(
             |(tx, table, tid, row, at)| LogRecord::Insert {
                 tx: TxId(tx),
@@ -330,11 +326,7 @@ proptest! {
                 _ => None,
             })
             .collect();
-        // Aborts can re-commit later in random streams; accept the replay's
-        // committed set being a subset of observed commits.
-        for tx in &plan.committed {
-            prop_assert!(committed.contains(tx));
-        }
+        prop_assert_eq!(&plan.committed, &committed);
         // And every emitted op's record index count is bounded by the
         // committed data records in the suffix.
         let data_records = seq
@@ -344,7 +336,7 @@ proptest! {
                 r.tx().is_some_and(|tx| plan.committed.contains(&tx))
                     && !matches!(
                         r,
-                        LogRecord::Begin { .. } | LogRecord::Commit { .. } | LogRecord::Abort { .. }
+                        LogRecord::Begin { .. } | LogRecord::Commit { .. }
                     )
             })
             .count();

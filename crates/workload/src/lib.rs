@@ -15,8 +15,6 @@
 //!   fan-out, with leaf samplers.
 //! * [`events`] — Poisson event streams: `(id, user, location, salary,
 //!   timestamp)` rows for the standard experiment tables.
-//! * [`queries`] — OLTP/OLAP query mixes over the standard schema at
-//!   chosen accuracy levels.
 //! * [`attacker`] — the paper's adversaries: the *snapshot* attacker who
 //!   copies the live store at some frequency (claims 1–2), and the
 //!   *forensic* attacker who scrapes raw heap/WAL images for values that
@@ -28,7 +26,6 @@
 pub mod attacker;
 pub mod events;
 pub mod location;
-pub mod queries;
 pub mod rng;
 pub mod zipf;
 

@@ -511,20 +511,6 @@ fn update_stable_seals_with_a_clock_read_under_the_checkpoint_gate() {
 }
 
 #[test]
-fn sharded_pool_config_reaches_the_engine() {
-    let clock = MockClock::new();
-    let db = Db::open(
-        DbConfig {
-            pool_shards: 4,
-            ..DbConfig::default()
-        },
-        clock.shared(),
-    )
-    .unwrap();
-    assert_eq!(db.buffer_pool().shard_count(), 4);
-}
-
-#[test]
 fn system_and_user_transaction_counters() {
     let (clock, db) = setup();
     for i in 0..10 {
