@@ -46,13 +46,6 @@ pub struct MockClock {
 }
 
 impl MockClock {
-    /// A mock clock starting at `t`.
-    pub fn starting_at(t: Timestamp) -> Self {
-        MockClock {
-            micros: Arc::new(AtomicU64::new(t.0)),
-        }
-    }
-
     /// A mock clock starting at time zero.
     pub fn new() -> Self {
         Self::default()
@@ -109,7 +102,8 @@ mod tests {
 
     #[test]
     fn shared_trait_object_observes_advances() {
-        let c = MockClock::starting_at(Timestamp::micros(5));
+        let c = MockClock::new();
+        c.set(Timestamp::micros(5));
         let shared: SharedClock = c.shared();
         assert_eq!(shared.now(), Timestamp::micros(5));
         c.advance(Duration::micros(5));
@@ -119,7 +113,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "monotonic")]
     fn set_rejects_going_backwards() {
-        let c = MockClock::starting_at(Timestamp::micros(100));
+        let c = MockClock::new();
+        c.set(Timestamp::micros(100));
         c.set(Timestamp::micros(50));
     }
 

@@ -114,20 +114,6 @@ impl Value {
         }
     }
 
-    pub fn as_bool(&self) -> Result<bool> {
-        match self {
-            Value::Bool(b) => Ok(*b),
-            other => Err(Error::Schema(format!("expected BOOL, got {other}"))),
-        }
-    }
-
-    pub fn as_timestamp(&self) -> Result<Timestamp> {
-        match self {
-            Value::Timestamp(t) => Ok(*t),
-            other => Err(Error::Schema(format!("expected TIMESTAMP, got {other}"))),
-        }
-    }
-
     /// SQL-style three-valued-logic-free comparison used by the executor.
     ///
     /// `Null` and `Removed` compare as smallest (and are normally filtered
@@ -343,8 +329,6 @@ mod tests {
         assert_eq!(Value::Int(7).as_int().unwrap(), 7);
         assert!(Value::Str("s".into()).as_int().is_err());
         assert_eq!(Value::Str("s".into()).as_str().unwrap(), "s");
-        assert!(Value::Bool(true).as_bool().unwrap());
-        assert!(Value::Int(1).as_timestamp().is_err());
     }
 
     #[test]

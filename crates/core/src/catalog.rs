@@ -130,37 +130,25 @@ impl Table {
         self.heap.exists(tid)
     }
 
-    /// Rewrite a tuple in place (degradation step or stable-column update),
-    /// maintaining indexes. `index_moves` describes degradable index
-    /// migrations (see [`StoredTuple::coarsen`]).
+    /// Rewrite a tuple in place (a degradation step), maintaining its
+    /// degradable indexes. `index_moves` describes their migrations (see
+    /// [`StoredTuple::coarsen`]).
     pub fn rewrite_physical(
         &self,
         tid: TupleId,
         new_tuple: &StoredTuple,
         index_moves: &[IndexMove],
-        stable_updates: &[(ColumnId, Value, Value)],
     ) -> Result<()> {
         let bytes = encode_stored_raw(new_tuple.insert_ts, &new_tuple.stages, &new_tuple.row);
         self.heap.update(tid, &bytes)?;
-        {
-            let mut deg = self.deg_indexes.write();
-            for (cid, old_level, old_key, new) in index_moves {
-                if let Some(idx) = deg.get_mut(cid) {
-                    let (nl, nk) = match new {
-                        Some((l, k)) => (Some(*l), Some(k)),
-                        None => (None, None),
-                    };
-                    idx.migrate(*old_level, old_key, nl, nk, tid)?;
-                }
-            }
-        }
-        {
-            let mut stable = self.stable_indexes.write();
-            for (cid, old, new) in stable_updates {
-                if let Some(idx) = stable.get_mut(cid) {
-                    idx.remove(old, tid);
-                    idx.insert(new, tid);
-                }
+        let mut deg = self.deg_indexes.write();
+        for (cid, old_level, old_key, new) in index_moves {
+            if let Some(idx) = deg.get_mut(cid) {
+                let (nl, nk) = match new {
+                    Some((l, k)) => (Some(*l), Some(k)),
+                    None => (None, None),
+                };
+                idx.migrate(*old_level, old_key, nl, nk, tid)?;
             }
         }
         Ok(())
@@ -590,7 +578,6 @@ mod tests {
                 Value::Str("4 rue Jussieu".into()),
                 Some((LevelId(1), Value::Str("Paris".into()))),
             )],
-            &[],
         )
         .unwrap();
         assert!(t
@@ -663,34 +650,6 @@ mod tests {
                 .unwrap()
                 .len(),
             1
-        );
-    }
-
-    #[test]
-    fn stable_update_reindexes() {
-        let cat = Catalog::new();
-        let t = cat
-            .create_table(schema(), pool(), SecurePolicy::Overwrite)
-            .unwrap();
-        let tid = t
-            .insert_physical(Timestamp::ZERO, &row(1, "4 rue Jussieu"))
-            .unwrap();
-        let mut tuple = t.get(tid).unwrap();
-        tuple.row[0] = Value::Int(99);
-        t.rewrite_physical(
-            tid,
-            &tuple,
-            &[],
-            &[(ColumnId(0), Value::Int(1), Value::Int(99))],
-        )
-        .unwrap();
-        assert!(t
-            .index_probe_stable(ColumnId(0), &Value::Int(1))
-            .unwrap()
-            .is_empty());
-        assert_eq!(
-            t.index_probe_stable(ColumnId(0), &Value::Int(99)).unwrap(),
-            vec![tid]
         );
     }
 }

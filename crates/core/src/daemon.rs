@@ -227,7 +227,6 @@ impl Checkpointer {
                     let s = db.stats();
                     let o = Ordering::Relaxed;
                     s.inserts.load(o)
-                        + s.updates.load(o)
                         + s.user_deletes.load(o)
                         + s.degrade_steps.load(o)
                         + s.expunges.load(o)

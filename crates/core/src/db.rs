@@ -62,7 +62,6 @@ const KEY_SEED: u64 = 0x1DB0_CAFE;
 #[derive(Debug, Default)]
 pub struct DbStats {
     pub inserts: AtomicU64,
-    pub updates: AtomicU64,
     pub degrade_steps: AtomicU64,
     pub expunges: AtomicU64,
     pub user_deletes: AtomicU64,
@@ -428,67 +427,6 @@ impl Db {
         Ok(())
     }
 
-    /// Update a stable column of one tuple (degradable columns are
-    /// immutable after commit, per Section II).
-    pub fn update_stable(
-        &self,
-        table: &Table,
-        tid: TupleId,
-        cid: ColumnId,
-        new_value: Value,
-    ) -> Result<()> {
-        let col = table.schema().column(cid);
-        if col.is_degradable() {
-            return Err(Error::Policy(format!(
-                "column {} is degradable: updates are not granted after tuple creation",
-                col.name
-            )));
-        }
-        if !new_value.conforms_to(col.ty) {
-            return Err(Error::Schema(format!(
-                "column {} is {}, got {new_value}",
-                col.name, col.ty
-            )));
-        }
-        let tx = self.txs.begin();
-        tx.lock(Resource::Table(table.id()), LockMode::IntentionExclusive)?;
-        tx.lock(Resource::Tuple(table.id(), tid), LockMode::Exclusive)?;
-        // Locks are all held already; the gate covers mutation + enqueue
-        // so a checkpoint flush can never persist an unlogged rewrite.
-        let pending = {
-            let _shared = self.ckpt_gate.read();
-            // Read under the gate, as in `insert`: the sealing window is
-            // never below a racing checkpoint's shred horizon.
-            let now = self.now();
-            let mut tuple = table.get(tid)?;
-            let old_value = tuple.row[cid.0 as usize].clone();
-            tuple.row[cid.0 as usize] = new_value.clone();
-            table.rewrite_physical(tid, &tuple, &[], &[(cid, old_value, new_value)])?;
-            let bytes = encode_stored_raw(tuple.insert_ts, &tuple.stages, &tuple.row);
-            self.enqueue_records_gated(vec![
-                LogRecord::Begin {
-                    tx: tx.id(),
-                    at: now,
-                },
-                LogRecord::Update {
-                    tx: tx.id(),
-                    table: table.id(),
-                    tid,
-                    row: self.payload(&bytes, now)?,
-                    at: now,
-                },
-                LogRecord::Commit {
-                    tx: tx.id(),
-                    at: now,
-                },
-            ])?
-        };
-        pending.wait()?;
-        tx.commit()?;
-        self.stats.updates.fetch_add(1, Ordering::Relaxed);
-        Ok(())
-    }
-
     /// Read one tuple under a shared lock (reader path).
     pub fn read_tuple(&self, table: &Table, tid: TupleId) -> Result<StoredTuple> {
         let tx = self.txs.begin();
@@ -632,7 +570,7 @@ impl Db {
             };
             (Applied::Expunged, rec)
         } else {
-            table.rewrite_physical(pt.tid, &tuple, &[index_move], &[])?;
+            table.rewrite_physical(pt.tid, &tuple, &[index_move])?;
             let rec = LogRecord::Degrade {
                 tx: tx.id(),
                 table: table.id(),
@@ -886,18 +824,6 @@ impl Db {
                     }
                 }
                 state.placed(key, table.insert_raw_stored(row)?);
-            }
-            Op::Update { row, .. } => {
-                let image = decode_stored(row)?;
-                match find(image.insert_ts) {
-                    Some((at, stored)) => redo(at, image, &stored)?,
-                    // Not in the heap (its insert was unrecoverable, or
-                    // the page was written back after it was expunged and
-                    // the slot is free or reused): the image itself
-                    // recreates the tuple, and the rest of its history
-                    // replays onto that.
-                    None => state.placed(key, table.insert_raw_stored(row)?),
-                }
             }
             Op::Degrade {
                 insert_ts,
@@ -1289,21 +1215,6 @@ mod tests {
             table.get(tid).unwrap().row[1],
             Value::Str("4 rue Jussieu".into())
         );
-    }
-
-    #[test]
-    fn stable_update_allowed_degradable_rejected() {
-        let clock = MockClock::new();
-        let db = fresh(&clock);
-        let table = db.catalog().get("person").unwrap();
-        let tid = db.insert("person", &row(1, "4 rue Jussieu")).unwrap();
-        db.update_stable(&table, tid, ColumnId(0), Value::Int(99))
-            .unwrap();
-        assert_eq!(table.get(tid).unwrap().row[0], Value::Int(99));
-        let err = db
-            .update_stable(&table, tid, ColumnId(1), Value::Str("Paris".into()))
-            .unwrap_err();
-        assert!(matches!(err, Error::Policy(_)));
     }
 
     #[test]

@@ -198,7 +198,6 @@ pub fn stats_snapshot(db: &Db) -> StatsSnapshot {
     let d = db.stats();
     for (name, v) in [
         ("db.inserts", d.inserts.load(Relaxed)),
-        ("db.updates", d.updates.load(Relaxed)),
         ("db.user_deletes", d.user_deletes.load(Relaxed)),
         ("db.degrade_steps", d.degrade_steps.load(Relaxed)),
         ("db.expunges", d.expunges.load(Relaxed)),

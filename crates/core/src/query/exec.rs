@@ -573,6 +573,9 @@ fn select(
 /// DELETE with view-style semantics: the predicate is evaluated exactly as
 /// in SELECT (same accuracy degradation and computability rules); every
 /// qualifying tuple is then physically removed, stable attributes included.
+/// A tuple already gone is not counted; any other failure ends the
+/// statement with that error, and the tuples deleted before it stay
+/// deleted.
 fn delete(session: &Session, table: &Arc<Table>, predicate: Option<&Predicate>) -> Result<usize> {
     let db = session.db();
     let schema = table.schema();
@@ -609,8 +612,11 @@ fn delete(session: &Session, table: &Arc<Table>, predicate: Option<&Predicate>) 
     }
     let mut deleted = 0;
     for tid in victims {
-        if db.delete_tuple(table, tid).is_ok() {
-            deleted += 1;
+        match db.delete_tuple(table, tid) {
+            Ok(()) => deleted += 1,
+            // Already gone: a racing delete or the degrader's expunge.
+            Err(Error::NotFound(_)) => {}
+            Err(e) => return Err(e),
         }
     }
     Ok(deleted)
@@ -794,6 +800,28 @@ mod tests {
         assert_eq!(out, QueryOutput::Deleted(1)); // carol
         let r = s.execute("SELECT id FROM person").unwrap().rows();
         assert_eq!(r.rows.len(), 3);
+    }
+
+    #[test]
+    fn delete_returns_a_failed_commit() {
+        // Minimal segments rotate every few dozen commits; once the log
+        // directory is gone, the next rotation cannot create its segment
+        // file, so a delete's commit fails and the statement must say so.
+        let clock = MockClock::new();
+        let cfg = DbConfig {
+            wal_shards: 1,
+            wal_segment_bytes: 4096,
+            ..DbConfig::default()
+        };
+        let db = Arc::new(Db::open(cfg, clock.shared()).unwrap());
+        let mut s = Session::new(db.clone());
+        s.execute("CREATE TABLE t (id INT)").unwrap();
+        for i in 0..200 {
+            s.execute(&format!("INSERT INTO t VALUES ({i})")).unwrap();
+        }
+        std::fs::remove_dir_all(db.wal().unwrap().path()).unwrap();
+        let out = s.execute("DELETE FROM t");
+        assert!(out.is_err(), "{out:?}");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 
 use parking_lot::Mutex;
 
@@ -23,8 +23,6 @@ pub struct DiskManager {
     file: Mutex<File>,
     path: PathBuf,
     next_page: AtomicU32,
-    reads: AtomicU64,
-    writes: AtomicU64,
     /// Delete the file on drop (temp stores used by tests/benches).
     ephemeral: bool,
 }
@@ -66,8 +64,6 @@ impl DiskManager {
             file: Mutex::ranked(800, file),
             path,
             next_page: AtomicU32::new(next_page),
-            reads: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
             ephemeral: false,
         })
     }
@@ -110,7 +106,6 @@ impl DiskManager {
         if id.0 == 0 || id.0 >= self.page_count() {
             return Err(Error::NotFound(format!("page {id} not allocated")));
         }
-        self.reads.fetch_add(1, Ordering::Relaxed);
         let mut file = self.file.lock();
         let offset = id.0 as u64 * PAGE_SIZE as u64;
         let len = file.metadata()?.len();
@@ -133,7 +128,6 @@ impl DiskManager {
         if id.0 == 0 || id.0 >= self.page_count() {
             return Err(Error::NotFound(format!("page {id} not allocated")));
         }
-        self.writes.fetch_add(1, Ordering::Relaxed);
         let bytes = page.to_bytes();
         let mut file = self.file.lock();
         let offset = id.0 as u64 * PAGE_SIZE as u64;
@@ -160,14 +154,6 @@ impl DiskManager {
         let mut out = Vec::new();
         file.read_to_end(&mut out)?;
         Ok(out)
-    }
-
-    /// I/O counters `(reads, writes)` since open.
-    pub fn io_counters(&self) -> (u64, u64) {
-        (
-            self.reads.load(Ordering::Relaxed),
-            self.writes.load(Ordering::Relaxed),
-        )
     }
 }
 
@@ -245,16 +231,6 @@ mod tests {
         dm.write_page(&p).unwrap();
         let img = dm.raw_image().unwrap();
         assert!(img.windows(6).any(|w| w == b"NEEDLE"));
-    }
-
-    #[test]
-    fn io_counters_advance() {
-        let dm = DiskManager::temp("dm5").unwrap();
-        let id = dm.allocate();
-        dm.write_page(&Page::new(id)).unwrap();
-        dm.read_page(id).unwrap();
-        let (r, w) = dm.io_counters();
-        assert_eq!((r, w), (1, 1));
     }
 
     #[test]

@@ -15,7 +15,7 @@ enum Op {
         cap_extra: usize,
         fill: u8,
     },
-    Update {
+    Rewrite {
         pick: usize,
         len: usize,
         fill: u8,
@@ -31,7 +31,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
         4 => (1usize..200, 0usize..64, any::<u8>())
             .prop_map(|(len, cap_extra, fill)| Op::Insert { len, cap_extra, fill }),
         3 => (any::<prop::sample::Index>(), 1usize..200, any::<u8>())
-            .prop_map(|(p, len, fill)| Op::Update { pick: p.index(1000), len, fill }),
+            .prop_map(|(p, len, fill)| Op::Rewrite { pick: p.index(1000), len, fill }),
         2 => any::<prop::sample::Index>().prop_map(|p| Op::Delete { pick: p.index(1000) }),
         1 => Just(Op::Compact),
     ]
@@ -60,7 +60,7 @@ fn run_fuzz(ops: Vec<Op>, policy: SecurePolicy) -> Result<(), TestCaseError> {
                     }
                 }
             }
-            Op::Update { pick, len, fill } => {
+            Op::Rewrite { pick, len, fill } => {
                 let slots: Vec<SlotId> = model.keys().copied().collect();
                 if slots.is_empty() {
                     continue;

@@ -169,34 +169,6 @@ impl TxManager {
             self.started_system.load(Ordering::Relaxed),
         )
     }
-
-    /// Run `f` in a user transaction, retrying on wait-die aborts up to
-    /// `max_retries` times. The standard execution wrapper for OLTP work.
-    pub fn run_with_retries<R>(
-        &self,
-        max_retries: usize,
-        mut f: impl FnMut(&TxHandle) -> Result<R>,
-    ) -> Result<R> {
-        let mut attempt = 0;
-        loop {
-            let tx = self.begin();
-            match f(&tx) {
-                Ok(r) => {
-                    tx.commit()?;
-                    return Ok(r);
-                }
-                Err(e) if e.is_retryable() && attempt < max_retries => {
-                    let _ = tx.abort();
-                    attempt += 1;
-                    std::thread::yield_now();
-                }
-                Err(e) => {
-                    let _ = tx.abort();
-                    return Err(e);
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -262,50 +234,5 @@ mod tests {
         let s = tm.begin_system();
         assert_eq!(s.kind(), TxKind::System);
         assert_eq!(tm.counters(), (1, 1));
-    }
-
-    #[test]
-    fn run_with_retries_retries_conflicts() {
-        let tm = TxManager::new();
-        // An older transaction holds the lock; begun *before* the retry
-        // wrapper runs so every wrapped attempt is younger and dies.
-        let blocker = tm.begin();
-        blocker.lock(res(5), LockMode::Exclusive).unwrap();
-        let mut attempts = 0;
-        let result: Result<()> = tm.run_with_retries(2, |tx| {
-            attempts += 1;
-            if attempts == 2 {
-                // Free the resource during the second attempt.
-                blocker.commit()?;
-            }
-            tx.lock(res(5), LockMode::Exclusive)?;
-            Ok(())
-        });
-        assert!(result.is_ok());
-        assert_eq!(attempts, 2);
-    }
-
-    #[test]
-    fn run_with_retries_gives_up() {
-        let tm = TxManager::new();
-        let blocker = tm.begin();
-        blocker.lock(res(6), LockMode::Exclusive).unwrap();
-        let result: Result<()> = tm.run_with_retries(1, |tx| {
-            tx.lock(res(6), LockMode::Exclusive)?;
-            Ok(())
-        });
-        assert!(result.unwrap_err().is_retryable());
-    }
-
-    #[test]
-    fn non_retryable_error_propagates_immediately() {
-        let tm = TxManager::new();
-        let mut calls = 0;
-        let result: Result<()> = tm.run_with_retries(5, |_tx| {
-            calls += 1;
-            Err(Error::Policy("nope".into()))
-        });
-        assert!(matches!(result, Err(Error::Policy(_))));
-        assert_eq!(calls, 1);
     }
 }

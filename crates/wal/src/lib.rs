@@ -6,8 +6,7 @@
 //! the paper (citing Stahlberg et al.) calls out "unintended retention in …
 //! the logs". This crate closes that channel with **cryptographic erasure**:
 //!
-//! * The log holds a row image only for inserts and stable-column updates,
-//!   sealed with a stream cipher under a **time-windowed key**
+//! * The log holds a row image only for inserts, sealed with a stream cipher under a **time-windowed key**
 //!   ([`keystore::KeyStore`]). At each checkpoint the keys of windows older
 //!   than it are **shredded** — the ciphertext remains on disk but is
 //!   information-theoretically useless, making the degradation

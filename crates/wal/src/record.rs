@@ -2,21 +2,21 @@
 //!
 //! Design points driven by the paper:
 //!
-//! * The log holds a row image only for inserts and stable-column
-//!   updates. A degradation step ([`LogRecord::Degrade`]) is logged as a
-//!   fact — which tuple, which column, which LCP stage it now sits at —
-//!   with no value in any form: generalization is a pure function of the
-//!   stored value and the LCP, so redo recomputes the coarser value from
-//!   the heap, and the log never holds one more copy of it to seal,
-//!   shred and scrape.
+//! * The log holds a row image only for inserts. A degradation step
+//!   ([`LogRecord::Degrade`]) is logged as a fact — which tuple, which
+//!   column, which LCP stage it now sits at — with no value in any form:
+//!   generalization is a pure function of the stored value and the LCP,
+//!   so redo recomputes the coarser value from the heap, and the log
+//!   never holds one more copy of it to seal, shred and scrape.
 //! * Row images ride in a [`Payload`], which is either `Plain` (classical
 //!   WAL mode, the forensic baseline) or `Sealed`
 //!   (ciphertext + window id + nonce). Once the window key is shredded a
 //!   `Sealed` payload can never be opened again.
-//! * Tag 6 was an older degradation step that carried a row image, and
-//!   tag 3 an abort record no version of the engine wrote. Both decode
-//!   to [`Error::Unsupported`] — not to a corrupt frame, which open
-//!   would trim the log at — so such a log is refused whole.
+//! * Tag 6 was an older degradation step that carried a row image, tag 5
+//!   a stable-column update, and tag 3 an abort record no version of the
+//!   engine wrote. All three decode to [`Error::Unsupported`] — not to a
+//!   corrupt frame, which open would trim the log at — so such a log is
+//!   refused whole.
 //! * Every record is framed by the writer with a length + FNV checksum so
 //!   torn tails are detected and recovery stops cleanly.
 
@@ -101,15 +101,6 @@ pub enum LogRecord {
         row: Payload,
         at: Timestamp,
     },
-    /// Stable-attribute update (degradable attributes are immutable).
-    Update {
-        tx: TxId,
-        table: TableId,
-        tid: TupleId,
-        /// Full row after-image.
-        row: Payload,
-        at: Timestamp,
-    },
     /// One degradation step of one attribute, logged as a fact: from now
     /// on the tuple stores `column` at LCP stage `to_stage`. No value
     /// rides along — redo recomputes it from the stored one.
@@ -164,7 +155,6 @@ impl LogRecord {
             LogRecord::Begin { tx, .. }
             | LogRecord::Commit { tx, .. }
             | LogRecord::Insert { tx, .. }
-            | LogRecord::Update { tx, .. }
             | LogRecord::Degrade { tx, .. }
             | LogRecord::Delete { tx, .. }
             | LogRecord::Expunge { tx, .. } => Some(*tx),
@@ -177,7 +167,6 @@ impl LogRecord {
             LogRecord::Begin { at, .. }
             | LogRecord::Commit { at, .. }
             | LogRecord::Insert { at, .. }
-            | LogRecord::Update { at, .. }
             | LogRecord::Degrade { at, .. }
             | LogRecord::Delete { at, .. }
             | LogRecord::Expunge { at, .. }
@@ -209,20 +198,6 @@ impl LogRecord {
                 at,
             } => {
                 out.push(4);
-                raw::put_u64(&mut out, tx.0);
-                raw::put_u32(&mut out, table.0);
-                raw::put_u64(&mut out, tid.pack());
-                raw::put_u64(&mut out, at.0);
-                encode_payload(&mut out, row);
-            }
-            LogRecord::Update {
-                tx,
-                table,
-                tid,
-                row,
-                at,
-            } => {
-                out.push(5);
                 raw::put_u64(&mut out, tx.0);
                 raw::put_u32(&mut out, table.0);
                 raw::put_u64(&mut out, tid.pack());
@@ -298,29 +273,19 @@ impl LogRecord {
                         .into(),
                 ))
             }
-            4 | 5 => {
-                let tx = TxId(raw::get_u64(buf)?);
-                let table = TableId(raw::get_u32(buf)?);
-                let tid = TupleId::unpack(raw::get_u64(buf)?);
-                let at = Timestamp(raw::get_u64(buf)?);
-                let row = decode_payload(buf)?;
-                if tag == 4 {
-                    LogRecord::Insert {
-                        tx,
-                        table,
-                        tid,
-                        row,
-                        at,
-                    }
-                } else {
-                    LogRecord::Update {
-                        tx,
-                        table,
-                        tid,
-                        row,
-                        at,
-                    }
-                }
+            4 => LogRecord::Insert {
+                tx: TxId(raw::get_u64(buf)?),
+                table: TableId(raw::get_u32(buf)?),
+                tid: TupleId::unpack(raw::get_u64(buf)?),
+                at: Timestamp(raw::get_u64(buf)?),
+                row: decode_payload(buf)?,
+            },
+            5 => {
+                return Err(Error::Unsupported(
+                    "log record tag 5: a stable-column update, written by an older version; \
+                     this version has no update and cannot replay that log"
+                        .into(),
+                ))
             }
             6 => {
                 return Err(Error::Unsupported(
@@ -435,7 +400,7 @@ mod tests {
                 row: Payload::Plain(b"row-bytes".to_vec()),
                 at: t,
             },
-            LogRecord::Update {
+            LogRecord::Insert {
                 tx: TxId(3),
                 table: TableId(7),
                 tid: TupleId::new(4, 5),
@@ -547,6 +512,21 @@ mod tests {
         old.push(0);
         raw::put_bytes(&mut old, b"Paris");
         let err = LogRecord::decode(&old).unwrap_err();
+        assert!(matches!(err, Error::Unsupported(_)), "{err:?}");
+    }
+
+    #[test]
+    fn update_tag_is_unsupported_not_corrupt() {
+        // The older layout: tag 5, then tx, table, tid, at, and a plain
+        // row image.
+        let mut update = vec![5];
+        raw::put_u64(&mut update, 3);
+        raw::put_u32(&mut update, 7);
+        raw::put_u64(&mut update, TupleId::new(4, 5).pack());
+        raw::put_u64(&mut update, 99);
+        update.push(0);
+        raw::put_bytes(&mut update, b"row-bytes");
+        let err = LogRecord::decode(&update).unwrap_err();
         assert!(matches!(err, Error::Unsupported(_)), "{err:?}");
     }
 

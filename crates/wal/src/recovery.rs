@@ -6,8 +6,7 @@
 //! 1. **Analysis** — find the last checkpoint and the set of committed
 //!    transactions in the suffix.
 //! 2. **Redo** — in LSN order, emit one [`Op`] per committed data record,
-//!    opening the sealed row images of inserts and updates through the
-//!    [`KeyStore`].
+//!    opening the sealed row images of inserts through the [`KeyStore`].
 //!
 //! A sealed image whose window key was shredded yields
 //! [`Op::Unrecoverable`]: recovery *cannot* resurrect it, by design. The
@@ -36,12 +35,6 @@ pub enum Op {
         row: Vec<u8>,
         at: Timestamp,
     },
-    Update {
-        table: TableId,
-        tid: TupleId,
-        row: Vec<u8>,
-        at: Timestamp,
-    },
     /// Move `column` of the tuple `(tid, insert_ts)` to LCP stage
     /// `to_stage` (`None` = removed) — see [`LogRecord::Degrade`].
     Degrade {
@@ -62,7 +55,7 @@ pub enum Op {
         tid: TupleId,
         at: Timestamp,
     },
-    /// A committed insert or update image whose key was shredded. Carries
+    /// A committed insert image whose key was shredded. Carries
     /// enough metadata for the engine to drop the stale tuple state
     /// instead of resurrecting it with wrong accuracy.
     Unrecoverable {
@@ -76,7 +69,6 @@ impl Op {
     pub fn tid(&self) -> TupleId {
         match self {
             Op::Insert { tid, .. }
-            | Op::Update { tid, .. }
             | Op::Degrade { tid, .. }
             | Op::Delete { tid, .. }
             | Op::Expunge { tid, .. }
@@ -87,7 +79,6 @@ impl Op {
     pub fn table(&self) -> TableId {
         match self {
             Op::Insert { table, .. }
-            | Op::Update { table, .. }
             | Op::Degrade { table, .. }
             | Op::Delete { table, .. }
             | Op::Expunge { table, .. }
@@ -173,9 +164,6 @@ pub fn replay(records: &[(Lsn, LogRecord)], cut: Option<Lsn>, ks: &KeyStore) -> 
             LogRecord::Insert {
                 tx, table, tid, at, ..
             }
-            | LogRecord::Update {
-                tx, table, tid, at, ..
-            }
             | LogRecord::Degrade {
                 tx, table, tid, at, ..
             }
@@ -189,12 +177,6 @@ pub fn replay(records: &[(Lsn, LogRecord)], cut: Option<Lsn>, ks: &KeyStore) -> 
         }
         let op = match rec {
             LogRecord::Insert { row, .. } => row.open(ks).map(|row| Op::Insert {
-                table,
-                tid,
-                row,
-                at,
-            }),
-            LogRecord::Update { row, .. } => row.open(ks).map(|row| Op::Update {
                 table,
                 tid,
                 row,
@@ -214,7 +196,7 @@ pub fn replay(records: &[(Lsn, LogRecord)], cut: Option<Lsn>, ks: &KeyStore) -> 
                 at,
             }),
             LogRecord::Delete { .. } => Some(Op::Delete { table, tid, at }),
-            // Only `Expunge` is left of the five the match above admits.
+            // Only `Expunge` is left of the four the match above admits.
             _ => Some(Op::Expunge { table, tid, at }),
         };
         let op = op.unwrap_or_else(|| {

@@ -77,20 +77,6 @@ impl SnapshotAttacker {
     pub fn total_accurate_observed(&self) -> usize {
         self.observed_accurate.len()
     }
-
-    /// Fraction of `universe` accurate values ever captured.
-    pub fn capture_fraction(&self, universe: usize) -> f64 {
-        if universe == 0 {
-            0.0
-        } else {
-            self.observed_accurate.len() as f64 / universe as f64
-        }
-    }
-
-    /// Has the attacker ever seen this exact accurate value?
-    pub fn has_observed(&self, value: &str) -> bool {
-        self.observed_accurate.contains(value)
-    }
 }
 
 /// Build a forensic scanner hunting the byte encodings of the given
@@ -159,7 +145,6 @@ mod tests {
         let mut attacker = SnapshotAttacker::new();
         let obs = attacker.snapshot(&db).unwrap();
         assert_eq!(obs.accurate_values, vec!["4 rue Jussieu".to_string()]);
-        assert!(attacker.has_observed("4 rue Jussieu"));
 
         clock.advance(Duration::hours(2));
         db.pump_degradation().unwrap();
@@ -167,7 +152,6 @@ mod tests {
         assert!(obs2.accurate_values.is_empty(), "only city remains");
         assert_eq!(attacker.snapshots_taken, 2);
         assert_eq!(attacker.total_accurate_observed(), 1);
-        assert!((attacker.capture_fraction(4) - 0.25).abs() < 1e-12);
     }
 
     #[test]

@@ -144,43 +144,52 @@ fn degrader_races_readers_without_corruption() {
 #[test]
 fn wait_die_aborts_are_retryable_under_load() {
     let (_clock, db) = setup();
-    let tid = db
-        .insert(
+    let rows = 50;
+    for i in 0..rows {
+        db.insert(
             "person",
-            &[Value::Int(1), Value::Str("4 rue Jussieu".into())],
+            &[Value::Int(i), Value::Str("4 rue Jussieu".into())],
         )
         .unwrap();
+    }
     let table = db.catalog().get("person").unwrap();
+    let tids: Arc<Vec<TupleId>> = Arc::new(table.scan().unwrap().iter().map(|(t, _)| *t).collect());
     let threads = 6;
     let mut handles = Vec::new();
-    for t in 0..threads {
-        let db = db.clone();
-        let table = table.clone();
+    for _ in 0..threads {
+        let (db, table, tids) = (db.clone(), table.clone(), tids.clone());
         handles.push(std::thread::spawn(move || {
-            // Everyone updates the same stable column; retries must make
-            // global progress despite wait-die casualties.
-            for i in 0..20 {
+            // Everyone deletes the same tuples in the same order; retries
+            // must make global progress despite wait-die casualties, and
+            // a tuple another thread deleted first is `NotFound`.
+            let (mut deleted, mut unexpected) = (0, Vec::new());
+            for &tid in tids.iter() {
                 loop {
-                    match db.update_stable(
-                        &table,
-                        tid,
-                        instantdb::common::ColumnId(0),
-                        Value::Int((t * 100 + i) as i64),
-                    ) {
-                        Ok(()) => break,
-                        Err(e) if e.is_retryable() => std::thread::yield_now(),
-                        Err(e) => panic!("unexpected error {e}"),
+                    match db.delete_tuple(&table, tid) {
+                        Ok(()) => deleted += 1,
+                        Err(e) if e.is_retryable() => {
+                            std::thread::yield_now();
+                            continue;
+                        }
+                        Err(Error::NotFound(_)) => {}
+                        Err(e) => unexpected.push(e),
                     }
+                    break;
                 }
             }
+            (deleted, unexpected)
         }));
     }
+    let mut deleted = 0;
     for h in handles {
-        h.join().unwrap();
+        let (n, unexpected) = h.join().unwrap();
+        assert!(unexpected.is_empty(), "{unexpected:?}");
+        deleted += n;
     }
-    // The tuple holds one of the written values, intact.
-    let t = table.get(tid).unwrap();
-    assert!(matches!(t.row[0], Value::Int(_)));
+    // Each tuple was deleted exactly once.
+    assert_eq!(deleted, rows as u64);
+    assert_eq!(db.stats().user_deletes.load(Ordering::Relaxed), deleted);
+    assert_eq!(table.live_count().unwrap(), 0);
 }
 
 #[test]
@@ -450,64 +459,34 @@ impl Drop for TempDbPath {
     }
 }
 
-/// Run `op` with a checkpoint raced into its first clock reading, then
-/// crash and recover; returns the recovered `person` rows' ids.
-fn race_checkpoint_into_first_clock_read(
-    tag: &str,
-    op: impl FnOnce(&Arc<Db>, &CheckpointOnFirstRead) -> Result<()>,
-) -> Vec<Value> {
-    let path = TempDbPath::new(tag);
-    let clock = CheckpointOnFirstRead::new();
-    let db = Arc::new(Db::open(path.cfg(), clock.clone()).unwrap());
-    db.create_table(person_schema()).unwrap();
-    let outcome = op(&db, &clock);
-    clock.join();
-    assert!(outcome.is_ok(), "{outcome:?}");
-    drop(db); // crash: no shutdown checkpoint
-    let db =
-        Db::recover_with_schemas(path.cfg(), clock.clock.shared(), vec![person_schema()]).unwrap();
-    let table = db.catalog().get("person").unwrap();
-    table
-        .scan()
-        .unwrap()
-        .into_iter()
-        .map(|(_, t)| t.row[0].clone())
-        .collect()
-}
-
 /// `insert` reads the clock under the checkpoint gate's shared side, so a
 /// checkpoint that advances past that reading and shreds its window can
 /// only run after the insert has sealed its image: the insert succeeds
 /// and its row survives a crash.
 #[test]
 fn insert_seals_with_a_clock_read_under_the_checkpoint_gate() {
-    let ids = race_checkpoint_into_first_clock_read("ins", |db, clock| {
-        clock.arm(db);
-        db.insert(
-            "person",
-            &[Value::Int(1), Value::Str("4 rue Jussieu".into())],
-        )
-        .map(|_| ())
-    });
+    let path = TempDbPath::new("ins");
+    let clock = CheckpointOnFirstRead::new();
+    let db = Arc::new(Db::open(path.cfg(), clock.clone()).unwrap());
+    db.create_table(person_schema()).unwrap();
+    clock.arm(&db);
+    let outcome = db.insert(
+        "person",
+        &[Value::Int(1), Value::Str("4 rue Jussieu".into())],
+    );
+    clock.join();
+    assert!(outcome.is_ok(), "{outcome:?}");
+    drop(db); // crash: no shutdown checkpoint
+    let db =
+        Db::recover_with_schemas(path.cfg(), clock.clock.shared(), vec![person_schema()]).unwrap();
+    let table = db.catalog().get("person").unwrap();
+    let ids: Vec<Value> = table
+        .scan()
+        .unwrap()
+        .into_iter()
+        .map(|(_, t)| t.row[0].clone())
+        .collect();
     assert_eq!(ids, vec![Value::Int(1)]);
-}
-
-/// The same race for `update_stable`: its new image is sealed in a live
-/// window and the updated value survives a crash.
-#[test]
-fn update_stable_seals_with_a_clock_read_under_the_checkpoint_gate() {
-    let ids = race_checkpoint_into_first_clock_read("upd", |db, clock| {
-        let tid = db
-            .insert(
-                "person",
-                &[Value::Int(1), Value::Str("4 rue Jussieu".into())],
-            )
-            .unwrap();
-        let table = db.catalog().get("person").unwrap();
-        clock.arm(db);
-        db.update_stable(&table, tid, instantdb::common::ColumnId(0), Value::Int(2))
-    });
-    assert_eq!(ids, vec![Value::Int(2)]);
 }
 
 #[test]

@@ -202,33 +202,6 @@ fn full_life_cycle_empties_the_table() {
 }
 
 #[test]
-fn degradable_attributes_are_immutable_stable_ones_not() {
-    let (_clock, mut s) = fig2_session();
-    seed(&mut s);
-    let db = s.db().clone();
-    let table = db.catalog().get("person").unwrap();
-    let (tid, _) = table.scan().unwrap()[0];
-    // Stable update ok.
-    db.update_stable(
-        &table,
-        tid,
-        instantdb::common::ColumnId(1),
-        Value::Str("zoe".into()),
-    )
-    .unwrap();
-    // Degradable update refused.
-    let err = db
-        .update_stable(
-            &table,
-            tid,
-            instantdb::common::ColumnId(2),
-            Value::Str("Paris".into()),
-        )
-        .unwrap_err();
-    assert!(matches!(err, Error::Policy(_)));
-}
-
-#[test]
 fn relaxed_vs_strict_monotonicity() {
     // Relaxed answers are always a superset of strict answers.
     let (clock, mut s) = fig2_session();
