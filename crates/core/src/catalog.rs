@@ -2,7 +2,7 @@
 //!
 //! A [`Table`] couples a schema with its heap file and its secondary
 //! indexes: a degradation-aware [`MultiLevelIndex`] per indexed degradable
-//! column, a plain B+-tree per indexed stable column. The [`Catalog`] maps
+//! column, one ordered map per indexed stable column. The [`Catalog`] maps
 //! names to tables.
 //!
 //! Tables expose *physical* primitives (insert/read/rewrite/expunge with
@@ -10,6 +10,7 @@
 //! lives in [`crate::db`].
 
 use std::collections::HashMap;
+use std::ops::Bound;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -268,18 +269,18 @@ impl Table {
         &self,
         cid: ColumnId,
         level: LevelId,
-        lo: Option<&Value>,
-        hi: Option<&Value>,
+        lo: Bound<&Value>,
+        hi: Bound<&Value>,
     ) -> Option<Vec<TupleId>> {
         self.deg_indexes
             .read()
             .get(&cid)
-            .and_then(|idx| idx.range_at(level, lo, hi).ok().flatten())
+            .and_then(|idx| idx.range_at(level, lo, hi).ok())
     }
 
     /// All tuples currently indexed at `level` for `cid` (level occupancy).
     pub fn index_level_members(&self, cid: ColumnId, level: LevelId) -> Option<Vec<TupleId>> {
-        self.index_range_deg(cid, level, None, None)
+        self.index_range_deg(cid, level, Bound::Unbounded, Bound::Unbounded)
     }
 
     /// Equality probe on a stable column's index.
@@ -291,13 +292,13 @@ impl Table {
     pub fn index_range_stable(
         &self,
         cid: ColumnId,
-        lo: Option<&Value>,
-        hi: Option<&Value>,
+        lo: Bound<&Value>,
+        hi: Bound<&Value>,
     ) -> Option<Vec<TupleId>> {
         self.stable_indexes
             .read()
             .get(&cid)
-            .and_then(|i| i.range(lo, hi))
+            .map(|i| i.range(lo, hi))
     }
 
     /// Per-level index occupancy for a degradable column.

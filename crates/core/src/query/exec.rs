@@ -16,12 +16,13 @@
 //! against coarser tuples and projects the most accurate computable value.
 //!
 //! Planning: one indexable conjunct is chosen as the access path — a
-//! stable-column B+-tree probe, or a degradable-column probe against the
+//! stable-column ordered-index probe, or a degradable-column probe against the
 //! multi-level index at the requested level `k` (supplemented by the
 //! finer-level member lists, since finer tuples also compute `k`); the
 //! remaining conjuncts run as filters.
 
 use std::cmp::Ordering as CmpOrdering;
+use std::ops::Bound;
 use std::sync::Arc;
 
 use instant_common::{ColumnId, Error, LevelId, Result, TupleId, Value};
@@ -217,11 +218,11 @@ fn resolve_level_token(token: &str, h: &dyn instant_lcp::hierarchy::Hierarchy) -
 enum AccessPath {
     SeqScan,
     StableEq(ColumnId, Value),
-    StableRange(ColumnId, Option<Value>, Option<Value>),
+    StableRange(ColumnId, Bound<Value>, Bound<Value>),
     /// Probe the multi-level index at the requested level with the key,
     /// plus all members of finer levels (they also compute `k`).
     DegEq(ColumnId, LevelId, Value),
-    DegRange(ColumnId, LevelId, Option<Value>, Option<Value>),
+    DegRange(ColumnId, LevelId, Bound<Value>, Bound<Value>),
 }
 
 impl AccessPath {
@@ -307,17 +308,20 @@ fn plan(table: &Table, predicate: Option<&Predicate>, acc: &AccuracyVector) -> A
     // Pass 2: range probes.
     for c in &conjuncts {
         let (column, lo, hi) = match c {
-            Predicate::Between { column, lo, hi } => (column, Some(lo.clone()), Some(hi.clone())),
+            Predicate::Between { column, lo, hi } => {
+                (column, Bound::Included(lo), Bound::Included(hi))
+            }
             Predicate::Cmp {
                 column,
-                op: ComparisonOp::Lt | ComparisonOp::Le,
+                op,
                 literal,
-            } => (column, None, Some(literal.clone())),
-            Predicate::Cmp {
-                column,
-                op: ComparisonOp::Gt | ComparisonOp::Ge,
-                literal,
-            } => (column, Some(literal.clone()), None),
+            } => match op {
+                ComparisonOp::Lt => (column, Bound::Unbounded, Bound::Excluded(literal)),
+                ComparisonOp::Le => (column, Bound::Unbounded, Bound::Included(literal)),
+                ComparisonOp::Gt => (column, Bound::Excluded(literal), Bound::Unbounded),
+                ComparisonOp::Ge => (column, Bound::Included(literal), Bound::Unbounded),
+                ComparisonOp::Eq | ComparisonOp::Ne => continue,
+            },
             _ => continue,
         };
         let Ok(cid) = schema.column_id(column) else {
@@ -327,10 +331,8 @@ fn plan(table: &Table, predicate: Option<&Predicate>, acc: &AccuracyVector) -> A
         if !col.indexed {
             continue;
         }
-        let lo = lo.map(|v| bind_literal(col, &v));
-        // Upper bounds are widened by one step since index ranges are
-        // exclusive; the residual filter enforces exact semantics.
-        let hi = hi.map(|v| widen_upper(bind_literal(col, &v)));
+        let lo = lo.map(|v| bind_literal(col, v));
+        let hi = hi.map(|v| bind_literal(col, v));
         match col.degrader() {
             None => return AccessPath::StableRange(cid, lo, hi),
             Some(_) => {
@@ -343,30 +345,8 @@ fn plan(table: &Table, predicate: Option<&Predicate>, acc: &AccuracyVector) -> A
     AccessPath::SeqScan
 }
 
-/// Bump an upper bound so `<=`/BETWEEN semantics survive the index's
-/// exclusive upper bound; the exact filter runs afterwards anyway.
-fn widen_upper(v: Value) -> Value {
-    match v {
-        Value::Int(i) => Value::Int(i.saturating_add(1)),
-        Value::Range { lo, hi } => Value::Range {
-            lo: lo.saturating_add(1),
-            hi: hi.saturating_add(1),
-        },
-        Value::Str(s) => {
-            let mut s = s;
-            s.push('\u{10FFFF}');
-            Value::Str(s)
-        }
-        other => other,
-    }
-}
-
 /// Gather candidate tuple ids for the path.
-fn candidates(
-    table: &Table,
-    path: &AccessPath,
-    acc: &AccuracyVector,
-) -> Result<Option<Vec<TupleId>>> {
+fn candidates(table: &Table, path: &AccessPath) -> Result<Option<Vec<TupleId>>> {
     match path {
         AccessPath::SeqScan => Ok(None),
         AccessPath::StableEq(cid, key) => Ok(table.index_probe_stable(*cid, key)),
@@ -386,7 +366,6 @@ fn candidates(
                     out.extend(members);
                 }
             }
-            let _ = acc;
             Ok(Some(out))
         }
         AccessPath::DegRange(cid, level, lo, hi) => {
@@ -518,7 +497,7 @@ fn select(
     let tx = db.tx_manager().begin();
     tx.lock(Resource::Table(table.id()), LockMode::IntentionShared)?;
 
-    let candidate_ids = candidates(table, &path, &acc)?;
+    let candidate_ids = candidates(table, &path)?;
     let mut rows = Vec::new();
     let mut visit = |tid: TupleId, tuple: &StoredTuple| -> Result<()> {
         if let Some(view) = degraded_view(table, tuple, &acc, session.semantics()) {
@@ -582,7 +561,7 @@ fn delete(session: &Session, table: &Arc<Table>, predicate: Option<&Predicate>) 
     bind_predicate(schema, predicate)?;
     let acc = resolve_accuracy(session, table)?;
     let path = plan(table, predicate, &acc);
-    let candidate_ids = candidates(table, &path, &acc)?;
+    let candidate_ids = candidates(table, &path)?;
     let ids: Vec<TupleId> = match candidate_ids {
         Some(ids) => ids,
         None => table.scan()?.into_iter().map(|(t, _)| t).collect(),
@@ -784,6 +763,48 @@ mod tests {
             .unwrap()
             .rows();
         assert_eq!(r2.rows, vec![vec![Value::Int(3)]]);
+    }
+
+    #[test]
+    fn indexed_upper_bounds_keep_the_boundary_row() {
+        let (_clock, mut s) = setup();
+        s.execute("CREATE TABLE m (f FLOAT INDEXED, g FLOAT, i INT INDEXED, j INT)")
+            .unwrap();
+        for (f, i) in [("1.5", "1"), ("3.5", "2"), ("7.25", "9223372036854775807")] {
+            s.execute(&format!("INSERT INTO m VALUES ({f}, {f}, {i}, {i})"))
+                .unwrap();
+        }
+        let mut count = |q: &str| {
+            let r = s.execute(q).unwrap().rows();
+            (r.rows.len(), r.plan)
+        };
+        for (indexed, scanned, want) in [
+            ("f <= 3.5", "g <= 3.5", 2),
+            ("f BETWEEN 1.5 AND 3.5", "g BETWEEN 1.5 AND 3.5", 2),
+            ("f < 3.5", "g < 3.5", 1),
+            ("f > 3.5", "g > 3.5", 1),
+            ("i <= 9223372036854775807", "j <= 9223372036854775807", 3),
+            ("i >= 9223372036854775807", "j >= 9223372036854775807", 1),
+        ] {
+            let (n, plan) = count(&format!("SELECT * FROM m WHERE {indexed}"));
+            assert!(plan.starts_with("IndexRange"), "{indexed}: plan was {plan}");
+            assert_eq!(n, want, "{indexed}");
+            assert_eq!(count(&format!("SELECT * FROM m WHERE {scanned}")).0, want);
+        }
+    }
+
+    #[test]
+    fn reversed_bounds_return_no_rows() {
+        let (_clock, mut s) = setup();
+        seed(&mut s);
+        for q in [
+            "SELECT * FROM person WHERE id BETWEEN 4 AND 1",
+            "SELECT * FROM person WHERE location BETWEEN 'z' AND 'a'",
+        ] {
+            let r = s.execute(q).unwrap().rows();
+            assert!(r.plan.contains("Range"), "{q}: plan was {}", r.plan);
+            assert!(r.rows.is_empty(), "{q}");
+        }
     }
 
     #[test]

@@ -7,32 +7,28 @@
 //! introduces the need for indexing techniques supporting efficiently
 //! degradation."
 //!
-//! Two from-scratch structures behind one [`SecondaryIndex`] trait:
-//!
-//! * [`btree::BPlusTree`] — order-64 B+-tree with leaf links; the right
-//!   tool for the *accurate* state `d0`, where the domain is wide and
-//!   predicates are selective.
-//! * [`bitmap::BitmapIndex`] — bitmap per distinct value; the right tool
-//!   for *degraded* states, whose cardinality collapses (7 addresses → 2
-//!   countries in Fig. 1) and whose queries touch large fractions of the
-//!   store.
+//! One structure, [`btree::BPlusTree`]: a std ordered map from key to
+//! postings, serving equality and range probes at every accuracy level.
 //!
 //! [`multilevel::MultiLevelIndex`] is the degradation-aware composite: one
-//! structure per accuracy level (B+-tree at `d0`, bitmaps above), kept
-//! consistent by the degradation step's `migrate` call. Experiment E9
-//! compares all of them against sequential scans across accuracy levels and
-//! selectivities.
+//! ordered map per accuracy level, kept consistent by the degradation
+//! step's `migrate` call.
 
 #![warn(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 
-pub mod bitmap;
 pub mod btree;
 pub mod multilevel;
+
+use std::ops::Bound;
 
 use instant_common::{TupleId, Value};
 
 /// A secondary index mapping attribute values to tuple ids.
-pub trait SecondaryIndex: Send + Sync + std::fmt::Debug {
+///
+/// [`btree::BPlusTree`] is its one implementation; `benchmark/src/trace.rs`
+/// imports the trait to call it, so folding it into inherent methods waits
+/// for the next change to the benchmark.
+pub trait SecondaryIndex {
     /// Register `tid` under `key`.
     fn insert(&mut self, key: &Value, tid: TupleId);
 
@@ -42,9 +38,10 @@ pub trait SecondaryIndex: Send + Sync + std::fmt::Debug {
     /// Tuples whose key equals `key` (per [`Value::compare`] semantics).
     fn get(&self, key: &Value) -> Vec<TupleId>;
 
-    /// Tuples with `lo <= key < hi` (either bound optional). Implementations
-    /// that cannot range-scan return `None` and the planner falls back.
-    fn range(&self, lo: Option<&Value>, hi: Option<&Value>) -> Option<Vec<TupleId>>;
+    /// Tuples whose key lies within the bounds, in key order. Bounds that
+    /// admit no key (`lo > hi`, or `lo == hi` with either end excluded)
+    /// give an empty result.
+    fn range(&self, lo: Bound<&Value>, hi: Bound<&Value>) -> Vec<TupleId>;
 
     /// Total postings (tuple references) stored.
     fn len(&self) -> usize;
@@ -52,7 +49,4 @@ pub trait SecondaryIndex: Send + Sync + std::fmt::Debug {
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Number of distinct keys.
-    fn distinct_keys(&self) -> usize;
 }

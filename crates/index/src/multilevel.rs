@@ -1,99 +1,59 @@
 //! The degradation-aware multi-level index.
 //!
-//! One index structure **per accuracy level** of a degradable column:
-//! a B+-tree at `d0` (wide domain, selective predicates) and bitmaps at
-//! every degraded level (collapsed cardinality, broad predicates). The
+//! One ordered map **per accuracy level** of a degradable column. The
 //! degradation step calls [`MultiLevelIndex::migrate`], which removes the
-//! tuple from its old level's structure and inserts the degraded value into
-//! the new level's — so at any instant, querying level `k` consults exactly
-//! the tuples whose current accuracy *is* `k`, which is precisely the
+//! tuple from its old level and inserts the degraded value into the new
+//! level — so at any instant, querying level `k` consults exactly the
+//! tuples whose current accuracy *is* `k`, which is precisely the
 //! subset-`ST_j` bookkeeping the σ/π semantics need.
 //!
-//! Because migration physically removes the fine-grained key from the `d0`
-//! structure, the index never retains entries the store has degraded —
-//! closing the "unintended retention in the indexes" channel (the forensic
-//! experiment scans index memory too).
+//! Removing a key's last posting removes the key itself, and no other copy
+//! of a key is kept (no separators, no tombstones). So once migration has
+//! moved every tuple off a fine-grained value, that value is gone from the
+//! index — closing the "unintended retention in the indexes" channel (the
+//! forensic experiment scans index memory too).
+
+use std::ops::Bound;
 
 use instant_common::{Error, LevelId, Result, TupleId, Value};
 
-use crate::bitmap::BitmapIndex;
 use crate::btree::BPlusTree;
 use crate::SecondaryIndex;
-
-/// Which structure serves a given level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LevelStructure {
-    BTree,
-    Bitmap,
-}
 
 /// Per-level index composite for one degradable column.
 #[derive(Debug)]
 pub struct MultiLevelIndex {
-    levels: Vec<Box<dyn SecondaryIndex>>,
-    kinds: Vec<LevelStructure>,
+    levels: Vec<BPlusTree>,
 }
 
 impl MultiLevelIndex {
-    /// Build with the default structure assignment: B+-tree at level 0,
-    /// bitmaps at degraded levels.
+    /// One empty ordered map per level.
     pub fn new(num_levels: u8) -> MultiLevelIndex {
         assert!(num_levels >= 1);
-        let mut levels: Vec<Box<dyn SecondaryIndex>> = Vec::with_capacity(num_levels as usize);
-        let mut kinds = Vec::with_capacity(num_levels as usize);
-        for k in 0..num_levels {
-            if k == 0 {
-                levels.push(Box::new(BPlusTree::new()));
-                kinds.push(LevelStructure::BTree);
-            } else {
-                levels.push(Box::new(BitmapIndex::new()));
-                kinds.push(LevelStructure::Bitmap);
-            }
+        MultiLevelIndex {
+            levels: (0..num_levels).map(|_| BPlusTree::new()).collect(),
         }
-        MultiLevelIndex { levels, kinds }
-    }
-
-    /// Build with an explicit structure per level (for the E9 ablation).
-    pub fn with_structures(kinds: Vec<LevelStructure>) -> MultiLevelIndex {
-        assert!(!kinds.is_empty());
-        let levels = kinds
-            .iter()
-            .map(|k| -> Box<dyn SecondaryIndex> {
-                match k {
-                    LevelStructure::BTree => Box::new(BPlusTree::new()),
-                    LevelStructure::Bitmap => Box::new(BitmapIndex::new()),
-                }
-            })
-            .collect();
-        MultiLevelIndex { levels, kinds }
     }
 
     pub fn num_levels(&self) -> u8 {
         self.levels.len() as u8
     }
 
-    pub fn structure_at(&self, k: LevelId) -> Option<LevelStructure> {
-        self.kinds.get(k.0 as usize).copied()
-    }
-
-    fn level_mut(&mut self, k: LevelId) -> Result<&mut Box<dyn SecondaryIndex>> {
+    fn level_mut(&mut self, k: LevelId) -> Result<&mut BPlusTree> {
         let n = self.levels.len();
         self.levels
             .get_mut(k.0 as usize)
             .ok_or_else(|| Error::Accuracy(format!("index has {n} levels, requested d{}", k.0)))
     }
 
-    fn level(&self, k: LevelId) -> Result<&dyn SecondaryIndex> {
-        self.levels
-            .get(k.0 as usize)
-            .map(|b| b.as_ref())
-            .ok_or_else(|| {
-                Error::Accuracy(format!(
-                    "index has {} levels, requested d{}",
-                    self.levels.len(),
-                    k.0
-                ))
-            })
+    fn level(&self, k: LevelId) -> Result<&BPlusTree> {
+        self.levels.get(k.0 as usize).ok_or_else(|| {
+            Error::Accuracy(format!(
+                "index has {} levels, requested d{}",
+                self.levels.len(),
+                k.0
+            ))
+        })
     }
 
     /// Register a fresh tuple at its insert level (normally `d0`).
@@ -137,13 +97,13 @@ impl MultiLevelIndex {
         Ok(self.level(k)?.get(key))
     }
 
-    /// Range lookup at level `k`.
+    /// Range lookup at level `k`; see [`SecondaryIndex::range`].
     pub fn range_at(
         &self,
         k: LevelId,
-        lo: Option<&Value>,
-        hi: Option<&Value>,
-    ) -> Result<Option<Vec<TupleId>>> {
+        lo: Bound<&Value>,
+        hi: Bound<&Value>,
+    ) -> Result<Vec<TupleId>> {
         Ok(self.level(k)?.range(lo, hi))
     }
 
@@ -161,11 +121,6 @@ impl MultiLevelIndex {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Distinct keys per level.
-    pub fn distinct_per_level(&self) -> Vec<usize> {
-        self.levels.iter().map(|l| l.distinct_keys()).collect()
-    }
 }
 
 #[cfg(test)]
@@ -174,15 +129,6 @@ mod tests {
 
     fn tid(n: u64) -> TupleId {
         TupleId::unpack(n)
-    }
-
-    #[test]
-    fn default_structure_assignment() {
-        let idx = MultiLevelIndex::new(4);
-        assert_eq!(idx.structure_at(LevelId(0)), Some(LevelStructure::BTree));
-        assert_eq!(idx.structure_at(LevelId(1)), Some(LevelStructure::Bitmap));
-        assert_eq!(idx.structure_at(LevelId(3)), Some(LevelStructure::Bitmap));
-        assert_eq!(idx.structure_at(LevelId(4)), None);
     }
 
     #[test]
@@ -236,7 +182,7 @@ mod tests {
     }
 
     #[test]
-    fn range_at_btree_level_and_bitmap_level() {
+    fn range_at_int_and_interval_levels() {
         let mut idx = MultiLevelIndex::new(2);
         for i in 0..100 {
             idx.insert_at(LevelId(0), &Value::Int(i), tid(i as u64))
@@ -254,17 +200,19 @@ mod tests {
             .unwrap();
         }
         let d0 = idx
-            .range_at(LevelId(0), Some(&Value::Int(10)), Some(&Value::Int(20)))
-            .unwrap()
+            .range_at(
+                LevelId(0),
+                Bound::Included(&Value::Int(10)),
+                Bound::Excluded(&Value::Int(20)),
+            )
             .unwrap();
         assert_eq!(d0.len(), 10);
         let d1 = idx
             .range_at(
                 LevelId(1),
-                Some(&Value::Range { lo: 2000, hi: 3000 }),
-                Some(&Value::Range { lo: 5000, hi: 6000 }),
+                Bound::Included(&Value::Range { lo: 2000, hi: 3000 }),
+                Bound::Excluded(&Value::Range { lo: 5000, hi: 6000 }),
             )
-            .unwrap()
             .unwrap();
         assert_eq!(d1.len(), 3);
     }
@@ -273,14 +221,6 @@ mod tests {
     fn out_of_range_level_errors() {
         let idx = MultiLevelIndex::new(2);
         assert!(idx.get_at(LevelId(5), &Value::Int(1)).is_err());
-    }
-
-    #[test]
-    fn explicit_structures_honored() {
-        let idx =
-            MultiLevelIndex::with_structures(vec![LevelStructure::Bitmap, LevelStructure::BTree]);
-        assert_eq!(idx.structure_at(LevelId(0)), Some(LevelStructure::Bitmap));
-        assert_eq!(idx.structure_at(LevelId(1)), Some(LevelStructure::BTree));
     }
 
     #[test]
@@ -297,6 +237,32 @@ mod tests {
         }
         assert_eq!(idx.occupancy(), vec![400, 600, 0]);
         assert_eq!(idx.len(), 1000);
-        assert_eq!(idx.distinct_per_level(), vec![1, 1, 0]);
+    }
+
+    #[test]
+    fn migrated_keys_leave_no_trace() {
+        let mut idx = MultiLevelIndex::new(2);
+        let addrs: Vec<String> = (0..200).map(|i| format!("addr-needle-{i:04}")).collect();
+        for (i, a) in addrs.iter().enumerate() {
+            idx.insert_at(LevelId(0), &Value::Str(a.clone()), tid(i as u64))
+                .unwrap();
+        }
+        let city = Value::Str("Paris".into());
+        for (i, a) in addrs.iter().enumerate() {
+            let addr = Value::Str(a.clone());
+            idx.migrate(
+                LevelId(0),
+                &addr,
+                Some(LevelId(1)),
+                Some(&city),
+                tid(i as u64),
+            )
+            .unwrap();
+        }
+        let image = format!("{idx:?}");
+        for a in &addrs {
+            assert!(!image.contains(a.as_str()), "{a} survives in the index");
+        }
+        assert_eq!(idx.occupancy(), vec![0, 200]);
     }
 }

@@ -1,7 +1,8 @@
-//! Property tests: the B+-tree against a `BTreeMap` reference model under
-//! random interleavings of inserts, removes, lookups and range scans.
+//! Property tests: the ordered index against a `BTreeMap` reference model
+//! under random interleavings of inserts, removes, lookups and range scans.
 
 use std::collections::BTreeMap;
+use std::ops::Bound;
 
 use instant_common::{TupleId, Value};
 use instant_index::btree::BPlusTree;
@@ -13,7 +14,32 @@ enum Op {
     Insert(i64, u64),
     Remove(i64, u64),
     Get(i64),
-    Range(i64, i64),
+    Range(Bound<i64>, Bound<i64>),
+}
+
+/// Either end of a range: any kind, any key, so reversed and empty bounds
+/// are drawn as often as ordered ones.
+fn arb_bound() -> impl Strategy<Value = Bound<i64>> {
+    (0u8..3, 0i64..200).prop_map(|(kind, k)| match kind {
+        0 => Bound::Included(k),
+        1 => Bound::Excluded(k),
+        _ => Bound::Unbounded,
+    })
+}
+
+/// Whether `k` lies within the bounds (by definition, not through `range`).
+fn within(k: i64, lo: Bound<i64>, hi: Bound<i64>) -> bool {
+    let above = match lo {
+        Bound::Included(lo) => k >= lo,
+        Bound::Excluded(lo) => k > lo,
+        Bound::Unbounded => true,
+    };
+    let below = match hi {
+        Bound::Included(hi) => k <= hi,
+        Bound::Excluded(hi) => k < hi,
+        Bound::Unbounded => true,
+    };
+    above && below
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -21,7 +47,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
         3 => (0i64..200, 0u64..50).prop_map(|(k, t)| Op::Insert(k, t)),
         2 => (0i64..200, 0u64..50).prop_map(|(k, t)| Op::Remove(k, t)),
         2 => (0i64..200).prop_map(Op::Get),
-        1 => (0i64..200, 0i64..200).prop_map(|(a, b)| Op::Range(a.min(b), a.max(b))),
+        1 => (arb_bound(), arb_bound()).prop_map(|(lo, hi)| Op::Range(lo, hi)),
     ]
 }
 
@@ -63,11 +89,11 @@ proptest! {
                     prop_assert_eq!(got, want);
                 }
                 Op::Range(lo, hi) => {
-                    let mut got = tree
-                        .range(Some(&Value::Int(lo)), Some(&Value::Int(hi)))
-                        .unwrap();
+                    let (vlo, vhi) = (lo.map(Value::Int), hi.map(Value::Int));
+                    let mut got = tree.range(vlo.as_ref(), vhi.as_ref());
                     let mut want: Vec<TupleId> = model
-                        .range(lo..hi)
+                        .iter()
+                        .filter(|(k, _)| within(**k, lo, hi))
                         .flat_map(|(_, v)| v.iter().copied())
                         .collect();
                     got.sort();
@@ -78,7 +104,7 @@ proptest! {
             // Global invariants after every op.
             let total: usize = model.values().map(|v| v.len()).sum();
             prop_assert_eq!(tree.len(), total);
-            prop_assert_eq!(tree.distinct_keys(), model.len());
+            prop_assert_eq!(tree.ordered_entries().len(), model.len());
         }
         // Ordered iteration equals the model.
         let entries = tree.ordered_entries();
@@ -88,23 +114,5 @@ proptest! {
             .collect();
         let want_keys: Vec<i64> = model.keys().copied().collect();
         prop_assert_eq!(keys, want_keys);
-    }
-
-    #[test]
-    fn rebuild_preserves_semantics(
-        inserts in proptest::collection::vec((0i64..100, 0u64..1000), 1..300),
-        removes in proptest::collection::vec(any::<prop::sample::Index>(), 0..100),
-    ) {
-        let mut tree = BPlusTree::new();
-        for (k, t) in &inserts {
-            tree.insert(&Value::Int(*k), TupleId::unpack(*t));
-        }
-        for idx in removes {
-            let (k, t) = inserts[idx.index(inserts.len())];
-            tree.remove(&Value::Int(k), TupleId::unpack(t));
-        }
-        let before = tree.ordered_entries();
-        tree.rebuild();
-        prop_assert_eq!(tree.ordered_entries(), before);
     }
 }

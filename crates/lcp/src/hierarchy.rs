@@ -57,8 +57,8 @@ pub trait Hierarchy: Send + Sync + std::fmt::Debug {
     }
 
     /// Number of distinct values the domain exposes at level `k`.
-    /// Used to size bitmap indexes and to reason about selectivity collapse
-    /// (Section III: "OLTP queries become less selective").
+    /// Used to reason about selectivity collapse (Section III: "OLTP
+    /// queries become less selective").
     fn cardinality_at(&self, k: LevelId) -> u64;
 }
 

@@ -17,7 +17,7 @@
 use std::time::{Duration, Instant};
 
 use instant_core::query::QueryOutput;
-use instant_server::{Client, ClientConfig};
+use instant_server::Client;
 
 fn usage(err: &str) -> ! {
     eprintln!("error: {err}");
@@ -52,7 +52,7 @@ fn main() {
         }
     }
 
-    let mut client = match connect_with_wait(&addr, wait_ms) {
+    let mut client = match connect_or_wait(&addr, wait_ms) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("instantdb-cli: cannot connect to {addr}: {e}");
@@ -97,10 +97,10 @@ fn main() {
     let _ = client.close();
 }
 
-fn connect_with_wait(addr: &str, wait_ms: u64) -> Result<Client, instant_common::Error> {
+fn connect_or_wait(addr: &str, wait_ms: u64) -> Result<Client, instant_common::Error> {
     let deadline = Instant::now() + Duration::from_millis(wait_ms);
     loop {
-        match Client::connect_with(addr.to_string(), ClientConfig::default()) {
+        match Client::connect(addr) {
             Ok(c) => return Ok(c),
             Err(e) => {
                 if Instant::now() >= deadline {

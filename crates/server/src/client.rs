@@ -24,32 +24,12 @@ use instant_core::query::QueryOutput;
 
 use crate::protocol::{self, Frame};
 
-/// Client tuning.
-#[derive(Debug, Clone)]
-pub struct ClientConfig {
-    /// Largest accepted response frame.
-    pub max_frame_bytes: u32,
-    /// Re-dial after a transport failure (and replay the purpose
-    /// journal). Off = a dead connection fails every later call.
-    pub reconnect: bool,
-    /// Banner sent in the handshake (shows up in server logs/tooling).
-    pub banner: String,
-}
-
-impl Default for ClientConfig {
-    fn default() -> Self {
-        ClientConfig {
-            max_frame_bytes: protocol::DEFAULT_MAX_FRAME_BYTES,
-            reconnect: true,
-            banner: format!("instantdb-client/{}", env!("CARGO_PKG_VERSION")),
-        }
-    }
-}
+/// Banner sent in the handshake (shows up in server logs/tooling).
+const BANNER: &str = concat!("instantdb-client/", env!("CARGO_PKG_VERSION"));
 
 /// A blocking connection to an `instantdb-server`.
 pub struct Client {
     addr: String,
-    cfg: ClientConfig,
     stream: Option<TcpStream>,
     /// Successful `DECLARE PURPOSE` statements as `(purpose, sql)`,
     /// replayed in order on reconnect. Re-declaring a purpose replaces
@@ -71,14 +51,8 @@ impl std::fmt::Debug for Client {
 impl Client {
     /// Connect and handshake.
     pub fn connect(addr: impl Into<String>) -> Result<Client> {
-        Client::connect_with(addr, ClientConfig::default())
-    }
-
-    /// [`Client::connect`] with explicit tuning.
-    pub fn connect_with(addr: impl Into<String>, cfg: ClientConfig) -> Result<Client> {
         let mut client = Client {
             addr: addr.into(),
-            cfg,
             stream: None,
             purpose_journal: Vec::new(),
         };
@@ -92,7 +66,7 @@ impl Client {
     pub fn query(&mut self, sql: &str) -> Result<QueryOutput> {
         let result = self.exchange(&Frame::Query { sql: sql.into() });
         let result = match result {
-            Err(Error::Io(_)) if self.cfg.reconnect && replay_safe(sql) => {
+            Err(Error::Io(_)) if replay_safe(sql) => {
                 // The connection died mid-exchange; safe to retry only
                 // statements that cannot double-apply.
                 self.exchange(&Frame::Query { sql: sql.into() })
@@ -120,7 +94,7 @@ impl Client {
     /// Liveness probe.
     pub fn ping(&mut self) -> Result<()> {
         let result = match self.exchange(&Frame::Ping) {
-            Err(Error::Io(_)) if self.cfg.reconnect => self.exchange(&Frame::Ping),
+            Err(Error::Io(_)) => self.exchange(&Frame::Ping),
             other => other,
         };
         match result? {
@@ -156,7 +130,7 @@ impl Client {
         #[expect(clippy::expect_used, reason = "ensure_connected() just set the stream")]
         let stream = self.stream.as_mut().expect("connected above");
         protocol::write_frame(stream, frame)?;
-        match protocol::read_frame(stream, self.cfg.max_frame_bytes)? {
+        match protocol::read_frame(stream, protocol::DEFAULT_MAX_FRAME_BYTES)? {
             Some(reply) => Ok(reply),
             None => Err(Error::Io(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
@@ -172,8 +146,8 @@ impl Client {
         }
         let mut stream = TcpStream::connect(&self.addr)?;
         stream.set_nodelay(true).ok();
-        protocol::write_frame(&mut stream, &protocol::client_hello(&self.cfg.banner))?;
-        match protocol::read_frame(&mut stream, self.cfg.max_frame_bytes)? {
+        protocol::write_frame(&mut stream, &protocol::client_hello(BANNER))?;
+        match protocol::read_frame(&mut stream, protocol::DEFAULT_MAX_FRAME_BYTES)? {
             Some(Frame::Hello { .. }) => {}
             Some(Frame::Error { class, message }) => {
                 return Err(Frame::to_engine_error(&class, &message));
@@ -195,7 +169,7 @@ impl Client {
         // recurse through `query`'s retry path.
         for (_, sql) in &self.purpose_journal {
             protocol::write_frame(&mut stream, &Frame::Query { sql: sql.clone() })?;
-            match protocol::read_frame(&mut stream, self.cfg.max_frame_bytes)? {
+            match protocol::read_frame(&mut stream, protocol::DEFAULT_MAX_FRAME_BYTES)? {
                 Some(Frame::ResultSet(QueryOutput::PurposeDeclared(_))) => {}
                 Some(Frame::Error { class, message }) => {
                     return Err(Frame::to_engine_error(&class, &message));

@@ -38,7 +38,7 @@ pub mod protocol;
 pub mod server;
 pub mod stats;
 
-pub use client::{Client, ClientConfig};
+pub use client::Client;
 pub use server::{open_or_recover, Server, ServerConfig, DEFAULT_SLOW_QUERY};
 pub use stats::ServerStats;
 

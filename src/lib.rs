@@ -48,7 +48,7 @@
 //! | [`lcp`] | generalization trees, LCP automata |
 //! | [`storage`] | pages, buffer pool, heap, secure delete |
 //! | [`wal`] | sealed WAL, key shredding, recovery |
-//! | [`index`] | B+-tree, bitmap, multi-level index |
+//! | [`index`] | ordered index, degradation-aware multi-level index |
 //! | [`tx`] | 2PL locks, wait-die, transactions |
 //! | [`core`] | catalog, scheduler, SQL, the [`prelude::Db`] engine |
 //! | [`server`] | TCP front-end: wire protocol, a thread per connection, admission control |
@@ -84,9 +84,7 @@ pub mod prelude {
     pub use instant_core::{GroupCommitConfig, GroupCommitStats};
     pub use instant_lcp::gtree::{location_tree_fig1, GeneralizationTree};
     pub use instant_lcp::{AttributeLcp, Degrader, Hierarchy, RangeHierarchy};
-    pub use instant_server::{
-        server_stats, Client, ClientConfig, Server, ServerConfig, ServerStats,
-    };
+    pub use instant_server::{server_stats, Client, Server, ServerConfig, ServerStats};
     pub use instant_storage::SecurePolicy;
     pub use instant_wal::{SegmentConfig, SegmentStats};
     pub use instant_workload::attacker::SnapshotAttacker;
